@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import condense, decoders, defects, dsemion, engine, lattice
 from .catalog import builtin_theory, modular_data, turn_to_str
 from .errors import (ConfigError, DecodeNotFoundError,
-                     InconsistentSyndromeError, QuditLabError)
+                     InconsistentSyndromeError, ParseError, QuditLabError)
 from .pauli import from_text, to_text
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -73,6 +73,15 @@ def _as_int(kv, key, line_no, default=None):
         return int(kv[key])
     except ValueError:
         raise ConfigError(f"line {line_no}: field {key!r} must be an integer")
+
+
+def _as_float(kv, key, line_no):
+    if key not in kv:
+        raise ConfigError(f"line {line_no}: missing field {key!r}")
+    try:
+        return float(kv[key])
+    except ValueError:
+        raise ConfigError(f"line {line_no}: field {key!r} must be a number")
 
 
 def _as_bool(kv, key, line_no, default=True):
@@ -138,12 +147,10 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.string_spec = (rest[0], path)
         elif head == "channel":
             kv = _parse_kv(rest, no)
-            if "rate" not in kv:
-                raise ConfigError(f"line {no}: missing field 'rate'")
-            cfg.rate = float(kv["rate"])
+            cfg.rate = _as_float(kv, "rate", no)
             cfg.trials = _as_int(kv, "trials", no)
         elif head == "seed":
-            cfg.seed = int(rest[0])
+            cfg.seed = _as_int(dict(seed=rest[0]) if rest else {}, "seed", no)
         elif head == "output":
             if not rest:
                 raise ConfigError(f"line {no}: output needs a name")
@@ -260,7 +267,10 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
     outputs = cfg.outputs or [("dimension", {})]
     error = None
     if cfg.error_text is not None:
-        error = from_text(cfg.error_text, m.modulus, m.n_sites)
+        try:
+            error = from_text(cfg.error_text, m.modulus, m.n_sites)
+        except ParseError as exc:
+            raise ConfigError(f"field 'error': {exc}")
     elif cfg.string_spec is not None:
         kind, path = cfg.string_spec
         if kind in ("e", "m"):

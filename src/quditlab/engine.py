@@ -1,24 +1,32 @@
 """Exact linear algebra over Z_N for stabilizer groups.
 
-Group order, logical dimension and membership are computed from the Smith
-normal form of integer matrices.  N is not assumed prime (Z_4 is not a
-field), so all reasoning is over Z: the subgroup of Z_N^{2n} generated by
-the rows of G has order N^{2n} / prod(diag SNF [G; N*I]).  Phases are
-ignored for order and membership; the built-in models are sign-consistent
-by construction and a brute-force check asserts so on small instances.
+Group order, logical dimension and membership are computed from the index
+of the lattice L spanned by the rows of G and N Z^{2n}: the subgroup of
+Z_N^{2n} generated by the rows has order N^{2n} / [Z^{2n} : L], which is
+N^{2n} / prod(diag SNF [G; N*I]).  N is not assumed prime (Z_4 is not a
+field), so the elimination works over Z with gcd steps.
+
+Every routine works on nonzero support only: the commutation check visits
+the generator pairs that share a site, a syndrome visits the error's sites,
+and the elimination keeps sparse rows.  Costs follow the number of nonzeros
+rather than generators x sites, since each stabilizer touches a few sites.
+
+Phases are ignored for order and membership; the built-in models are
+sign-consistent by construction and a brute-force check asserts so on
+small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .errors import InvalidModelError, ShapeError
-from .pauli import PauliOp, commutation_exponent, identity, pauli_mul
+from .pauli import PauliOp, identity, pauli_mul
 
 __all__ = [
     "GeneratorMatrix",
     "Syndrome",
-    "smith_normal_form",
     "subgroup_order",
     "logical_dimension",
     "is_member",
@@ -57,96 +65,6 @@ class GeneratorMatrix:
         return tuple(op.x_exp) + tuple(op.z_exp)
 
 
-def smith_normal_form(rows, columns, track_right: bool = False):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns the list of nonzero diagonal entries (not necessarily in divisor
-    order, which no caller needs), and, if ``track_right`` is set, the column
-    transform V with  original_matrix @ V  column-equivalent to the diagonal.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    v = [[int(i == j) for j in range(columns)] for i in range(columns)] if track_right else None
-
-    def col_op(j, k, factor):
-        for r in m:
-            r[j] += factor * r[k]
-        if v is not None:
-            for r in v:
-                r[j] += factor * r[k]
-
-    def col_swap(j, k):
-        for r in m:
-            r[j], r[k] = r[k], r[j]
-        if v is not None:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-
-    diag = []
-    top = 0
-    left = 0
-    while top < nrows and left < columns:
-        # locate the smallest-magnitude nonzero pivot at or below/right of (top,left)
-        pivot = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(left, columns):
-                a = m[i][j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        if pj != left:
-            col_swap(left, pj)
-        while True:
-            p = m[top][left]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][left]:
-                    q = m[i][left] // p
-                    if q:
-                        for j in range(left, columns):
-                            m[i][j] -= q * m[top][j]
-                    if m[i][left]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(left + 1, columns):
-                if m[top][j]:
-                    q = m[top][j] // p
-                    if q:
-                        col_op(j, left, -q)
-                    if m[top][j]:
-                        col_swap(left, j)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        entry = m[top][left]
-        diag.append(abs(entry))
-        top += 1
-        left += 1
-    return (diag, v) if track_right else diag
-
-
-def _stacked(gens: GeneratorMatrix):
-    n2 = gens.columns
-    rows = [tuple(e % gens.modulus for e in r) for r in gens.rows]
-    rows += [tuple(gens.modulus if j == i else 0 for j in range(n2)) for i in range(n2)]
-    return rows
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _egcd(a, b):
     if b == 0:
         return a, 1, 0
@@ -157,18 +75,28 @@ def _egcd(a, b):
 def lattice_index(rows, modulus, columns) -> int:
     """[Z^columns : L] for the lattice L spanned by ``rows`` and N Z^columns.
 
-    Column-wise gcd triangularization with every entry kept reduced mod N;
-    the annihilator (N/d) * pivot is re-inserted after each column so the
-    result equals the diagonal product of the Smith normal form of the
-    stacked matrix [rows; N I] (cross-checked in the tests), at a fraction
-    of the cost.
+    Column-wise gcd triangularization on sparse rows ``{column: exponent}``
+    (entries reduced mod N, zeros dropped), bucketed by leading column.  The
+    rows leading in a column are gcd-combined until one pivot remains; a
+    combination whose entry there cancels moves to the bucket of its new
+    leading column, and the annihilator (N/d) * pivot is re-inserted the
+    same way.  The result equals the diagonal product of the Smith normal
+    form of the stacked matrix [rows; N I] (cross-checked in the tests).
+    The cost follows the nonzeros the elimination touches, not rows x
+    columns.
     """
     N = modulus
-    active = [[e % N for e in r] for r in rows if any(e % N for e in r)]
+    buckets = {}
+
+    def push(row):
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+
+    for r in rows:
+        push({c: e for c in compress(count(), r) if (e := r[c] % N)})
     index = 1
     for col in range(columns):
-        nz = [r for r in active if r[col]]
-        rest = [r for r in active if not r[col]]
+        nz = buckets.pop(col, None)
         if not nz:
             index *= N
             continue
@@ -179,21 +107,22 @@ def lattice_index(rows, modulus, columns) -> int:
             out = [base]
             for r in nz[1:]:
                 q = r[col] // base[col]
-                new = [(a - q * b) % N for a, b in zip(r, base)]
-                if new[col]:
+                new = dict(r)
+                for c, v in base.items():
+                    e = (new.get(c, 0) - q * v) % N
+                    if e:
+                        new[c] = e
+                    else:
+                        new.pop(c, None)
+                if col in new:
                     out.append(new)
-                elif any(new):
-                    rest.append(new)
+                else:
+                    push(new)
             nz = out
         pivot = nz[0]
-        g = pivot[col]
-        d, a, _ = _egcd(g, N)
+        d, a, _ = _egcd(pivot[col], N)
         index *= d
-        prow = [(a * v) % N for v in pivot]
-        ann = [(N // d) * v % N for v in prow]
-        if any(ann):
-            rest.append(ann)
-        active = rest
+        push({c: e for c, v in pivot.items() if (e := a * (N // d) * v % N)})
     return index
 
 
@@ -206,28 +135,49 @@ def subgroup_order(gens: GeneratorMatrix) -> int:
     return total // prod
 
 
-def subgroup_order_snf(gens: GeneratorMatrix) -> int:
-    """Reference path: the same order from the Smith normal form of [G; N I]."""
-    n2 = gens.columns
-    diag = smith_normal_form(_stacked(gens), n2)
-    prod = 1
-    for d in diag:
-        prod *= d
-    total = gens.modulus ** n2
-    assert total % prod == 0
-    return total // prod
+def _first_noncommuting_pair(ops, modulus):
+    """The first pair (i, j), i < j, in loop order whose words do not commute.
+
+    Words that share no site commute, so a site -> word incidence map lists
+    the candidate partners of each word and the symplectic form is summed
+    over the shared sites only.  Returns None when all pairs commute.
+    """
+    supports = [{i: (op.x_exp[i], op.z_exp[i]) for i in op.support()} for op in ops]
+    incidence = {}
+    for i, sup in enumerate(supports):
+        for site in sup:
+            incidence.setdefault(site, []).append(i)
+    for i, sup in enumerate(supports):
+        for j in sorted({j for site in sup for j in incidence[site] if j > i}):
+            other = supports[j]
+            acc = 0
+            for site, (x, z) in sup.items():
+                if site in other:
+                    xo, zo = other[site]
+                    acc += z * xo - x * zo
+            if acc % modulus:
+                return i, j
+    return None
+
+
+def _commutation_exponents(generators, op: PauliOp, modulus: int):
+    """commutation_exponent(g.op, op) for each generator, over op's support."""
+    terms = [(s, op.x_exp[s], op.z_exp[s]) for s in op.support()]
+    for g in generators:
+        gx, gz = g.op.x_exp, g.op.z_exp
+        yield sum(gz[s] * x - gx[s] * z for s, x, z in terms) % modulus
 
 
 def logical_dimension(model) -> int:
     """N^sites / |stabilizer group|; requires pairwise-commuting generators."""
     ops = [g.op for g in model.generators]
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if commutation_exponent(ops[i], ops[j]):
-                raise InvalidModelError(
-                    f"generators {model.generators[i].gid} and "
-                    f"{model.generators[j].gid} do not commute")
     gens = GeneratorMatrix.from_ops(ops, model.modulus, model.n_sites)
+    pair = _first_noncommuting_pair(ops, model.modulus)
+    if pair:
+        i, j = pair
+        raise InvalidModelError(
+            f"generators {model.generators[i].gid} and "
+            f"{model.generators[j].gid} do not commute")
     order = subgroup_order(gens)
     total = model.modulus ** model.n_sites
     if total % order:
@@ -239,26 +189,17 @@ def is_member(model, op: PauliOp) -> bool:
     """True iff op lies in the stabilizer group up to phase.
 
     Operators that fail to commute with some generator are detectable errors,
-    not members; they return False without raising.
+    not members; they return False without raising.  Otherwise op is a
+    member exactly when appending its row leaves the lattice index unchanged.
     """
-    for g in model.generators:
-        if commutation_exponent(g.op, op):
-            return False
+    if op.modulus != model.modulus or op.sites != model.n_sites:
+        raise ShapeError("operator register does not match model")
+    if any(_commutation_exponents(model.generators, op, model.modulus)):
+        return False
     gens = GeneratorMatrix.from_ops([g.op for g in model.generators],
                                     model.modulus, model.n_sites)
-    n = gens.modulus
-    diag, v = smith_normal_form(_stacked(gens), gens.columns, track_right=True)
-    target = list(gens.row_of(op))
-    # w = target @ V must be divisible entrywise by the SNF diagonal
-    for j in range(gens.columns):
-        w = sum(target[i] * v[i][j] for i in range(gens.columns))
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if w:
-                return False
-        elif w % d:
-            return False
-    return True
+    return (lattice_index(gens.rows + (gens.row_of(op),), gens.modulus, gens.columns)
+            == lattice_index(gens.rows, gens.modulus, gens.columns))
 
 
 @dataclass(frozen=True)
@@ -300,14 +241,18 @@ class Syndrome:
 
 
 def syndrome(model, error: PauliOp) -> Syndrome:
-    """Commutation exponent of every generator against the error."""
+    """Commutation exponent of every generator against the error.
+
+    Only the error's support is visited: a weight-w error costs
+    O(generators x w), not O(generators x sites).
+    """
     if error.modulus != model.modulus or error.sites != model.n_sites:
         raise ShapeError("error register does not match model")
     n = model.modulus
     exps = {}
     kinds = {}
-    for g in model.generators:
-        k = commutation_exponent(g.op, error)
+    for g, k in zip(model.generators,
+                    _commutation_exponents(model.generators, error, n)):
         if k:
             exps[g.gid] = k * g.order // n % g.order
             kinds[g.gid] = g.kind

@@ -9,6 +9,10 @@ class ShapeError(QuditLabError):
     """Operands disagree on modulus or site count."""
 
 
+class ParseError(QuditLabError):
+    """Text does not parse as the serialized form it claims to be."""
+
+
 class GeometryError(QuditLabError):
     """Lattice sizes or defect footprints are invalid."""
 

@@ -24,8 +24,10 @@ the identity on any register is ``"0|"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 
-from .errors import ShapeError
+from .errors import ParseError, ShapeError
 
 __all__ = [
     "PauliOp",
@@ -72,8 +74,7 @@ class PauliOp:
         return flat if up_to_phase else (flat and self.phase_exp == 0)
 
     def support(self) -> tuple:
-        return tuple(i for i in range(self.sites)
-                     if self.x_exp[i] or self.z_exp[i])
+        return tuple(compress(range(self.sites), map(or_, self.x_exp, self.z_exp)))
 
     def weight(self) -> int:
         return len(self.support())
@@ -138,11 +139,18 @@ def single_site(modulus: int, sites: int, site: int, x: int = 0, z: int = 0,
 
 
 def from_terms(modulus: int, sites: int, terms, phase: int = 0) -> PauliOp:
-    """Build a word from (site, x, z) triples; repeated sites multiply left to right."""
-    op = PauliOp(modulus, (0,) * sites, (0,) * sites, phase)
+    """Build a word from (site, x, z) triples; repeated sites multiply left to right.
+
+    Appending X^x Z^z on a site moves the word's Z^z' there past X^x, which
+    costs omega^{z' x}, i.e. tau^{2 z' x}.
+    """
+    xs = [0] * sites
+    zs = [0] * sites
     for site, x, z in terms:
-        op = pauli_mul(op, single_site(modulus, sites, site, x, z))
-    return op
+        phase += 2 * zs[site] * x
+        xs[site] += x
+        zs[site] += z
+    return PauliOp(modulus, tuple(xs), tuple(zs), phase)
 
 
 def pauli_mul(p: PauliOp, q: PauliOp) -> PauliOp:
@@ -212,14 +220,32 @@ def to_text(p: PauliOp) -> str:
 
 
 def from_text(text: str, modulus: int, sites: int) -> PauliOp:
-    """Parse the ``to_text`` format for a register of known size."""
-    head, _, body = text.partition("|")
+    """Parse the ``to_text`` format for a register of known size.
+
+    Raises ParseError on a malformed chunk, a non-integer phase or exponent,
+    or a site outside ``[0, sites)`` or repeated.
+    """
+    head, sep, body = text.partition("|")
     xs = [0] * sites
     zs = [0] * sites
-    if body:
-        for chunk in body.split(";"):
-            site, _, exps = chunk.partition(":")
-            x, _, z = exps.partition(",")
-            xs[int(site)] = int(x)
-            zs[int(site)] = int(z)
-    return PauliOp(modulus, tuple(xs), tuple(zs), int(head))
+    seen = set()
+    try:
+        if not sep:
+            raise ValueError("missing '|' after the phase")
+        phase = int(head)
+        for chunk in body.split(";") if body else ():
+            site_text, colon, exps = chunk.partition(":")
+            x_text, comma, z_text = exps.partition(",")
+            if not (colon and comma):
+                raise ValueError(f"chunk {chunk!r} is not site:x,z")
+            site = int(site_text)
+            if not 0 <= site < sites:
+                raise ValueError(f"site {site} is outside [0, {sites})")
+            if site in seen:
+                raise ValueError(f"site {site} is repeated")
+            seen.add(site)
+            xs[site] = int(x_text)
+            zs[site] = int(z_text)
+    except ValueError as exc:
+        raise ParseError(f"Pauli word {text!r}: {exc}") from None
+    return PauliOp(modulus, tuple(xs), tuple(zs), phase)

@@ -133,6 +133,21 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", [
+    "seed", "seed abc", "channel rate=abc trials=10", "error 0|99:1,0", "error 0|-1:1,0"])
+def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("quditlab-config v1\nmodel toric rows=4 cols=4 modulus=2\n"
+                   f"{line}\noutput syndrome\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditlab.cli", "syndrome", "--config", str(bad)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_out_and_json_format(tmp_path):
     target = tmp_path / "report.json"
     code = main(["dim", "--config", str(CONFIGS / "toric_2x2.cfg"),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quditlab.errors import ShapeError
+from quditlab.errors import ParseError, ShapeError
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, from_text,
                             identity, pauli_adjoint, pauli_mul, pauli_pow,
                             single_site, to_text)
@@ -147,6 +147,15 @@ def test_text_round_trip():
     assert from_text(text, 4, 5) == p
     assert to_text(identity(3, 4)) == "0|"
     assert from_text("0|", 3, 4) == identity(3, 4)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("0|5:1,0", "outside"), ("0|-1:1,0", "outside"), ("0|1:1,0;1:0,1", "repeated"),
+    ("0|1:1", "not site:x,z"), ("0|1,1,0", "not site:x,z"), ("0|1:a,0", "invalid"),
+    ("1.5|1:1,0", "invalid"), ("0", "missing"), ("0|1:1,0;", "not site:x,z")])
+def test_from_text_rejects_malformed_words(text, match):
+    with pytest.raises(ParseError, match=match):
+        from_text(text, 2, 5)
 
 
 def test_y_convention_at_n2():
