@@ -149,6 +149,10 @@ def parse_config(text: str) -> ExperimentConfig:
             kv = _parse_kv(rest, no)
             cfg.rate = _as_float(kv, "rate", no)
             cfg.trials = _as_int(kv, "trials", no)
+            if not 0.0 <= cfg.rate <= 1.0:
+                raise ConfigError(f"line {no}: field 'rate' must lie in [0, 1]")
+            if cfg.trials < 0:
+                raise ConfigError(f"line {no}: field 'trials' must not be negative")
         elif head == "seed":
             cfg.seed = _as_int(dict(seed=rest[0]) if rest else {}, "seed", no)
         elif head == "output":
@@ -205,13 +209,12 @@ def build_model(cfg: ExperimentConfig):
         if len(worm) != 1:
             raise ConfigError("bilayer model needs exactly one bilayer-wormhole defect")
         kv = worm[0]
-        mouths = kv.get("mouths", "0,0,2,2").split(",")
-        if len(mouths) != 4:
+        try:
+            x1, y1, x2, y2 = (int(c) for c in kv.get("mouths", "0,0,2,2").split(","))
+        except ValueError:
             raise ConfigError(f"line {kv.get('line')}: mouths needs x1,y1,x2,y2")
-        m1 = (int(mouths[0]), int(mouths[1]))
-        m2 = (int(mouths[2]), int(mouths[3]))
         model, rep = defects.couple_bilayer(a, b, kv["kind"].rsplit("-", 1)[-1],
-                                            (m1, m2))
+                                            ((x1, y1), (x2, y2)))
         reports.append(rep)
         rest = [d for d in cfg.defects if not d["kind"].startswith("bilayer-wormhole")]
         if rest:
@@ -227,20 +230,13 @@ def build_model(cfg: ExperimentConfig):
     return model, reports
 
 
-def _plain_model(model):
-    return model.model if isinstance(model, dsemion.DSModel) else model
-
-
 def _decoder_for(model):
-    fam = getattr(model, "family", "")
-    if fam == "doubled-semion":
-        ds = model if isinstance(model, dsemion.DSModel) else dsemion.DSModel(model)
-        return lambda m, s: decoders.decode_doubled_semion(ds, s)
+    if model.family == "doubled-semion":
+        return decoders.decode_doubled_semion
     return decoders.decode_toric
 
 
-def _model_lines(model, reports):
-    m = _plain_model(model)
+def _model_lines(m, reports):
     kinds = {}
     orders = {}
     for g in m.generators:
@@ -259,11 +255,10 @@ def _model_lines(model, reports):
 
 def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
     """Execute the configured pipeline and return the report document."""
-    model, reports = build_model(cfg)
-    m = _plain_model(model)
+    m, reports = build_model(cfg)
     seed = seed_override if seed_override is not None else cfg.seed
     lines = [REPORT_HEADER]
-    lines += _model_lines(model, reports)
+    lines += _model_lines(m, reports)
     outputs = cfg.outputs or [("dimension", {})]
     error = None
     if cfg.error_text is not None:
@@ -275,9 +270,8 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
         kind, path = cfg.string_spec
         if kind in ("e", "m"):
             error = lattice.toric_string_operator(m, list(path), kind)
-        elif getattr(model, "family", "") == "doubled-semion":
-            ds = model if isinstance(model, dsemion.DSModel) else dsemion.DSModel(model)
-            error = dsemion.string_operator(ds, kind, list(path)).op
+        elif m.family == "doubled-semion":
+            error = dsemion.string_operator(m, kind, list(path)).op
         else:
             raise ConfigError(f"string type {kind!r} needs the doubled-semion model")
     for name, kv in outputs:
@@ -296,10 +290,8 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
         elif name == "decode":
             if error is None:
                 raise ConfigError("output decode needs an error line")
-            decoder = _decoder_for(model)
-            corr = decoder(m, engine.syndrome(m, error))
-            out = decoders.decode_outcome(model if isinstance(model, dsemion.DSModel)
-                                          else m, error, corr)
+            corr = _decoder_for(m)(m, engine.syndrome(m, error))
+            out = decoders.decode_outcome(m, error, corr)
             lines.append(f"decode correction={to_text(corr.op)} "
                          f"trace={','.join(corr.trace) or '-'} "
                          f"success={str(out.success).lower()} class={out.logical_class}")
@@ -308,9 +300,7 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
                 raise ConfigError("output mc needs a channel line")
             if seed is None:
                 raise ConfigError("output mc needs a seed")
-            decoder = _decoder_for(model)
-            target = model if isinstance(model, dsemion.DSModel) else m
-            res = decoders.monte_carlo_trial(target, decoder, cfg.rate,
+            res = decoders.monte_carlo_trial(m, _decoder_for(m), cfg.rate,
                                              cfg.trials, seed)
             lo, hi = res.wilson_interval()
             lines.append(f"mc rate={res.error_rate} trials={res.trials} seed={res.seed} "
@@ -319,15 +309,14 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
             counts = " ".join(f"{k}={v}" for k, v in sorted(res.class_counts.items()))
             lines.append(f"mc-classes {counts}")
         elif name == "spin":
-            if getattr(model, "family", "") != "doubled-semion":
+            if m.family != "doubled-semion":
                 raise ConfigError("output spin needs the doubled-semion model")
-            ds = model if isinstance(model, dsemion.DSModel) else dsemion.DSModel(model)
             which = kv.get("anyon")
             anyons = [which] if which else ["s", "sbar", "ssbar"]
-            px = _as_int(kv, "x", 0, default=max(2, ds.geometry.cols // 2))
-            py = _as_int(kv, "y", 0, default=max(2, ds.geometry.rows // 2))
+            px = _as_int(kv, "x", 0, default=max(2, m.geometry.cols // 2))
+            py = _as_int(kv, "y", 0, default=max(2, m.geometry.rows // 2))
             for anyon in anyons:
-                k = dsemion.extract_topological_spin(ds, (px, py), anyon)
+                k = dsemion.extract_topological_spin(m, (px, py), anyon)
                 lines.append(f"spin {anyon} = {turn_to_str(Fraction(k, 4))}")
         elif name == "condense":
             theory = _theory_by_name(kv.get("theory", "z4"))
@@ -416,6 +405,20 @@ def _load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
+# subcommands that read a config: (help, outputs run in place of the
+# config's own output lines; None keeps them)
+CONFIG_COMMANDS = {
+    "run": ("execute every output requested by the config", None),
+    "build": ("build the model and report its generator content",
+              ("dimension", "generators")),
+    "dim": ("report the logical dimension", ("dimension",)),
+    "syndrome": ("report the syndrome of the configured error", ("syndrome",)),
+    "decode": ("decode the configured error", ("decode",)),
+    "mc": ("run the configured Monte Carlo channel", ("mc",)),
+    "spin": ("extract topological spins on the doubled-semion model", ("spin",)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="quditlab",
@@ -430,14 +433,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", default="text", choices=("text", "json"))
 
-    for name, help_text in (
-            ("run", "execute every output requested by the config"),
-            ("build", "build the model and report its generator content"),
-            ("dim", "report the logical dimension"),
-            ("syndrome", "report the syndrome of the configured error"),
-            ("decode", "decode the configured error"),
-            ("mc", "run the configured Monte Carlo channel"),
-            ("spin", "extract topological spins on the doubled-semion model")):
+    for name, (help_text, _) in CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "spin":
@@ -463,19 +459,10 @@ def main(argv=None) -> int:
             text = "\n".join([REPORT_HEADER] + _catalog_lines(theory)) + "\n"
         else:
             cfg = _load_config(args.config)
-            if args.command == "build":
-                cfg.outputs = [("dimension", {}), ("generators", {})]
-            elif args.command == "dim":
-                cfg.outputs = [("dimension", {})]
-            elif args.command == "syndrome":
-                cfg.outputs = [("syndrome", {})]
-            elif args.command == "decode":
-                cfg.outputs = [("decode", {})]
-            elif args.command == "mc":
-                cfg.outputs = [("mc", {})]
-            elif args.command == "spin":
-                which = {"anyon": args.anyon} if args.anyon else {}
-                cfg.outputs = [("spin", which)]
+            outputs = CONFIG_COMMANDS[args.command][1]
+            if outputs is not None:
+                kv = {"anyon": args.anyon} if getattr(args, "anyon", None) else {}
+                cfg.outputs = [(name, kv) for name in outputs]
             text = run(cfg, seed_override=args.seed)
         _emit(text, args.out, args.format)
         return 0

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import dsemion, engine
-from .dsemion import DSModel, string_operator
+from . import engine
+from .dsemion import string_operator
 from .errors import DecodeNotFoundError, InconsistentSyndromeError
 from .lattice import StabilizerModel, toric_string_operator
 from .pauli import (PauliOp, commutation_exponent, identity, pauli_adjoint,
@@ -73,14 +73,7 @@ class MonteCarloResult:
 # logical classes
 # ----------------------------------------------------------------------
 
-def _logical_ops(model):
-    if isinstance(model, DSModel) or getattr(model, "family", "") == "doubled-semion":
-        ds = model if isinstance(model, DSModel) else DSModel(model)
-        return [(name, s.op) for name, s in sorted(dsemion.logical_operators(ds).items())]
-    return list(model.logicals)
-
-
-def _class_tuple(model, op, logicals):
+def _class_tuple(op, logicals):
     return tuple(commutation_exponent(op, l) for _, l in logicals)
 
 
@@ -88,7 +81,7 @@ def _class_names(model, logicals):
     """Map class tuple -> shortest product name over the logical generators."""
     n = model.modulus
     combos = [((), identity(model.modulus, model.n_sites))]
-    names = {_class_tuple(model, combos[0][1], logicals): "1"}
+    names = {_class_tuple(combos[0][1], logicals): "1"}
     for name, op in logicals:
         new = []
         for prev_name, prev_op in combos:
@@ -98,7 +91,7 @@ def _class_names(model, logicals):
                     acc = pauli_mul(acc, op)
                 label = prev_name + ((f"{name}^{k}",) if k else ())
                 new.append((label, acc))
-                t = _class_tuple(model, acc, logicals)
+                t = _class_tuple(acc, logicals)
                 if t not in names:
                     names[t] = "*".join(label) if label else "1"
         combos = new
@@ -107,9 +100,8 @@ def _class_names(model, logicals):
 
 def classify_residual(model, residual: PauliOp) -> str:
     """Name the logical class of a syndrome-free residual operator."""
-    logicals = _logical_ops(model)
-    t = _class_tuple(model, residual, logicals)
-    names = _class_names(model, logicals)
+    t = _class_tuple(residual, model.logicals)
+    names = _class_names(model, model.logicals)
     if t not in names:
         raise InconsistentSyndromeError("residual carries syndrome; not a logical class")
     return names[t]
@@ -271,7 +263,6 @@ def _family_candidates(model, positions, stype, cap=12):
     costs = [sum(_torus_dist(geo, positions[i], positions[j]) for i, j in pr)
              for pr in pairings]
     best = min(costs)
-    logicals = _logical_ops(model)
     words = {}
     for pr, cost in zip(pairings, costs):
         if cost != best:
@@ -288,7 +279,7 @@ def _family_candidates(model, positions, stype, cap=12):
         # keep only one representative per logical class to bound the joint search
         reps = {}
         for w in out:
-            key = (w.weight(), _class_tuple(model, w, logicals))
+            key = (w.weight(), _class_tuple(w, model.logicals))
             if key not in reps:
                 reps[key] = w
         out = [reps[k] for k in sorted(reps)]
@@ -311,12 +302,11 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         plaq = [p for p, q in _violations(model, syn, "plaquette")]
         if len(vert) % 2 or len(plaq) % 2:
             raise InconsistentSyndromeError("odd violation parity")
-        logicals = _logical_ops(model)
         best = None
         for zw in _family_candidates(model, vert, "e"):
             for xw in _family_candidates(model, plaq, "m"):
                 w = pauli_mul(zw, xw)
-                key = (w.weight(), _class_tuple(model, w, logicals), w.x_exp, w.z_exp)
+                key = (w.weight(), _class_tuple(w, model.logicals), w.x_exp, w.z_exp)
                 if best is None or key < best[0]:
                     best = (key, w)
         return Correction(best[1], ())
@@ -427,7 +417,7 @@ def _close_vertices(ds, exps):
     return corr, "5b"
 
 
-def decode_doubled_semion(ds: DSModel, syn) -> Correction:
+def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     """The five-step doubled-semion correction.
 
     1. Trace the edge (C_e) excitations into a path of implicated edges.
@@ -489,7 +479,6 @@ def decode_doubled_semion(ds: DSModel, syn) -> Correction:
                 yield pauli_mul(make(s), rest), (rule,) + rules
 
     cleared = []
-    logicals = _logical_ops(ds)
     for step2, rules in candidates(0):
         exps = _combine(ds, exps0, step2)
         if any(g.startswith("C(") for g in exps):
@@ -517,7 +506,7 @@ def decode_doubled_semion(ds: DSModel, syn) -> Correction:
     if not cleared:
         raise InconsistentSyndromeError("no rule assignment clears the syndrome")
     corr, trace = min(cleared, key=lambda ct: (
-        ct[0].weight(), _class_tuple(ds, ct[0], logicals), ct[0].x_exp, ct[0].z_exp))
+        ct[0].weight(), _class_tuple(ct[0], ds.logicals), ct[0].x_exp, ct[0].z_exp))
     return Correction(corr, trace)
 
 
@@ -541,7 +530,6 @@ class BruteForceOracle:
         self.n = model.n_sites
         self.N = model.modulus
         self.gens = list(model.generators)
-        self.logicals = _logical_ops(model)
         self.singles = []  # (key, op) in deterministic order
         for site in range(self.n):
             for a in range(self.N):
@@ -589,7 +577,7 @@ class BruteForceOracle:
         return out
 
     def _canonical(self, words, trace) -> Correction:
-        best = min(words, key=lambda w: (_class_tuple(self.model, w, self.logicals),
+        best = min(words, key=lambda w: (_class_tuple(w, self.model.logicals),
                                          w.x_exp, w.z_exp))
         return Correction(best, trace)
 
@@ -641,8 +629,7 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
     N = model.modulus
     failures = 0
     class_counts = {}
-    logicals = _logical_ops(model)
-    names = _class_names(model, logicals)
+    names = _class_names(model, model.logicals)
     for _ in range(trials):
         xs = [0] * n
         zs = [0] * n
@@ -663,7 +650,7 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
         if engine.syndrome(model, residual):
             label = "syndrome"
         else:
-            label = names.get(_class_tuple(model, residual, logicals), "unknown")
+            label = names.get(_class_tuple(residual, model.logicals), "unknown")
         class_counts[label] = class_counts.get(label, 0) + 1
         if label != "1":
             failures += 1

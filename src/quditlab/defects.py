@@ -2,8 +2,8 @@
 
 Every surgery is a (remove-set, add-set) rewrite of the generator list;
 geometry is never mutated.  Reports always recompute the logical dimension
-from scratch via the Smith-normal-form engine; nothing is trusted from the
-construction arithmetic.
+from scratch via the engine's sparse gcd elimination; nothing is trusted
+from the construction arithmetic.
 
 Frozen operator content (pinned by commutation closure, stated orders,
 and the dimension results in tests/test_defects.py):
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .dsemion import DSModel
 from .errors import DefectError, GeometryError, UnsupportedModelError
 from .lattice import (DefectSpec, Generator, LatticeGeometry, StabilizerModel)
 from .pauli import PauliOp, from_terms, pauli_mul
@@ -353,12 +352,11 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
     return _finish(model, new, removed, added, (cert_b, cert_af), spec)
 
 
-def apply_z4_patch_in_ds(ds, x: int = 1, y: int = 1):
+def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
     """Restore bare Z_4 toric-code stabilizers on a 2x2 patch of the DS model.
 
     Inverse surgery of the DS patch; the logical dimension drops from 4 to 2.
     """
-    model = ds.model if isinstance(ds, DSModel) else ds
     if model.family != "doubled-semion":
         raise UnsupportedModelError("z4 patch needs a doubled-semion model")
     geo = model.geometry
@@ -391,12 +389,7 @@ def apply_z4_patch_in_ds(ds, x: int = 1, y: int = 1):
     cert2.update({f"TCB({a},{b})": 2 for a, b in sites})
     spec = DefectSpec("z4-patch-in-ds", region, True)
     new = model.with_surgery(removed, added, constraints=(cert1, cert2), defect=spec)
-    new_ds = DSModel(new) if isinstance(ds, DSModel) else new
-    model2, report = new, DefectReport(tuple(removed), tuple(added),
-                                       engine.logical_dimension(model),
-                                       engine.logical_dimension(new),
-                                       (cert1, cert2))
-    return new_ds, report
+    return _finish(model, new, removed, added, (cert1, cert2), spec)
 
 
 # ----------------------------------------------------------------------

@@ -25,14 +25,13 @@ endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GeometryError, PathError, UnsupportedModelError
-from .lattice import Generator, LatticeGeometry, StabilizerModel
+from .lattice import Generator, LatticeGeometry, StabilizerModel, _steps
 from .pauli import (PauliOp, from_terms, identity, pauli_adjoint, pauli_mul)
 
 __all__ = [
-    "DSModel",
     "StringOperator",
     "build_doubled_semion",
     "string_operator",
@@ -41,40 +40,6 @@ __all__ = [
 ]
 
 ANYONS = ("1", "s", "sbar", "ssbar")
-
-
-@dataclass(frozen=True)
-class DSModel:
-    """Doubled-semion stabilizer model; duck-types as a StabilizerModel."""
-
-    model: StabilizerModel
-
-    @property
-    def geometry(self) -> LatticeGeometry:
-        return self.model.geometry
-
-    @property
-    def modulus(self) -> int:
-        return self.model.modulus
-
-    @property
-    def generators(self):
-        return self.model.generators
-
-    @property
-    def constraints(self):
-        return self.model.constraints
-
-    @property
-    def n_sites(self) -> int:
-        return self.model.n_sites
-
-    @property
-    def family(self) -> str:
-        return self.model.family
-
-    def generator(self, gid: str) -> Generator:
-        return self.model.generator(gid)
 
 
 @dataclass(frozen=True)
@@ -107,8 +72,12 @@ def ds_generators(geo: LatticeGeometry, layer: int = 0, tag: str = ""):
     return gens
 
 
-def build_doubled_semion(rows: int, cols: int) -> DSModel:
-    """Doubled-semion model on a cols x rows torus; logical dimension 4."""
+def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:
+    """Doubled-semion model on a cols x rows torus; logical dimension 4.
+
+    ``logicals`` holds the four loops of :func:`logical_operators` sorted by
+    name: X1, X2, Z1, Z2.
+    """
     if rows < 2 or cols < 2:
         raise GeometryError("doubled semion needs rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "edges")
@@ -119,7 +88,8 @@ def build_doubled_semion(rows: int, cols: int) -> DSModel:
         {g.gid: 1 for g in gens if g.kind == "plaquette"},
     )
     model = StabilizerModel(geo, 4, tuple(gens), constraints, "doubled-semion")
-    return DSModel(model)
+    logicals = tuple(sorted((name, s.op) for name, s in logical_operators(model).items()))
+    return replace(model, logicals=logicals)
 
 
 # frozen segment signs: (alpha, beta, alpha', beta') = (1, 1, -1, 1)
@@ -135,39 +105,7 @@ def _segment(geo: LatticeGeometry, n: int, direction: str, x: int, y: int,
     return from_terms(4, n, terms)
 
 
-def _dual_steps(geo: LatticeGeometry, path):
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        dx = (x1 - x0) % geo.cols
-        dy = (y1 - y0) % geo.rows
-        if dx == 1 and dy == 0:
-            yield "+x", x0, y0, False
-        elif dx == geo.cols - 1 and dy == 0:
-            yield "+x", x1, y1, True
-        elif dx == 0 and dy == 1:
-            yield "+y", x0, y0, False
-        elif dx == 0 and dy == geo.rows - 1:
-            yield "+y", x1, y1, True
-        else:
-            raise PathError(f"dual path step {(x0, y0)} -> {(x1, y1)} is not adjacent")
-
-
-def _lattice_edges(geo: LatticeGeometry, path):
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        dx = (x1 - x0) % geo.cols
-        dy = (y1 - y0) % geo.rows
-        if dx == 1 and dy == 0:
-            yield geo.edge_index("h", x0, y0)
-        elif dx == geo.cols - 1 and dy == 0:
-            yield geo.edge_index("h", x1, y1)
-        elif dx == 0 and dy == 1:
-            yield geo.edge_index("v", x0, y0)
-        elif dx == 0 and dy == geo.rows - 1:
-            yield geo.edge_index("v", x1, y1)
-        else:
-            raise PathError(f"path step {(x0, y0)} -> {(x1, y1)} is not adjacent")
-
-
-def string_operator(ds: DSModel, anyon: str, path) -> StringOperator:
+def string_operator(ds: StabilizerModel, anyon: str, path) -> StringOperator:
     """Realize an anyon string on a path.
 
     s and sbar take an oriented dual-lattice path (plaquette sequence);
@@ -179,19 +117,20 @@ def string_operator(ds: DSModel, anyon: str, path) -> StringOperator:
         raise PathError("string path needs at least two nodes")
     if anyon in ("s", "sbar"):
         acc = identity(4, n)
-        for direction, x, y, reverse in _dual_steps(geo, path):
-            seg = _segment(geo, n, direction, x, y, anyon == "sbar")
-            acc = pauli_mul(acc, pauli_adjoint(seg) if reverse else seg)
+        for step, x, y in _steps(path, geo):
+            seg = _segment(geo, n, "+" + step[1], x, y, anyon == "sbar")
+            acc = pauli_mul(acc, pauli_adjoint(seg) if step[0] == "-" else seg)
         return StringOperator(anyon, tuple(path), acc)
     if anyon == "ssbar":
-        terms = [(e, 0, 2) for e in _lattice_edges(geo, path)]
+        terms = [(geo.edge_index("h" if step[1] == "x" else "v", x, y), 0, 2)
+                 for step, x, y in _steps(path, geo)]
         return StringOperator(anyon, tuple(path), from_terms(4, n, terms))
     if anyon == "1":
         return StringOperator("1", tuple(path), identity(4, n))
     raise UnsupportedModelError(f"unknown anyon type {anyon!r}")
 
 
-def extract_topological_spin(ds: DSModel, plaquette, anyon: str, reach: int = 3) -> int:
+def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str, reach: int = 3) -> int:
     """Topological spin from the ordered triple product of strings meeting a plaquette.
 
     Three strings of the same type approach the plaquette from the left,
@@ -219,7 +158,7 @@ def extract_topological_spin(ds: DSModel, plaquette, anyon: str, reach: int = 3)
     return delta // 2 % 4
 
 
-def logical_operators(ds: DSModel) -> dict:
+def logical_operators(ds: StabilizerModel) -> dict:
     """Canonical logical strings: meridian/longitude s and sbar loops.
 
     Returns {"X1": W_alpha^s, "X2": W_alpha^sbar, "Z1": W_beta^s,

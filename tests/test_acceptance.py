@@ -224,7 +224,7 @@ def test_criterion_7_confinement():
     for length in range(1, 9):
         path = [(1 + k, 4) for k in range(length + 1)]
         ds_energy.append(engine.excitation_energy(
-            ds, toric_string_operator(ds.model, path, "m")))
+            ds, toric_string_operator(ds, path, "m")))
         tc_energy.append(engine.excitation_energy(
             tc, toric_string_operator(tc, path, "m")))
     assert tc_energy == [2] * 8

@@ -134,11 +134,16 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "seed", "seed abc", "channel rate=abc trials=10", "error 0|99:1,0", "error 0|-1:1,0"])
+    "seed", "seed abc", "channel rate=abc trials=10", "error 0|99:1,0", "error 0|-1:1,0",
+    "channel rate=2 trials=10", "channel rate=-0.1 trials=10", "channel rate=nan trials=10",
+    "channel rate=inf trials=10", "channel rate=0.1 trials=-1",
+    "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=a,b,c,d"])
 def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
+    # the config is valid without ``line`` (its syndrome output succeeds), so
+    # the exit code comes from the rejected line alone
     bad = tmp_path / "bad.cfg"
     bad.write_text("quditlab-config v1\nmodel toric rows=4 cols=4 modulus=2\n"
-                   f"{line}\noutput syndrome\n")
+                   f"error 0|0:1,0\n{line}\noutput syndrome\n")
     proc = subprocess.run(
         [sys.executable, "-m", "quditlab.cli", "syndrome", "--config", str(bad)],
         capture_output=True, text=True)

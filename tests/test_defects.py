@@ -217,7 +217,7 @@ def test_z4_patch_in_ds():
     assert len(rep.removed) == 8 + 12  # fish+plaquettes plus incident hops
     assert (rep.dim_before, rep.dim_after) == (4, 4)
     _assert_commuting(m)
-    _assert_certificates(m.model, rep)
+    _assert_certificates(m, rep)
     with pytest.raises(UnsupportedModelError):
         apply_z4_patch_in_ds(build_toric_code(4, 4, 4))
 

@@ -3,11 +3,14 @@
 import pytest
 
 from quditlab import engine
+from quditlab.decoders import classify_residual
+from quditlab.defects import apply_z4_patch_in_ds
 from quditlab.dsemion import (build_doubled_semion,
                               extract_topological_spin, logical_operators,
                               string_operator)
 from quditlab.errors import PathError, UnsupportedModelError
-from quditlab.lattice import build_toric_code, evaluate_constraint, toric_string_operator
+from quditlab.lattice import (StabilizerModel, build_toric_code, evaluate_constraint,
+                              toric_string_operator)
 from quditlab.pauli import commutation_exponent, pauli_mul
 
 
@@ -45,7 +48,7 @@ def test_generator_kinds_and_orders():
 def test_constraint_certificates():
     ds = build_doubled_semion(3, 3)
     for cert in ds.constraints:
-        assert evaluate_constraint(ds.model, cert).is_identity(up_to_phase=True)
+        assert evaluate_constraint(ds, cert).is_identity(up_to_phase=True)
 
 
 def test_closed_contractible_s_loop_is_stabilizer():
@@ -121,6 +124,17 @@ def test_logical_operators():
     assert commutation_exponent(logs["X1"].op, logs["X2"].op) == 0
 
 
+def test_builder_returns_stabilizer_model_with_its_logicals():
+    ds = build_doubled_semion(4, 4)
+    assert isinstance(ds, StabilizerModel)
+    assert list(ds.logicals) == sorted((n, s.op) for n, s in logical_operators(ds).items())
+    assert [name for name, _ in ds.logicals] == ["X1", "X2", "Z1", "Z2"]
+    for name, op in ds.logicals:
+        assert classify_residual(ds, op) == f"{name}^1"
+    patched, _ = apply_z4_patch_in_ds(ds, 1, 1)
+    assert patched.logicals == ds.logicals
+
+
 def test_confinement_of_bare_x_string():
     ds = build_doubled_semion(10, 10)
     tc = build_toric_code(10, 10, 2)
@@ -129,7 +143,7 @@ def test_confinement_of_bare_x_string():
     for L in range(1, 9):
         path = [(1 + k, 4) for k in range(L + 1)]
         ds_energies.append(
-            engine.excitation_energy(ds, toric_string_operator(ds.model, path, "m")))
+            engine.excitation_energy(ds, toric_string_operator(ds, path, "m")))
         tc_energies.append(
             engine.excitation_energy(tc, toric_string_operator(tc, path, "m")))
     assert tc_energies == [2] * 8  # excitations travel for free
