@@ -337,6 +337,9 @@ def _theory_by_name(name: str):
 
 def _condense_lines(theory, algebra_text):
     summands = algebra_text.split("+")
+    unknown = [a for a in summands if a not in theory.labels]
+    if unknown:
+        raise ConfigError(f"algebra summand {unknown[0]!r} is not a label of {theory.name}")
     report = condense.validate_condensable(theory, summands)
     lines = [f"condense theory={theory.name} algebra={algebra_text}"]
     if not report.valid:

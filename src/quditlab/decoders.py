@@ -242,7 +242,12 @@ def _string_multiplier(model, string, anchor_gid, want, syn_of):
     raise InconsistentSyndromeError("string cannot annihilate the charge")
 
 
-def _family_candidates(model, positions, stype, cap=12):
+# above this many violations a family takes one subset-DP matching instead
+# of every minimum-cost pairing
+PAIRING_CAP = 12
+
+
+def _family_candidates(model, positions, stype):
     """Syndrome-clearing string products for one violation family (modulus 2).
 
     Enumerates minimum-cost pairings and geodesic path variants, then keeps
@@ -252,7 +257,7 @@ def _family_candidates(model, positions, stype, cap=12):
     geo = model.geometry
     if not positions:
         return [identity(model.modulus, model.n_sites)]
-    if len(positions) > cap:
+    if len(positions) > PAIRING_CAP:
         pairs = _min_weight_pairing(positions, lambda a, b: _torus_dist(geo, a, b))
         corr = identity(model.modulus, model.n_sites)
         for i, j in pairs:
@@ -318,16 +323,6 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
 
     for kind, stype in (("vertex", "e"), ("plaquette", "m")):
         current = _violations(model, syn, kind)
-        if not corr.is_identity(up_to_phase=True):
-            extra = raw_syndrome(corr)
-            acc = {}
-            for pos, q in current:
-                acc[pos] = (acc.get(pos, 0) + q) % n
-            for g in model.generators:
-                if g.kind == kind and g.gid in extra.exponents:
-                    pos = _gid_coords(g.gid)
-                    acc[pos] = (acc.get(pos, 0) + extra.exponents[g.gid] * n // g.order) % n
-            current = sorted((p, q) for p, q in acc.items() if q)
         if not current:
             continue
         if sum(q for _, q in current) % n:

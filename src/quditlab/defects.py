@@ -5,33 +5,41 @@ geometry is never mutated.  Reports always recompute the logical dimension
 from scratch via the engine's sparse gcd elimination; nothing is trusted
 from the construction arithmetic.
 
+Every surgery ends in ``_surgery``, which claims the defect region, rewrites
+the generators and reports the dimension before and after.
+
 Frozen operator content (pinned by commutation closure, stated orders,
-and the dimension results in tests/test_defects.py):
+the dimension results in tests/test_defects.py and the golden build
+reports).  Stars, plaquettes and fish come from ``lattice.star_op``,
+``lattice.plaquette_op`` and ``lattice.fish_op``; the boson hops from
+``dsemion.hop_op``:
 
 * Kitaev-lattice twist line: per site v the star and its north-east
-  plaquette merge into a 6-edge "fish" A_v * B_{p(v)}; consecutive sites are
-  linked by 2-edge "short" hops  Z on h(v) * X^-1 on v(v+x1)  which condense
-  the diagonal charge-flux composite along the line.
+  plaquette merge into a fish; consecutive sites are linked by 2-edge
+  "short" hops  Z on h(v) * X^-1 on v(v+x1)  which condense the diagonal
+  charge-flux composite along the line.
 * Bombin twist line between vertex rows y0, y0+1: cells under the cut are
   sheared into parallelograms  X(a,y0) Z(a+1,y0) Z(a+1,y0+1) X(a+2,y0+1);
   the two ends close with mirror-image pentagons carrying Y at the
   trivalent vertex.
 * Doubled-semion patch: the four stars and their NE plaquettes in a 2x2
-  block are replaced by fish, squared plaquettes, and the four boson hop
-  terms around the block.  The product of those four hops is identically
-  A(center)^2 * B(SW)^2, so the surgery carries three independent order-2
-  relations and the logical dimension is unchanged for a contractible
-  patch (16), halves for a non-contractible ring (8), and is restored to 4
-  by the inverse surgery inside the doubled semion.
+  block are replaced by fish, squared plaquettes (``power=2``), and the
+  four boson hops around the block.  The product of those four hops is
+  identically A(center)^2 * B(SW)^2, so the surgery carries three
+  independent order-2 relations and the logical dimension is unchanged
+  for a contractible patch (16), halves for a non-contractible ring (8),
+  and is restored to 4 by the inverse surgery inside the doubled semion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import engine
+from .dsemion import hop_op
 from .errors import DefectError, GeometryError, UnsupportedModelError
-from .lattice import (DefectSpec, Generator, LatticeGeometry, StabilizerModel)
+from .lattice import (DefectSpec, Generator, LatticeGeometry, StabilizerModel,
+                      fish_op, plaquette_op, star_op, toric_generators)
 from .pauli import PauliOp, from_terms, pauli_mul
 
 __all__ = [
@@ -63,35 +71,22 @@ class DefectReport:
                 f"dimension {self.dim_before} -> {self.dim_after}")
 
 
-def _claim_region(model: StabilizerModel, region) -> None:
-    taken = set()
-    for spec in model.defects:
-        taken.update(spec.region)
+def _surgery(model: StabilizerModel, kind: str, region, removed, added, constraints):
+    """Claim ``region`` for a new ``kind`` defect, swap ``removed`` for
+    ``added`` and report the logical dimension before and after."""
+    taken = {cell for spec in model.defects for cell in spec.region}
     overlap = taken & set(region)
     if overlap:
         raise DefectError(f"defect region overlaps an existing defect at {sorted(overlap)}")
-
-
-def _finish(model, new_model, removed, added, constraints, spec):
-    report = DefectReport(
-        removed=tuple(removed),
-        added=tuple(added),
-        dim_before=engine.logical_dimension(model),
-        dim_after=engine.logical_dimension(new_model),
-        constraints_after=tuple(constraints),
-    )
-    return new_model, report
+    new = model.with_surgery(removed, added, constraints, DefectSpec(kind, tuple(region)))
+    report = DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
+                          engine.logical_dimension(new), tuple(constraints))
+    return new, report
 
 
 # ----------------------------------------------------------------------
 # Kitaev-lattice (edge placement) twist lines
 # ----------------------------------------------------------------------
-
-def _fish_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0) -> PauliOp:
-    star = [(s, e, 0) for s, e in geo.vertex_star(x, y, layer)]
-    plaq = [(s, 0, e) for s, e in geo.plaquette_boundary(x, y, layer)]
-    return from_terms(modulus, geo.n_sites, star + plaq)
-
 
 def _short_op(geo: LatticeGeometry, modulus: int, x: int, y: int) -> PauliOp:
     return from_terms(modulus, geo.n_sites, [
@@ -117,22 +112,16 @@ def apply_kitaev_twist(model: StabilizerModel, x0: int = 0, y0: int = 0,
         sites = [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)]
     else:
         sites = [(x, y0 % geo.rows) for x in range(geo.cols)]
-    region = tuple(("site",) + v for v in sites)
-    _claim_region(model, region)
-
-    removed = [f"A({x},{y})" for x, y in sites] + [f"B({x},{y})" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", _fish_op(geo, N, x, y), N)
+    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
+    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, N, x, y), N)
              for x, y in sites]
     hops = sites if not contractible else sites[:-1]
     added += [Generator(f"S({x},{y})", "short-string", _short_op(geo, N, x, y), N)
               for x, y in hops]
-    surv_a = [g for g in model.gids("vertex") if g not in removed]
-    surv_b = [g for g in model.gids("plaquette") if g not in removed]
-    merged = {g: 1 for g in surv_a + surv_b}
-    merged.update({f"F({x},{y})": 1 for x, y in sites})
-    spec = DefectSpec("kitaev-twist", region, contractible)
-    new = model.with_surgery(removed, added, constraints=(merged,), defect=spec)
-    return _finish(model, new, removed, added, (merged,), spec)
+    merged = ({g: 1 for g in model.gids("vertex") + model.gids("plaquette") if g not in removed}
+              | {f"F({x},{y})": 1 for x, y in sites})
+    return _surgery(model, "kitaev-twist", [("site",) + v for v in sites],
+                    removed, added, (merged,))
 
 
 def apply_dislocation(model: StabilizerModel, variant: str, x0: int = 0, y0: int = 0):
@@ -151,12 +140,8 @@ def apply_dislocation(model: StabilizerModel, variant: str, x0: int = 0, y0: int
         model2, report = apply_kitaev_twist(model, x0, y0, contractible=False)
     else:
         raise DefectError(f"unknown dislocation variant {variant!r}")
-    spec = model2.defects[-1]
-    fixed = model2.defects[:-1] + (DefectSpec(f"krishna-dislocation-{variant}",
-                                              spec.region, spec.contractible),)
-    return StabilizerModel(model2.geometry, model2.modulus, model2.generators,
-                           model2.constraints, model2.family, fixed,
-                           model2.logicals), report
+    spec = replace(model2.defects[-1], kind=f"krishna-dislocation-{variant}")
+    return replace(model2, defects=model2.defects[:-1] + (spec,)), report
 
 
 def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
@@ -169,6 +154,8 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
     if model.family != "toric" or model.modulus != 2:
         raise UnsupportedModelError("ising twists need the Z_2 toric code")
     geo = model.geometry
+    if k < 0:
+        raise DefectError(f"k must not be negative, got k={k}")
     if sites is None:
         if 2 * k > geo.cols * (geo.rows // 2):
             raise DefectError("lattice too small for k separated twists")
@@ -185,20 +172,16 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
                 dy = min((y1 - y2) % geo.rows, (y2 - y1) % geo.rows)
                 if max(dx, dy) < 2:
                     raise DefectError("twist sites must be pairwise separated")
-    region = tuple(("site",) + v for v in sites)
-    _claim_region(model, region)
     if k == 0:
         return model, DefectReport((), (), engine.logical_dimension(model),
                                    engine.logical_dimension(model), model.constraints)
-    removed = [f"A({x},{y})" for x, y in sites] + [f"B({x},{y})" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", _fish_op(geo, 2, x, y), 2)
+    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
+    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, 2, x, y), 2)
              for x, y in sites]
-    surv = [g.gid for g in model.generators if g.gid not in removed]
-    merged = {g: 1 for g in surv}
-    merged.update({g.gid: 1 for g in added})
-    spec = DefectSpec("ising-twists", region, True, multiplicity=k)
-    new = model.with_surgery(removed, added, constraints=(merged,), defect=spec)
-    return _finish(model, new, removed, added, (merged,), spec)
+    merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
+              | {g.gid: 1 for g in added})
+    return _surgery(model, "ising-twists", [("site",) + v for v in sites],
+                    removed, added, (merged,))
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +262,10 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
                 removed.append(f"P({a},{y})")
                 added.append(Generator(f"Par({a},{y})", "parallelogram",
                                        _parallelogram(geo, a, y), 2))
-    region = tuple(("cell",) + c for c in cells)
-    _claim_region(model, region)
-    surv = [g.gid for g in model.generators if g.gid not in removed]
-    merged = {g: 1 for g in surv}
-    merged.update({g.gid: 1 for g in added})
-    spec = DefectSpec("bombin-twist", region, contractible, multiplicity)
-    new = model.with_surgery(removed, added, constraints=(merged,), defect=spec)
-    return _finish(model, new, removed, added, (merged,), spec)
+    merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
+              | {g.gid: 1 for g in added})
+    return _surgery(model, "bombin-twist", [("cell",) + c for c in cells],
+                    removed, added, (merged,))
 
 
 # ----------------------------------------------------------------------
@@ -295,16 +274,6 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
 
 def _patch_sites(geo, x, y):
     return [geo.wrap(x, y), geo.wrap(x + 1, y), geo.wrap(x, y + 1), geo.wrap(x + 1, y + 1)]
-
-
-def _c_h(geo, modulus, x, y):
-    return from_terms(modulus, geo.n_sites, [
-        (geo.edge_index("h", x, y), 0, 2), (geo.edge_index("v", x + 1, y), 2, 0)])
-
-
-def _c_v(geo, modulus, x, y):
-    return from_terms(modulus, geo.n_sites, [
-        (geo.edge_index("v", x, y), 0, 2), (geo.edge_index("h", x, y + 1), 2, 0)])
 
 
 def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
@@ -322,34 +291,23 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
         if geo.cols < 4 or geo.rows < 4:
             raise GeometryError("contractible patch needs at least a 4x4 lattice")
         sites = _patch_sites(geo, x, y)
-        hops = [Generator(f"Cds(h,{x},{y})", "defect-short", _c_h(geo, N, x, y), 2),
-                Generator(f"Cds(h,{x},{y + 1})", "defect-short", _c_h(geo, N, x, y + 1), 2),
-                Generator(f"Cds(v,{x},{y})", "defect-short", _c_v(geo, N, x, y), 2),
-                Generator(f"Cds(v,{x + 1},{y})", "defect-short", _c_v(geo, N, x + 1, y), 2)]
+        hops = [("h", x, y), ("h", x, y + 1), ("v", x, y), ("v", x + 1, y)]
     else:
         sites = [(a, y % geo.rows) for a in range(geo.cols)]
-        hops = [Generator(f"Cds(h,{a},{y % geo.rows})", "defect-short",
-                          _c_h(geo, N, a, y % geo.rows), 2) for a in range(geo.cols)]
-    region = tuple(("site",) + v for v in sites)
-    _claim_region(model, region)
-    removed = [f"A({a},{b})" for a, b in sites] + [f"B({a},{b})" for a, b in sites]
-    fish = [Generator(f"Fds({a},{b})", "defect-fish", _fish_op(geo, N, a, b), 4)
+        hops = [("h", a, y % geo.rows) for a in range(geo.cols)]
+    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
+    fish = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
             for a, b in sites]
     bds = [Generator(f"Bds({a},{b})", "defect-plaquette",
-                     from_terms(N, geo.n_sites,
-                                [(s, 0, 2 * e) for s, e in geo.plaquette_boundary(a, b)]), 2)
-           for a, b in sites]
-    added = fish + bds + hops
-    surv_a = [g for g in model.gids("vertex") if g not in removed]
-    surv_b = [g for g in model.gids("plaquette") if g not in removed]
-    cert_b = {g: 2 for g in surv_b}
-    cert_b.update({g.gid: 1 for g in bds})
-    cert_af = {g: 2 for g in surv_a}
-    cert_af.update({g.gid: 2 for g in fish})
-    cert_af.update({g.gid: 1 for g in bds})
-    spec = DefectSpec("ds-patch", region, contractible)
-    new = model.with_surgery(removed, added, constraints=(cert_b, cert_af), defect=spec)
-    return _finish(model, new, removed, added, (cert_b, cert_af), spec)
+                     plaquette_op(geo, N, a, b, power=2), 2) for a, b in sites]
+    added = fish + bds + [Generator(f"Cds({o},{a},{b})", "defect-short",
+                                    hop_op(geo, o, a, b), 2) for o, a, b in hops]
+    cert_b = ({g: 2 for g in model.gids("plaquette") if g not in removed}
+              | {g.gid: 1 for g in bds})
+    cert_af = ({g: 2 for g in model.gids("vertex") if g not in removed}
+               | {g.gid: 2 for g in fish} | {g.gid: 1 for g in bds})
+    return _surgery(model, "ds-patch", [("site",) + v for v in sites],
+                    removed, added, (cert_b, cert_af))
 
 
 def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
@@ -363,9 +321,7 @@ def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
     if geo.cols < 4 or geo.rows < 4:
         raise GeometryError("z4 patch needs at least a 4x4 lattice")
     sites = _patch_sites(geo, x, y)
-    region = tuple(("site",) + v for v in sites)
-    _claim_region(model, region)
-    removed = [f"A({a},{b})" for a, b in sites] + [f"B({a},{b})" for a, b in sites]
+    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
     site_set = set(sites)
     for a in range(geo.cols):
         for b in range(geo.rows):
@@ -375,21 +331,14 @@ def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
                 removed.append(f"C(v,{a},{b})")
     added = []
     for a, b in sites:
-        star = from_terms(4, geo.n_sites, [(s, e, 0) for s, e in geo.vertex_star(a, b)])
-        plaq = from_terms(4, geo.n_sites, [(s, 0, e) for s, e in geo.plaquette_boundary(a, b)])
-        added.append(Generator(f"TCA({a},{b})", "vertex", star, 4))
-        added.append(Generator(f"TCB({a},{b})", "plaquette", plaq, 4))
-    surv_fish = [g.gid for g in model.generators
-                 if g.kind == "vertex" and g.gid not in removed]
-    surv_bsq = [g.gid for g in model.generators
-                if g.kind == "plaquette" and g.gid not in removed]
-    cert1 = {g: 1 for g in surv_fish}
-    cert1.update({g.gid: 1 for g in added})
-    cert2 = {g: 1 for g in surv_bsq}
-    cert2.update({f"TCB({a},{b})": 2 for a, b in sites})
-    spec = DefectSpec("z4-patch-in-ds", region, True)
-    new = model.with_surgery(removed, added, constraints=(cert1, cert2), defect=spec)
-    return _finish(model, new, removed, added, (cert1, cert2), spec)
+        added.append(Generator(f"TCA({a},{b})", "vertex", star_op(geo, 4, a, b), 4))
+        added.append(Generator(f"TCB({a},{b})", "plaquette", plaquette_op(geo, 4, a, b), 4))
+    cert1 = ({g: 1 for g in model.gids("vertex") if g not in removed}
+             | {g.gid: 1 for g in added})
+    cert2 = ({g: 1 for g in model.gids("plaquette") if g not in removed}
+             | {f"TCB({a},{b})": 2 for a, b in sites})
+    return _surgery(model, "z4-patch-in-ds", [("site",) + v for v in sites],
+                    removed, added, (cert1, cert2))
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +358,9 @@ def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
     for m in (model_a, model_b):
         if m.family != "toric" or m.modulus != 2:
             raise UnsupportedModelError("bilayer coupling needs two Z_2 toric codes")
+        if m.defects:
+            # both layers are rebuilt from their size, so a defect would be lost
+            raise UnsupportedModelError("bilayer coupling needs toric codes without defects")
     ga, gb = model_a.geometry, model_b.geometry
     if (ga.rows, ga.cols) != (gb.rows, gb.cols):
         raise UnsupportedModelError("bilayer coupling needs equal lattice sizes")
@@ -418,52 +370,30 @@ def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
     if (x1, y1) == (x2, y2):
         raise DefectError("wormhole mouths must be distinct")
     geo = LatticeGeometry(ga.rows, ga.cols, "edges", layers=2)
-    n = geo.n_sites
-    gens = []
-    for layer, tag in ((0, "T1/"), (1, "T2/")):
-        for yy in range(geo.rows):
-            for xx in range(geo.cols):
-                a = from_terms(2, n, [(s, e, 0) for s, e in geo.vertex_star(xx, yy, layer)])
-                b = from_terms(2, n, [(s, 0, e) for s, e in geo.plaquette_boundary(xx, yy, layer)])
-                gens.append(Generator(f"{tag}A({xx},{yy})", f"vertex-{tag[:-1]}", a, 2))
-                gens.append(Generator(f"{tag}B({xx},{yy})", f"plaquette-{tag[:-1]}", b, 2))
-    base = StabilizerModel(geo, 2, tuple(gens), (), "bilayer")
-
-    def op_of(gid):
-        return base.generator(gid).op
+    gens = tuple(replace(g, kind=f"{g.kind}-T{layer + 1}")
+                 for layer in (0, 1)
+                 for g in toric_generators(geo, 2, layer, f"T{layer + 1}/"))
+    base = StabilizerModel(geo, 2, gens, (), "bilayer")
 
     if wormhole == "i":
         removed = [f"T1/B({x1},{y1})", f"T2/A({x1},{y1})",
                    f"T2/B({x2},{y2})", f"T1/A({x2},{y2})"]
-        f1 = pauli_mul(op_of(f"T1/B({x1},{y1})"), op_of(f"T2/A({x1},{y1})"))
-        f2 = pauli_mul(op_of(f"T2/B({x2},{y2})"), op_of(f"T1/A({x2},{y2})"))
     else:
         removed = [f"T1/A({x1},{y1})", f"T2/B({x1},{y1})",
                    f"T1/A({x2},{y2})", f"T2/B({x2},{y2})"]
-        f1 = pauli_mul(op_of(f"T1/A({x1},{y1})"), op_of(f"T2/B({x1},{y1})"))
-        f2 = pauli_mul(op_of(f"T1/A({x2},{y2})"), op_of(f"T2/B({x2},{y2})"))
+    f1, f2 = (pauli_mul(base.generator(a).op, base.generator(b).op)
+              for a, b in (removed[:2], removed[2:]))
     added = [Generator("F1", "bilayer-fish", f1, 2), Generator("F2", "bilayer-fish", f2, 2)]
 
-    def surviving(kind):
-        return [g.gid for g in base.generators if g.kind == kind and g.gid not in removed]
+    def ones(*kinds, extra=()):
+        gids = [g for k in kinds for g in base.gids(k) if g not in removed]
+        return dict.fromkeys(gids + list(extra), 1)
 
     if wormhole == "i":
-        c1 = {g: 1 for g in surviving("plaquette-T1") + surviving("vertex-T2")}
-        c1["F1"] = 1
-        c2 = {g: 1 for g in surviving("plaquette-T2") + surviving("vertex-T1")}
-        c2["F2"] = 1
-        constraints = (c1, c2)
+        constraints = (ones("plaquette-T1", "vertex-T2", extra=["F1"]),
+                       ones("plaquette-T2", "vertex-T1", extra=["F2"]))
     else:
-        c1 = {g: 1 for g in surviving("vertex-T2")}
-        c2 = {g: 1 for g in surviving("plaquette-T1")}
-        c3 = {g: 1 for g in surviving("vertex-T1") + surviving("plaquette-T2")}
-        c3["F1"] = 1
-        c3["F2"] = 1
-        constraints = (c1, c2, c3)
-    spec = DefectSpec(f"bilayer-wormhole-{wormhole}",
-                      (("mouth", x1, y1), ("mouth", x2, y2)), True)
-    new = base.with_surgery(removed, added, constraints=constraints, defect=spec)
-    report = DefectReport(tuple(removed), tuple(added),
-                          engine.logical_dimension(model_a) * engine.logical_dimension(model_b),
-                          engine.logical_dimension(new), constraints)
-    return new, report
+        constraints = (ones("vertex-T2"), ones("plaquette-T1"),
+                       ones("vertex-T1", "plaquette-T2", extra=["F1", "F2"]))
+    return _surgery(base, f"bilayer-wormhole-{wormhole}",
+                    [("mouth", x1, y1), ("mouth", x2, y2)], removed, added, constraints)

@@ -4,9 +4,11 @@ Stabilizer content (frozen convention, pinned by the behavioral contract:
 mutual commutation, C_e order 2, spin values i/-i/1, logical dimension 4):
 
 * vertex term  A_v  = (toric vertex star at v) * (toric plaquette NE of v),
-  a 6-edge operator of order 4 ("fish" footprint);
-* plaquette term B_p = (toric plaquette)^2, order 2;
+  a 6-edge operator of order 4 (``lattice.fish_op``);
+* plaquette term B_p = (toric plaquette)^2, order 2
+  (``lattice.plaquette_op`` with power 2);
 * edge terms  C_e, order 2, one per edge: the boson hopping operators
+  (``hop_op``, also used by the doubled-semion patch in ``defects``)
 
       C_h(x,y) = Z^2 on h(x,y)  *  X^2 on v(x+1,y)
       C_v(x,y) = Z^2 on v(x,y)  *  X^2 on h(x,y+1)
@@ -28,11 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import GeometryError, PathError, UnsupportedModelError
-from .lattice import Generator, LatticeGeometry, StabilizerModel, _steps
+from .lattice import (Generator, LatticeGeometry, StabilizerModel, _steps, fish_op,
+                      plaquette_op)
 from .pauli import (PauliOp, from_terms, identity, pauli_adjoint, pauli_mul)
 
 __all__ = [
     "StringOperator",
+    "hop_op",
     "build_doubled_semion",
     "string_operator",
     "extract_topological_spin",
@@ -51,24 +55,25 @@ class StringOperator:
     op: PauliOp
 
 
-def ds_generators(geo: LatticeGeometry, layer: int = 0, tag: str = ""):
+def hop_op(geo: LatticeGeometry, orient: str, x: int, y: int) -> PauliOp:
+    """The boson hop C_h(x,y) (orient "h") or C_v(x,y) (orient "v")."""
+    if orient == "h":
+        terms = [(geo.edge_index("h", x, y), 0, 2), (geo.edge_index("v", x + 1, y), 2, 0)]
+    else:
+        terms = [(geo.edge_index("v", x, y), 0, 2), (geo.edge_index("h", x, y + 1), 2, 0)]
+    return from_terms(4, geo.n_sites, terms)
+
+
+def ds_generators(geo: LatticeGeometry):
     """The four doubled-semion generator families on an edge-placement torus."""
-    n = geo.n_sites
     gens = []
     for y in range(geo.rows):
         for x in range(geo.cols):
-            star = [(s, e, 0) for s, e in geo.vertex_star(x, y, layer)]
-            plaq = [(s, 0, e) for s, e in geo.plaquette_boundary(x, y, layer)]
-            fish = from_terms(4, n, star + plaq)
-            bsq = from_terms(4, n, [(s, 0, 2 * e) for s, e in geo.plaquette_boundary(x, y, layer)])
-            ch = from_terms(4, n, [(geo.edge_index("h", x, y, layer), 0, 2),
-                                   (geo.edge_index("v", x + 1, y, layer), 2, 0)])
-            cv = from_terms(4, n, [(geo.edge_index("v", x, y, layer), 0, 2),
-                                   (geo.edge_index("h", x, y + 1, layer), 2, 0)])
-            gens.append(Generator(f"{tag}A({x},{y})", "vertex", fish, 4))
-            gens.append(Generator(f"{tag}B({x},{y})", "plaquette", bsq, 2))
-            gens.append(Generator(f"{tag}C(h,{x},{y})", "edge", ch, 2))
-            gens.append(Generator(f"{tag}C(v,{x},{y})", "edge", cv, 2))
+            gens.append(Generator(f"A({x},{y})", "vertex", fish_op(geo, 4, x, y), 4))
+            gens.append(Generator(f"B({x},{y})", "plaquette",
+                                  plaquette_op(geo, 4, x, y, power=2), 2))
+            gens.append(Generator(f"C(h,{x},{y})", "edge", hop_op(geo, "h", x, y), 2))
+            gens.append(Generator(f"C(v,{x},{y})", "edge", hop_op(geo, "v", x, y), 2))
     return gens
 
 

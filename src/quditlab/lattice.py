@@ -10,6 +10,9 @@ Conventions (fixed here, validated only by commutation and order tests):
   and X^-1 on outgoing edges (h(x,y), v(x,y)); plaquette operator B(x,y) is
   Z along the counterclockwise boundary of the square whose south-west
   corner is (x,y).  Every A commutes with every B for any modulus.
+  ``star_op``, ``plaquette_op`` and the 6-edge ``fish_op`` = A(x,y)*B(x,y)
+  are the only builders of these terms; the doubled-semion model and every
+  defect surgery reuse them.
 * Vertex placement: qubits sit on vertices; the cell with south-west corner
   (x,y) carries X on its SW/NE corners and Z on its SE/NW corners, one such
   generator per cell, two-colored dark/light by (x+y) mod 2 with (0,0) dark.
@@ -26,6 +29,10 @@ __all__ = [
     "LatticeGeometry",
     "Generator",
     "StabilizerModel",
+    "star_op",
+    "plaquette_op",
+    "fish_op",
+    "toric_generators",
     "build_toric_code",
     "build_bombin_lattice",
     "bombin_to_kitaev",
@@ -70,21 +77,21 @@ class LatticeGeometry:
         return layer * self.sites_per_layer + base
 
     def vertex_star(self, x: int, y: int, layer: int = 0):
-        """(site, x-exponent) pairs of the vertex operator at (x, y)."""
+        """(site, x-exp, z-exp) triples of the vertex operator at (x, y)."""
         return [
-            (self.edge_index("h", x - 1, y, layer), 1),
-            (self.edge_index("v", x, y - 1, layer), 1),
-            (self.edge_index("h", x, y, layer), -1),
-            (self.edge_index("v", x, y, layer), -1),
+            (self.edge_index("h", x - 1, y, layer), 1, 0),
+            (self.edge_index("v", x, y - 1, layer), 1, 0),
+            (self.edge_index("h", x, y, layer), -1, 0),
+            (self.edge_index("v", x, y, layer), -1, 0),
         ]
 
     def plaquette_boundary(self, x: int, y: int, layer: int = 0):
-        """(site, z-exponent) pairs of the plaquette operator with SW corner (x, y)."""
+        """(site, x-exp, z-exp) triples of the plaquette operator with SW corner (x, y)."""
         return [
-            (self.edge_index("h", x, y, layer), 1),
-            (self.edge_index("v", x + 1, y, layer), 1),
-            (self.edge_index("h", x, y + 1, layer), -1),
-            (self.edge_index("v", x, y, layer), -1),
+            (self.edge_index("h", x, y, layer), 0, 1),
+            (self.edge_index("v", x + 1, y, layer), 0, 1),
+            (self.edge_index("h", x, y + 1, layer), 0, -1),
+            (self.edge_index("v", x, y, layer), 0, -1),
         ]
 
     # --- vertex placement -----------------------------------------------
@@ -118,8 +125,6 @@ class DefectSpec:
 
     kind: str
     region: tuple = ()
-    contractible: bool = True
-    multiplicity: int = 1
 
 
 @dataclass(frozen=True)
@@ -147,21 +152,16 @@ class StabilizerModel:
     def gids(self, kind_prefix: str = ""):
         return [g.gid for g in self.generators if g.kind.startswith(kind_prefix)]
 
-    def with_surgery(self, remove_ids, added, constraints=None, defect=None,
-                     family=None):
-        """Rewrite the generator list; geometry is never mutated."""
+    def with_surgery(self, remove_ids, added, constraints, defect):
+        """Rewrite the generator list, replace the constraints and register
+        ``defect``; geometry is never mutated."""
         removed = set(remove_ids)
         missing = removed - {g.gid for g in self.generators}
         if missing:
             raise KeyError(f"cannot remove unknown generators {sorted(missing)}")
         gens = tuple(g for g in self.generators if g.gid not in removed) + tuple(added)
-        return replace(
-            self,
-            generators=gens,
-            constraints=tuple(constraints) if constraints is not None else self.constraints,
-            defects=self.defects + ((defect,) if defect is not None else ()),
-            family=family if family is not None else self.family,
-        )
+        return replace(self, generators=gens, constraints=tuple(constraints),
+                       defects=self.defects + (defect,))
 
 
 def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
@@ -172,6 +172,36 @@ def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
     return acc
 
 
+def star_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0) -> PauliOp:
+    """The vertex operator A(x, y) of the module conventions."""
+    return from_terms(modulus, geo.n_sites, geo.vertex_star(x, y, layer))
+
+
+def plaquette_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0,
+                 power: int = 1) -> PauliOp:
+    """The plaquette operator B(x, y) raised to ``power``."""
+    return from_terms(modulus, geo.n_sites, [
+        (s, 0, power * z) for s, _, z in geo.plaquette_boundary(x, y, layer)])
+
+
+def fish_op(geo: LatticeGeometry, modulus: int, x: int, y: int) -> PauliOp:
+    """A(x, y) * B(x, y): the star and its north-east plaquette on 6 edges."""
+    return from_terms(modulus, geo.n_sites,
+                      geo.vertex_star(x, y) + geo.plaquette_boundary(x, y))
+
+
+def toric_generators(geo: LatticeGeometry, modulus: int, layer: int = 0, tag: str = ""):
+    """Star ``{tag}A(x,y)`` and plaquette ``{tag}B(x,y)`` of every vertex of a layer."""
+    gens = []
+    for y in range(geo.rows):
+        for x in range(geo.cols):
+            gens.append(Generator(f"{tag}A({x},{y})", "vertex",
+                                  star_op(geo, modulus, x, y, layer), modulus))
+            gens.append(Generator(f"{tag}B({x},{y})", "plaquette",
+                                  plaquette_op(geo, modulus, x, y, layer), modulus))
+    return gens
+
+
 def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     """Z_N toric code on a cols x rows torus with qudits on edges."""
     if rows < 2 or cols < 2:
@@ -180,13 +210,6 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
         raise GeometryError("modulus must be >= 2")
     geo = LatticeGeometry(rows, cols, "edges")
     n = geo.n_sites
-    gens = []
-    for y in range(rows):
-        for x in range(cols):
-            a = from_terms(modulus, n, [(s, e, 0) for s, e in geo.vertex_star(x, y)])
-            b = from_terms(modulus, n, [(s, 0, e) for s, e in geo.plaquette_boundary(x, y)])
-            gens.append(Generator(f"A({x},{y})", "vertex", a, modulus))
-            gens.append(Generator(f"B({x},{y})", "plaquette", b, modulus))
     constraints = (
         {f"A({x},{y})": 1 for y in range(rows) for x in range(cols)},
         {f"B({x},{y})": 1 for y in range(rows) for x in range(cols)},
@@ -197,8 +220,8 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
         ("X2", from_terms(modulus, n, [(geo.edge_index("h", 0, y), 1, 0) for y in range(rows)])),
         ("Z2", from_terms(modulus, n, [(geo.edge_index("h", x, 0), 0, 1) for x in range(cols)])),
     )
-    return StabilizerModel(geo, modulus, tuple(gens), constraints, "toric",
-                           logicals=logicals)
+    return StabilizerModel(geo, modulus, tuple(toric_generators(geo, modulus)),
+                           constraints, "toric", logicals=logicals)
 
 
 def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:

@@ -108,6 +108,11 @@ def test_golden_reports(capsys):
          "report_decode_single_x.txt"),
         (["run", "--config", str(CONFIGS / "ds_spin.cfg")], "report_ds_spin.txt"),
     ]
+    # every gid, kind, order and word that a defect surgery emits
+    cases += [(["build", "--config", str(CONFIGS / f"{name}.cfg")], f"build_{name}.txt")
+              for name in ("ds_patch", "ds_patch_ring", "ising_twists_k2",
+                           "twist_i", "twist_ii", "twist_iii", "twist_iv", "twist_v",
+                           "wormhole_i", "wormhole_ii", "z4_patch_in_ds")]
     for argv, golden in cases:
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -131,6 +136,8 @@ def test_exit_codes(tmp_path, capsys):
                         "defect z4-patch-in-ds x=1 y=1\noutput dimension\n")
     assert main(["dim", "--config", str(mismatch)]) == EXIT_MODEL
     capsys.readouterr()
+    assert main(["condense", "z4", "1+zz"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("line", [

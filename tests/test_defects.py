@@ -107,6 +107,8 @@ def test_multiple_ising_twists():
     assert dims[3] == 16
     with pytest.raises(DefectError):
         apply_multiple_ising_twists(tc, 2, sites=[(0, 0), (1, 0)])
+    with pytest.raises(DefectError, match="k=-1"):
+        apply_multiple_ising_twists(tc, -1)
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +269,8 @@ def test_bilayer_validation():
         couple_bilayer(a, build_toric_code(4, 6, 2), "i")
     with pytest.raises(UnsupportedModelError):
         couple_bilayer(a, build_toric_code(4, 4, 4), "i")
+    with pytest.raises(UnsupportedModelError, match="without defects"):
+        couple_bilayer(apply_kitaev_twist(a, 0, 1, contractible=False)[0], a, "i")
     with pytest.raises(DefectError):
         couple_bilayer(a, build_toric_code(4, 4, 2), "iii")
     with pytest.raises(DefectError):
