@@ -54,12 +54,16 @@ class ExperimentConfig:
     outputs: list = field(default_factory=list)
 
 
-def _parse_kv(tokens, line_no):
+def _parse_kv(tokens, line_no, fields):
+    """key=value tokens as a dict; a key outside ``fields`` is an error."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ConfigError(f"line {line_no}: expected key=value, got {tok!r}")
         k, _, v = tok.partition("=")
+        if k not in fields:
+            expected = ", ".join(fields) if fields else "no fields"
+            raise ConfigError(f"line {line_no}: unknown field {k!r} (expected {expected})")
         out[k] = v
     return out
 
@@ -95,11 +99,29 @@ def _as_bool(kv, key, line_no, default=True):
     raise ConfigError(f"line {line_no}: field {key!r} must be true or false")
 
 
-KNOWN_DEFECTS = (
-    "bombin-twist", "kitaev-twist", "krishna-dislocation-i",
-    "krishna-dislocation-ii", "ds-patch", "z4-patch-in-ds",
-    "bilayer-wormhole-i", "bilayer-wormhole-ii", "ising-twists",
-)
+# the key=value fields each directive reads; any other key is a config error
+MODEL_FIELDS = ("rows", "cols", "modulus")
+CHANNEL_FIELDS = ("rate", "trials")
+DEFECT_FIELDS = {
+    "bombin-twist": ("x", "y", "width", "contractible", "multiplicity"),
+    "kitaev-twist": ("x", "y", "length", "contractible"),
+    "krishna-dislocation-i": ("x", "y"),
+    "krishna-dislocation-ii": ("x", "y"),
+    "ds-patch": ("x", "y", "contractible"),
+    "z4-patch-in-ds": ("x", "y"),
+    "bilayer-wormhole-i": ("mouths",),
+    "bilayer-wormhole-ii": ("mouths",),
+    "ising-twists": ("k",),
+}
+OUTPUT_FIELDS = {
+    "dimension": (), "generators": (), "syndrome": (), "decode": (), "mc": (),
+    "spin": ("anyon", "x", "y"),
+    "condense": ("theory", "algebra"),
+}
+
+# condensation checks associativity over every triple of labels, so its cost
+# grows as N^6 on Z_N: z8 takes about 1 s, z12 about 7 s and z20 about 3 min
+CONDENSE_MAX_N = 8
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -116,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if not rest:
                 raise ConfigError(f"line {no}: model needs a family")
             cfg.family = rest[0]
-            kv = _parse_kv(rest[1:], no)
+            kv = _parse_kv(rest[1:], no, MODEL_FIELDS)
             cfg.rows = _as_int(kv, "rows", no)
             cfg.cols = _as_int(kv, "cols", no)
             cfg.modulus = _as_int(kv, "modulus", no, default=2)
@@ -124,9 +146,9 @@ def parse_config(text: str) -> ExperimentConfig:
             if not rest:
                 raise ConfigError(f"line {no}: defect needs a kind")
             kind = rest[0]
-            if kind not in KNOWN_DEFECTS:
+            if kind not in DEFECT_FIELDS:
                 raise ConfigError(f"line {no}: unknown defect kind {kind!r}")
-            kv = _parse_kv(rest[1:], no)
+            kv = _parse_kv(rest[1:], no, DEFECT_FIELDS[kind])
             kv["kind"] = kind
             kv["line"] = no
             cfg.defects.append(kv)
@@ -146,7 +168,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {no}: string path nodes must be x,y pairs")
             cfg.string_spec = (rest[0], path)
         elif head == "channel":
-            kv = _parse_kv(rest, no)
+            kv = _parse_kv(rest, no, CHANNEL_FIELDS)
             cfg.rate = _as_float(kv, "rate", no)
             cfg.trials = _as_int(kv, "trials", no)
             if not 0.0 <= cfg.rate <= 1.0:
@@ -158,7 +180,13 @@ def parse_config(text: str) -> ExperimentConfig:
         elif head == "output":
             if not rest:
                 raise ConfigError(f"line {no}: output needs a name")
-            cfg.outputs.append((rest[0], _parse_kv(rest[1:], no)))
+            if rest[0] not in OUTPUT_FIELDS:
+                raise ConfigError(f"line {no}: unknown output {rest[0]!r}")
+            kv = _parse_kv(rest[1:], no, OUTPUT_FIELDS[rest[0]])
+            for key in ("x", "y"):
+                if key in kv:
+                    kv[key] = _as_int(kv, key, no)
+            cfg.outputs.append((rest[0], kv))
         else:
             raise ConfigError(f"line {no}: unknown directive {head!r}")
     return cfg
@@ -313,23 +341,28 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
                 raise ConfigError("output spin needs the doubled-semion model")
             which = kv.get("anyon")
             anyons = [which] if which else ["s", "sbar", "ssbar"]
-            px = _as_int(kv, "x", 0, default=max(2, m.geometry.cols // 2))
-            py = _as_int(kv, "y", 0, default=max(2, m.geometry.rows // 2))
+            px = int(kv.get("x", max(2, m.geometry.cols // 2)))
+            py = int(kv.get("y", max(2, m.geometry.rows // 2)))
             for anyon in anyons:
                 k = dsemion.extract_topological_spin(m, (px, py), anyon)
                 lines.append(f"spin {anyon} = {turn_to_str(Fraction(k, 4))}")
         elif name == "condense":
-            theory = _theory_by_name(kv.get("theory", "z4"))
+            theory = _theory_by_name(kv.get("theory", "z4"), CONDENSE_MAX_N)
             lines += _condense_lines(theory, kv.get("algebra", "1"))
         else:
             raise ConfigError(f"unknown output {name!r}")
     return "\n".join(lines) + "\n"
 
 
-def _theory_by_name(name: str):
+def _theory_by_name(name: str, max_n: int = None):
+    """A built-in theory by its CLI name; ``z<N>`` above ``max_n`` is refused."""
     name = name.lower().replace("-", "_")
     if name.startswith("z") and name[1:].isdigit():
-        return builtin_theory("z_n", int(name[1:]))
+        n = int(name[1:])
+        if max_n is not None and n > max_n:
+            raise ConfigError(f"theory {name!r} is too large: condense takes z<N> "
+                              f"with N <= {max_n}")
+        return builtin_theory("z_n", n)
     if name in ("toric", "semion", "doubled_semion", "ising", "ising_like_twist"):
         return builtin_theory(name)
     raise ConfigError(f"unknown theory {name!r}")
@@ -454,7 +487,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "condense":
-            theory = _theory_by_name(args.theory)
+            theory = _theory_by_name(args.theory, CONDENSE_MAX_N)
             text = "\n".join([REPORT_HEADER] +
                              _condense_lines(theory, args.algebra)) + "\n"
         elif args.command == "catalog":

@@ -19,7 +19,7 @@ from .dsemion import string_operator
 from .errors import DecodeNotFoundError, InconsistentSyndromeError
 from .lattice import StabilizerModel, toric_string_operator
 from .pauli import (PauliOp, commutation_exponent, identity, pauli_adjoint,
-                    pauli_mul, pauli_pow, single_site)
+                    pauli_mul, pauli_pow, single_site, sort_key)
 
 __all__ = [
     "Correction",
@@ -226,9 +226,10 @@ def _gid_coords(gid):
 
 def _violations(model, syn, kind):
     out = []
-    for g in model.generators:
-        if g.kind == kind and g.gid in syn.exponents:
-            out.append((_gid_coords(g.gid), syn.exponents[g.gid] * model.modulus // g.order))
+    for gid, e in syn.exponents.items():
+        g = model.generator(gid)
+        if g.kind == kind:
+            out.append((_gid_coords(gid), e * model.modulus // g.order))
     return sorted(out)
 
 
@@ -278,8 +279,8 @@ def _family_candidates(model, positions, stype):
                        for path in _geodesic_paths(geo, positions[i], positions[j])]
             partial = [pauli_mul(w, s) for w in partial for s in strings]
         for w in partial:
-            words.setdefault((w.x_exp, w.z_exp), w)
-    out = sorted(words.values(), key=lambda w: (w.x_exp, w.z_exp))
+            words.setdefault(w.terms, w)
+    out = sorted(words.values(), key=sort_key)
     if len(out) > 64:
         # keep only one representative per logical class to bound the joint search
         reps = {}
@@ -311,7 +312,7 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         for zw in _family_candidates(model, vert, "e"):
             for xw in _family_candidates(model, plaq, "m"):
                 w = pauli_mul(zw, xw)
-                key = (w.weight(), _class_tuple(w, model.logicals), w.x_exp, w.z_exp)
+                key = (w.weight(), _class_tuple(w, model.logicals), sort_key(w))
                 if best is None or key < best[0]:
                     best = (key, w)
         return Correction(best[1], ())
@@ -351,23 +352,21 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
 def _combine(ds, syn_exponents, corr):
     """Exponents of error * corr given the error's syndrome exponents."""
     out = dict(syn_exponents)
-    extra = engine.syndrome(ds, corr)
-    for g in ds.generators:
-        if g.gid in extra.exponents:
-            v = (out.get(g.gid, 0) + extra.exponents[g.gid]) % g.order
-            if v:
-                out[g.gid] = v
-            else:
-                out.pop(g.gid, None)
+    for gid, e in engine.syndrome(ds, corr).exponents.items():
+        v = (out.get(gid, 0) + e) % ds.generator(gid).order
+        if v:
+            out[gid] = v
+        else:
+            out.pop(gid, None)
     return out
 
 
 def _trail_edges(ds, exps):
     """Violated C generators as (orient, x, y) of their Z^2 edge, row-major."""
     edges = []
-    for g in ds.generators:
-        if g.kind == "edge" and g.gid in exps:
-            o, xs, ys = g.gid[2:-1].split(",")
+    for gid in exps:
+        if ds.generator(gid).kind == "edge":
+            o, xs, ys = gid[2:-1].split(",")
             edges.append((o, int(xs), int(ys)))
     return sorted(edges, key=lambda t: (t[2], t[1], t[0]))
 
@@ -501,7 +500,7 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     if not cleared:
         raise InconsistentSyndromeError("no rule assignment clears the syndrome")
     corr, trace = min(cleared, key=lambda ct: (
-        ct[0].weight(), _class_tuple(ct[0], ds.logicals), ct[0].x_exp, ct[0].z_exp))
+        ct[0].weight(), _class_tuple(ct[0], ds.logicals), sort_key(ct[0])))
     return Correction(corr, trace)
 
 
@@ -573,7 +572,7 @@ class BruteForceOracle:
 
     def _canonical(self, words, trace) -> Correction:
         best = min(words, key=lambda w: (_class_tuple(w, self.model.logicals),
-                                         w.x_exp, w.z_exp))
+                                         sort_key(w)))
         return Correction(best, trace)
 
     def decode(self, syn) -> Correction:
@@ -626,20 +625,16 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
     class_counts = {}
     names = _class_names(model, model.logicals)
     for _ in range(trials):
-        xs = [0] * n
-        zs = [0] * n
-        touched = False
+        terms = []
         for site in range(n):
-            if rng.random() < error_rate:
-                xs[site] = rng.randrange(1, N)
-                touched = True
-            if rng.random() < error_rate:
-                zs[site] = rng.randrange(1, N)
-                touched = True
-        if not touched:
+            x = rng.randrange(1, N) if rng.random() < error_rate else 0
+            z = rng.randrange(1, N) if rng.random() < error_rate else 0
+            if x or z:
+                terms.append((site, x, z))
+        if not terms:
             class_counts["1"] = class_counts.get("1", 0) + 1
             continue
-        err = PauliOp(N, tuple(xs), tuple(zs))
+        err = PauliOp(N, n, tuple(terms))
         corr = decoder(model, engine.syndrome(model, err))
         residual = pauli_mul(err, corr.op)
         if engine.syndrome(model, residual):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from .errors import GeometryError, PathError, UnsupportedModelError
 from .lattice import (Generator, LatticeGeometry, StabilizerModel, _steps, fish_op,
                       plaquette_op)
-from .pauli import (PauliOp, from_terms, identity, pauli_adjoint, pauli_mul)
+from .pauli import PauliOp, from_terms, identity, pauli_adjoint, pauli_mul, pauli_prod
 
 __all__ = [
     "StringOperator",
@@ -121,11 +121,11 @@ def string_operator(ds: StabilizerModel, anyon: str, path) -> StringOperator:
     if len(path) < 2:
         raise PathError("string path needs at least two nodes")
     if anyon in ("s", "sbar"):
-        acc = identity(4, n)
+        segs = []
         for step, x, y in _steps(path, geo):
             seg = _segment(geo, n, "+" + step[1], x, y, anyon == "sbar")
-            acc = pauli_mul(acc, pauli_adjoint(seg) if step[0] == "-" else seg)
-        return StringOperator(anyon, tuple(path), acc)
+            segs.append(pauli_adjoint(seg) if step[0] == "-" else seg)
+        return StringOperator(anyon, tuple(path), pauli_prod(4, n, segs))
     if anyon == "ssbar":
         terms = [(geo.edge_index("h" if step[1] == "x" else "v", x, y), 0, 2)
                  for step, x, y in _steps(path, geo)]
@@ -155,7 +155,7 @@ def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str, reach: 
     w3 = string_operator(ds, anyon, right).op
     fwd = pauli_mul(pauli_mul(w1, pauli_adjoint(w2)), w3)
     rev = pauli_mul(pauli_mul(w3, pauli_adjoint(w2)), w1)
-    if fwd.x_exp != rev.x_exp or fwd.z_exp != rev.z_exp:
+    if fwd.terms != rev.terms:
         raise PathError("triple products disagree beyond a phase")
     delta = (fwd.phase_exp - rev.phase_exp) % 8
     if delta % 2:

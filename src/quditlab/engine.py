@@ -6,10 +6,14 @@ Z_N^{2n} generated by the rows has order N^{2n} / [Z^{2n} : L], which is
 N^{2n} / prod(diag SNF [G; N*I]).  N is not assumed prime (Z_4 is not a
 field), so the elimination works over Z with gcd steps.
 
-Every routine works on nonzero support only: the commutation check visits
-the generator pairs that share a site, a syndrome visits the error's sites,
-and the elimination keeps sparse rows.  Costs follow the number of nonzeros
-rather than generators x sites, since each stabilizer touches a few sites.
+Every routine works on nonzero support only.  Each model carries a
+site -> generator incidence index, built once (``StabilizerModel.incidence``):
+the commutation check visits the generator pairs that share a site, a
+syndrome or a membership pre-check visits the generators incident to the
+word's support, O(weight x degree), and the elimination takes sparse rows
+read straight off the words' supports.  ``GeneratorMatrix`` keeps dense
+rows for callers that want the matrix itself; the model-facing routines do
+not build it.
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction and a brute-force check asserts so on
@@ -28,6 +32,8 @@ __all__ = [
     "GeneratorMatrix",
     "Syndrome",
     "subgroup_order",
+    "lattice_index",
+    "sparse_lattice_index",
     "logical_dimension",
     "is_member",
     "syndrome",
@@ -56,13 +62,12 @@ class GeneratorMatrix:
         for op in ops:
             if op.modulus != modulus or op.sites != sites:
                 raise ShapeError("generator register mismatch")
-            rows.append(tuple(op.x_exp) + tuple(op.z_exp))
+            row = [0] * (2 * sites)
+            for s, x, z in op.terms:
+                row[s] = x
+                row[sites + s] = z
+            rows.append(tuple(row))
         return cls(modulus, tuple(rows), 2 * sites)
-
-    def row_of(self, op: PauliOp) -> tuple:
-        if 2 * op.sites != self.columns:
-            raise ShapeError("operator register mismatch")
-        return tuple(op.x_exp) + tuple(op.z_exp)
 
 
 def _egcd(a, b):
@@ -73,17 +78,29 @@ def _egcd(a, b):
 
 
 def lattice_index(rows, modulus, columns) -> int:
+    """[Z^columns : L] for the lattice L spanned by dense ``rows`` and N Z^columns.
+
+    Converts each row to its nonzero entries and eliminates with
+    :func:`sparse_lattice_index`.
+    """
+    N = modulus
+    return sparse_lattice_index(
+        ({c: e for c in compress(count(), r) if (e := r[c] % N)} for r in rows),
+        modulus, columns)
+
+
+def sparse_lattice_index(rows, modulus, columns) -> int:
     """[Z^columns : L] for the lattice L spanned by ``rows`` and N Z^columns.
 
     Column-wise gcd triangularization on sparse rows ``{column: exponent}``
-    (entries reduced mod N, zeros dropped), bucketed by leading column.  The
-    rows leading in a column are gcd-combined until one pivot remains; a
-    combination whose entry there cancels moves to the bucket of its new
-    leading column, and the annihilator (N/d) * pivot is re-inserted the
-    same way.  The result equals the diagonal product of the Smith normal
-    form of the stacked matrix [rows; N I] (cross-checked in the tests).
-    The cost follows the nonzeros the elimination touches, not rows x
-    columns.
+    (entries reduced mod N, zeros dropped; the rows are not modified),
+    bucketed by leading column.  The rows leading in a column are
+    gcd-combined until one pivot remains; a combination whose entry there
+    cancels moves to the bucket of its new leading column, and the
+    annihilator (N/d) * pivot is re-inserted the same way.  The result
+    equals the diagonal product of the Smith normal form of the stacked
+    matrix [rows; N I] (cross-checked in the tests).  The cost follows the
+    nonzeros the elimination touches, not rows x columns.
     """
     N = modulus
     buckets = {}
@@ -93,7 +110,7 @@ def lattice_index(rows, modulus, columns) -> int:
             buckets.setdefault(min(row), []).append(row)
 
     for r in rows:
-        push({c: e for c in compress(count(), r) if (e := r[c] % N)})
+        push(r)
     index = 1
     for col in range(columns):
         nz = buckets.pop(col, None)
@@ -135,51 +152,66 @@ def subgroup_order(gens: GeneratorMatrix) -> int:
     return total // prod
 
 
-def _first_noncommuting_pair(ops, modulus):
-    """The first pair (i, j), i < j, in loop order whose words do not commute.
+def _row(op: PauliOp, sites: int) -> dict:
+    """The ``sparse_lattice_index`` row of a word: x block, then z block."""
+    row = {}
+    for s, x, z in op.terms:
+        if x:
+            row[s] = x
+        if z:
+            row[sites + s] = z
+    return row
 
-    Words that share no site commute, so a site -> word incidence map lists
-    the candidate partners of each word and the symplectic form is summed
-    over the shared sites only.  Returns None when all pairs commute.
+
+def _first_noncommuting_pair(model):
+    """The first pair (i, j), i < j, in loop order whose generators do not commute.
+
+    Words that share no site commute, so the model's site -> generator
+    incidence lists the candidate partners of each generator and the
+    symplectic form is summed over the shared sites only.  Returns None
+    when all pairs commute.
     """
-    supports = [{i: (op.x_exp[i], op.z_exp[i]) for i in op.support()} for op in ops]
-    incidence = {}
-    for i, sup in enumerate(supports):
-        for site in sup:
-            incidence.setdefault(site, []).append(i)
-    for i, sup in enumerate(supports):
-        for j in sorted({j for site in sup for j in incidence[site] if j > i}):
-            other = supports[j]
-            acc = 0
-            for site, (x, z) in sup.items():
-                if site in other:
-                    xo, zo = other[site]
-                    acc += z * xo - x * zo
-            if acc % modulus:
+    inc = model.incidence
+    for i, g in enumerate(model.generators):
+        acc = {}
+        for s, x, z in g.op.terms:
+            for j, xo, zo in inc[s]:
+                if j > i:
+                    acc[j] = acc.get(j, 0) + z * xo - x * zo
+        for j in sorted(acc):
+            if acc[j] % model.modulus:
                 return i, j
     return None
 
 
-def _commutation_exponents(generators, op: PauliOp, modulus: int):
-    """commutation_exponent(g.op, op) for each generator, over op's support."""
-    terms = [(s, op.x_exp[s], op.z_exp[s]) for s in op.support()]
-    for g in generators:
-        gx, gz = g.op.x_exp, g.op.z_exp
-        yield sum(gz[s] * x - gx[s] * z for s, x, z in terms) % modulus
+def _noncommuting(model, op: PauliOp) -> dict:
+    """{position: commutation_exponent(g.op, op)} for every generator g that
+    does not commute with ``op``, in generator order.
+
+    Only the generators incident to op's support are visited, so a
+    weight-w word costs O(w x degree).
+    """
+    inc = model.incidence
+    acc = {}
+    for s, x, z in op.terms:
+        for j, gx, gz in inc.get(s, ()):
+            acc[j] = acc.get(j, 0) + gz * x - gx * z
+    n = model.modulus
+    return {j: k for j in sorted(acc) if (k := acc[j] % n)}
 
 
 def logical_dimension(model) -> int:
     """N^sites / |stabilizer group|; requires pairwise-commuting generators."""
-    ops = [g.op for g in model.generators]
-    gens = GeneratorMatrix.from_ops(ops, model.modulus, model.n_sites)
-    pair = _first_noncommuting_pair(ops, model.modulus)
+    pair = _first_noncommuting_pair(model)
     if pair:
         i, j = pair
         raise InvalidModelError(
             f"generators {model.generators[i].gid} and "
             f"{model.generators[j].gid} do not commute")
-    order = subgroup_order(gens)
-    total = model.modulus ** model.n_sites
+    n, N = model.n_sites, model.modulus
+    index = sparse_lattice_index((_row(g.op, n) for g in model.generators), N, 2 * n)
+    order = N ** (2 * n) // index
+    total = N ** n
     if total % order:
         raise InvalidModelError("stabilizer order does not divide Hilbert dimension")
     return total // order
@@ -194,12 +226,12 @@ def is_member(model, op: PauliOp) -> bool:
     """
     if op.modulus != model.modulus or op.sites != model.n_sites:
         raise ShapeError("operator register does not match model")
-    if any(_commutation_exponents(model.generators, op, model.modulus)):
+    if _noncommuting(model, op):
         return False
-    gens = GeneratorMatrix.from_ops([g.op for g in model.generators],
-                                    model.modulus, model.n_sites)
-    return (lattice_index(gens.rows + (gens.row_of(op),), gens.modulus, gens.columns)
-            == lattice_index(gens.rows, gens.modulus, gens.columns))
+    n, N = model.n_sites, model.modulus
+    rows = [_row(g.op, n) for g in model.generators]
+    return (sparse_lattice_index(rows + [_row(op, n)], N, 2 * n)
+            == sparse_lattice_index(rows, N, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -243,19 +275,19 @@ class Syndrome:
 def syndrome(model, error: PauliOp) -> Syndrome:
     """Commutation exponent of every generator against the error.
 
-    Only the error's support is visited: a weight-w error costs
-    O(generators x w), not O(generators x sites).
+    Only the generators incident to the error's support are visited: a
+    weight-w error costs O(w x degree), not O(generators x sites).
+    Violated generators are listed in generator order.
     """
     if error.modulus != model.modulus or error.sites != model.n_sites:
         raise ShapeError("error register does not match model")
     n = model.modulus
     exps = {}
     kinds = {}
-    for g, k in zip(model.generators,
-                    _commutation_exponents(model.generators, error, n)):
-        if k:
-            exps[g.gid] = k * g.order // n % g.order
-            kinds[g.gid] = g.kind
+    for j, k in _noncommuting(model, error).items():
+        g = model.generators[j]
+        exps[g.gid] = k * g.order // n % g.order
+        kinds[g.gid] = g.kind
     return Syndrome(exps, kinds)
 
 
@@ -286,13 +318,13 @@ def assert_sign_consistent(model, bound: int = 200000):
     Only usable on models whose full group closure is enumerable (tests).
     """
     start = identity(model.modulus, model.n_sites)
-    seen = {(start.x_exp, start.z_exp): start.phase_exp}
+    seen = {start.terms: start.phase_exp}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         for g in model.generators:
             nxt = pauli_mul(cur, g.op)
-            key = (nxt.x_exp, nxt.z_exp)
+            key = nxt.terms
             if key not in seen:
                 if len(seen) > bound:
                     raise AssertionError("closure exceeds enumeration bound")

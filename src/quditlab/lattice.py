@@ -21,9 +21,10 @@ Conventions (fixed here, validated only by commutation and order tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import GeometryError, PathError, UnsupportedModelError
-from .pauli import PauliOp, from_terms, identity, pauli_mul, pauli_pow
+from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
 
 __all__ = [
     "LatticeGeometry",
@@ -143,11 +144,23 @@ class StabilizerModel:
     def n_sites(self) -> int:
         return self.geometry.n_sites
 
+    @cached_property
+    def _by_gid(self) -> dict:
+        # reversed, so a repeated gid resolves to its first generator
+        return {g.gid: g for g in reversed(self.generators)}
+
+    @cached_property
+    def incidence(self) -> dict:
+        """site -> [(generator position, x, z), ...] over every generator's
+        support, positions ascending; built once per model."""
+        inc = {}
+        for j, g in enumerate(self.generators):
+            for s, x, z in g.op.terms:
+                inc.setdefault(s, []).append((j, x, z))
+        return inc
+
     def generator(self, gid: str) -> Generator:
-        for g in self.generators:
-            if g.gid == gid:
-                return g
-        raise KeyError(gid)
+        return self._by_gid[gid]
 
     def gids(self, kind_prefix: str = ""):
         return [g.gid for g in self.generators if g.kind.startswith(kind_prefix)]
@@ -165,11 +178,14 @@ class StabilizerModel:
 
 
 def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
-    """Multiply out a trivial-constraint certificate in deterministic gid order."""
-    acc = identity(model.modulus, model.n_sites)
-    for gid in sorted(certificate):
-        acc = pauli_mul(acc, pauli_pow(model.generator(gid).op, certificate[gid]))
-    return acc
+    """Multiply out a trivial-constraint certificate in deterministic gid order.
+
+    One ``from_terms`` pass folds every g^e into a single accumulator, so
+    the cost follows the certificate's total weight.
+    """
+    return pauli_prod(model.modulus, model.n_sites,
+                      (pauli_pow(model.generator(gid).op, certificate[gid])
+                       for gid in sorted(certificate)))
 
 
 def star_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0) -> PauliOp:
@@ -254,13 +270,14 @@ def _hadamard_sites(geo: LatticeGeometry):
 
 
 def _swap_xz(op: PauliOp, sites) -> PauliOp:
-    xs = list(op.x_exp)
-    zs = list(op.z_exp)
+    terms = []
     phase = op.phase_exp
-    for s in sites:
-        phase += 2 * xs[s] * zs[s]  # Z^x X^z = omega^{xz} X^z Z^x
-        xs[s], zs[s] = zs[s], xs[s]
-    return PauliOp(op.modulus, tuple(xs), tuple(zs), phase)
+    for s, x, z in op.terms:
+        if s in sites:
+            phase += 2 * x * z  # Z^x X^z = omega^{xz} X^z Z^x
+            x, z = z, x
+        terms.append((s, x, z))
+    return PauliOp(op.modulus, op.sites, tuple(terms), phase)
 
 
 def bombin_to_kitaev(model: StabilizerModel) -> StabilizerModel:

@@ -1,6 +1,6 @@
 """Exact arithmetic for the generalized Pauli group on n qudits of dimension N.
 
-A word is stored as exponent vectors over Z_N plus a global phase exponent:
+A word is stored as its sorted nonzero support plus a global phase exponent:
 
     P = tau^phase * prod_site X_i^{x_i} Z_i^{z_i}
 
@@ -8,7 +8,15 @@ with X |k> = |k+1 mod N>, Z |k> = omega^k |k>, omega = exp(2*pi*i/N) and
 tau = exp(i*pi/N) a primitive 2N-th root of unity (tau^2 = omega).  Even
 phase exponents are powers of omega; odd exponents exist so that Hermitian
 combinations such as Y = i X Z at N = 2 are representable.  The normal form
-is X-before-Z on every site, so equality of words is plain tuple equality.
+is X-before-Z on every site.  ``terms`` holds one ``(site, x, z)`` triple
+per site where the word acts, sites ascending, exponents reduced mod N and
+never both zero, so equality of words is plain tuple equality.
+
+Every operation walks the supports only: products, powers, adjoints,
+commutation exponents, serialization, ``weight`` and ``support`` cost
+O(weight), not O(sites).  The dense exponent tuples ``x_exp`` and ``z_exp``
+are derived views for tests and brute-force oracles; no operation here
+reads them.
 
 Key relations (all exact, no floats):
 
@@ -24,8 +32,6 @@ the identity on any register is ``"0|"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import or_
 
 from .errors import ParseError, ShapeError
 
@@ -35,49 +41,74 @@ __all__ = [
     "single_site",
     "from_terms",
     "pauli_mul",
+    "pauli_prod",
     "pauli_pow",
     "pauli_adjoint",
     "commutation_exponent",
+    "sort_key",
     "to_text",
     "from_text",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliOp:
     """An n-qudit Pauli word with exact phase tracking.
 
-    ``phase_exp`` is the exponent of tau = exp(i*pi/N), reduced mod 2N.
+    ``sites`` is the register size n, ``terms`` the sorted nonzero support
+    as ``(site, x, z)`` triples and ``phase_exp`` the exponent of
+    tau = exp(i*pi/N), reduced mod 2N.  The constructor reduces exponents,
+    drops zero sites and sorts; a site outside ``[0, sites)`` or repeated
+    raises ShapeError (``from_terms`` multiplies repeated sites instead).
     """
 
     modulus: int
-    x_exp: tuple
-    z_exp: tuple
+    sites: int
+    terms: tuple = ()
     phase_exp: int = 0
 
     def __post_init__(self):
         n = self.modulus
         if n < 2:
             raise ShapeError(f"modulus must be >= 2, got {n}")
-        object.__setattr__(self, "x_exp", tuple(e % n for e in self.x_exp))
-        object.__setattr__(self, "z_exp", tuple(e % n for e in self.z_exp))
+        terms = []
+        for s, x, z in self.terms:
+            x %= n
+            z %= n
+            if x or z:
+                terms.append((s, x, z))
+        terms.sort()
+        if terms and not (0 <= terms[0][0] and terms[-1][0] < self.sites):
+            raise ShapeError(f"word acts outside its {self.sites}-site register")
+        if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
+            raise ShapeError("word repeats a site")
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "phase_exp", self.phase_exp % (2 * n))
-        if len(self.x_exp) != len(self.z_exp):
-            raise ShapeError("x_exp and z_exp lengths differ")
 
     @property
-    def sites(self) -> int:
-        return len(self.x_exp)
+    def x_exp(self) -> tuple:
+        """Dense X exponents over all sites (a derived view, O(sites))."""
+        xs = [0] * self.sites
+        for s, x, _ in self.terms:
+            xs[s] = x
+        return tuple(xs)
+
+    @property
+    def z_exp(self) -> tuple:
+        """Dense Z exponents over all sites (a derived view, O(sites))."""
+        zs = [0] * self.sites
+        for s, _, z in self.terms:
+            zs[s] = z
+        return tuple(zs)
 
     def is_identity(self, up_to_phase: bool = False) -> bool:
-        flat = not any(self.x_exp) and not any(self.z_exp)
-        return flat if up_to_phase else (flat and self.phase_exp == 0)
+        return not self.terms and (up_to_phase or self.phase_exp == 0)
 
     def support(self) -> tuple:
-        return tuple(compress(range(self.sites), map(or_, self.x_exp, self.z_exp)))
+        return tuple(s for s, _, _ in self.terms)
 
     def weight(self) -> int:
-        return len(self.support())
+        return len(self.terms)
 
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         return pauli_mul(self, other)
@@ -101,10 +132,29 @@ class PauliOp:
         """Order of the word with phases ignored."""
         n = self.modulus
         k = 1
-        for e in self.x_exp + self.z_exp:
-            if e:
-                k = _lcm(k, n // _gcd(e, n))
+        for _, x, z in self.terms:
+            for e in (x, z):
+                if e:
+                    k = _lcm(k, n // _gcd(e, n))
         return k
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _word(modulus: int, sites: int, terms: tuple, phase: int) -> PauliOp:
+    """A word from terms already in normal form (sorted, reduced, nonzero).
+
+    Skips the constructor's normalization; every operation below produces
+    its terms in normal form.
+    """
+    op = _new(PauliOp)
+    _set(op, "modulus", modulus)
+    _set(op, "sites", sites)
+    _set(op, "terms", terms)
+    _set(op, "phase_exp", phase % (2 * modulus))
+    return op
 
 
 def _gcd(a, b):
@@ -125,17 +175,13 @@ def _check_shapes(p: PauliOp, q: PauliOp):
 
 
 def identity(modulus: int, sites: int) -> PauliOp:
-    return PauliOp(modulus, (0,) * sites, (0,) * sites, 0)
+    return PauliOp(modulus, sites)
 
 
 def single_site(modulus: int, sites: int, site: int, x: int = 0, z: int = 0,
                 phase: int = 0) -> PauliOp:
     """The word tau^phase * X_site^x Z_site^z on an n-qudit register."""
-    xs = [0] * sites
-    zs = [0] * sites
-    xs[site] = x
-    zs[site] = z
-    return PauliOp(modulus, tuple(xs), tuple(zs), phase)
+    return PauliOp(modulus, sites, ((site, x, z),), phase)
 
 
 def from_terms(modulus: int, sites: int, terms, phase: int = 0) -> PauliOp:
@@ -144,30 +190,66 @@ def from_terms(modulus: int, sites: int, terms, phase: int = 0) -> PauliOp:
     Appending X^x Z^z on a site moves the word's Z^z' there past X^x, which
     costs omega^{z' x}, i.e. tau^{2 z' x}.
     """
-    xs = [0] * sites
-    zs = [0] * sites
+    acc = {}
     for site, x, z in terms:
-        phase += 2 * zs[site] * x
-        xs[site] += x
-        zs[site] += z
-    return PauliOp(modulus, tuple(xs), tuple(zs), phase)
+        prev = acc.get(site)
+        if prev is None:
+            acc[site] = (x, z)
+        else:
+            phase += 2 * prev[1] * x
+            acc[site] = (prev[0] + x, prev[1] + z)
+    return PauliOp(modulus, sites, tuple((s, x, z) for s, (x, z) in acc.items()), phase)
 
 
 def pauli_mul(p: PauliOp, q: PauliOp) -> PauliOp:
     """Group product in normal form (X left of Z per site).
 
     Moving every Z of ``p`` past every X of ``q`` on the same site costs
-    omega^{z_p * x_q}, i.e. tau^{2 z_p x_q}.
+    omega^{z_p * x_q}, i.e. tau^{2 z_p x_q}.  The two supports are merged
+    in one pass.
     """
     _check_shapes(p, q)
     n = p.modulus
-    cross = sum(zp * xq for zp, xq in zip(p.z_exp, q.x_exp))
-    return PauliOp(
-        n,
-        tuple(a + b for a, b in zip(p.x_exp, q.x_exp)),
-        tuple(a + b for a, b in zip(p.z_exp, q.z_exp)),
-        p.phase_exp + q.phase_exp + 2 * cross,
-    )
+    a, b = p.terms, q.terms
+    phase = p.phase_exp + q.phase_exp
+    if not a or not b:
+        return _word(n, p.sites, a or b, phase)
+    out = []
+    cross = 0
+    i, la = 0, len(a)
+    for t in b:
+        s = t[0]
+        while i < la and a[i][0] < s:
+            out.append(a[i])
+            i += 1
+        if i < la and a[i][0] == s:
+            _, xa, za = a[i]
+            i += 1
+            cross += za * t[1]
+            x = (xa + t[1]) % n
+            z = (za + t[2]) % n
+            if x or z:
+                out.append((s, x, z))
+        else:
+            out.append(t)
+    out += a[i:]
+    return _word(n, p.sites, tuple(out), phase + 2 * cross)
+
+
+def pauli_prod(modulus: int, sites: int, words) -> PauliOp:
+    """The ordered product of ``words`` in one ``from_terms`` pass.
+
+    Each word is tau^phase times commuting single-site factors, so the
+    product appends every word's terms in order and adds the phases.
+    """
+    terms = []
+    phase = 0
+    for w in words:
+        if w.modulus != modulus or w.sites != sites:
+            raise ShapeError("word register does not match the product's")
+        terms += w.terms
+        phase += w.phase_exp
+    return from_terms(modulus, sites, terms, phase)
 
 
 def pauli_pow(p: PauliOp, k: int) -> PauliOp:
@@ -190,33 +272,46 @@ def pauli_adjoint(p: PauliOp) -> PauliOp:
     (X^x Z^z)^dagger = Z^-z X^-x = omega^{xz} X^-x Z^-z.
     """
     n = p.modulus
-    cross = sum(x * z for x, z in zip(p.x_exp, p.z_exp))
-    return PauliOp(
-        n,
-        tuple(-e for e in p.x_exp),
-        tuple(-e for e in p.z_exp),
-        -p.phase_exp + 2 * cross,
-    )
+    cross = sum(x * z for _, x, z in p.terms)
+    return _word(n, p.sites, tuple((s, -x % n, -z % n) for s, x, z in p.terms),
+                 -p.phase_exp + 2 * cross)
 
 
 def commutation_exponent(p: PauliOp, q: PauliOp) -> int:
     """Return k in Z_N with p*q = omega^k q*p.
 
-    k is the symplectic form sum_site (z_p x_q - x_p z_q) mod N; X and Z on
-    the same site give k(Z, X) = +1, matching Z X = omega X Z.
+    k is the symplectic form sum_site (z_p x_q - x_p z_q) mod N over the
+    shared sites; X and Z on the same site give k(Z, X) = +1, matching
+    Z X = omega X Z.
     """
     _check_shapes(p, q)
-    n = p.modulus
+    b = q.terms
     acc = 0
-    for xp, zp, xq, zq in zip(p.x_exp, p.z_exp, q.x_exp, q.z_exp):
-        acc += zp * xq - xp * zq
-    return acc % n
+    j, lb = 0, len(b)
+    for s, x, z in p.terms:
+        while j < lb and b[j][0] < s:
+            j += 1
+        if j == lb:
+            break
+        if b[j][0] == s:
+            acc += z * b[j][1] - x * b[j][2]
+    return acc % p.modulus
+
+
+def sort_key(p: PauliOp) -> tuple:
+    """A key that orders words of one register as their dense
+    ``(x_exp, z_exp)`` tuples compare, in O(weight).
+
+    A dense vector is smaller when its first nonzero site comes later, so
+    each block lists ``(-site, exponent)`` for its nonzero sites.
+    """
+    t = p.terms
+    return (tuple((-s, x) for s, x, _ in t if x), tuple((-s, z) for s, _, z in t if z))
 
 
 def to_text(p: PauliOp) -> str:
     """Serialize as ``phase_exp|site:xExp,zExp;...`` (stable golden-file format)."""
-    parts = [f"{i}:{p.x_exp[i]},{p.z_exp[i]}" for i in p.support()]
-    return f"{p.phase_exp}|" + ";".join(parts)
+    return f"{p.phase_exp}|" + ";".join(f"{s}:{x},{z}" for s, x, z in p.terms)
 
 
 def from_text(text: str, modulus: int, sites: int) -> PauliOp:
@@ -226,8 +321,7 @@ def from_text(text: str, modulus: int, sites: int) -> PauliOp:
     or a site outside ``[0, sites)`` or repeated.
     """
     head, sep, body = text.partition("|")
-    xs = [0] * sites
-    zs = [0] * sites
+    terms = []
     seen = set()
     try:
         if not sep:
@@ -244,8 +338,7 @@ def from_text(text: str, modulus: int, sites: int) -> PauliOp:
             if site in seen:
                 raise ValueError(f"site {site} is repeated")
             seen.add(site)
-            xs[site] = int(x_text)
-            zs[site] = int(z_text)
+            terms.append((site, int(x_text), int(z_text)))
     except ValueError as exc:
         raise ParseError(f"Pauli word {text!r}: {exc}") from None
-    return PauliOp(modulus, tuple(xs), tuple(zs), phase)
+    return PauliOp(modulus, sites, tuple(terms), phase)

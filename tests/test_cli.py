@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quditlab.cli import EXIT_CONFIG, EXIT_MODEL, main, parse_config, run
+from quditlab.cli import CONDENSE_MAX_N, EXIT_CONFIG, EXIT_MODEL, main, parse_config, run
 from quditlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +38,10 @@ def test_parse_errors_name_the_field():
         _cfg("model toric rows=4 cols=4\ndefect ds-patch contractible\n")
     with pytest.raises(ConfigError, match="unknown directive"):
         _cfg("banana split\n")
+    with pytest.raises(ConfigError, match="^line 3: field 'x' must be an integer$"):
+        _cfg("model doubled-semion rows=4 cols=4\noutput spin x=abc\n")
+    with pytest.raises(ConfigError, match="^line 3: unknown field 'lenght'"):
+        _cfg("model toric rows=6 cols=6\ndefect kitaev-twist lenght=5\n")
 
 
 def test_run_requires_consistent_requests():
@@ -138,13 +142,24 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["condense", "z4", "1+zz"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    # condensation cost grows as N^6, so z<N> above the documented cap is refused
+    assert main(["condense", f"z{CONDENSE_MAX_N + 1}", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    big = tmp_path / "big.cfg"
+    big.write_text("quditlab-config v1\nmodel toric rows=2 cols=2\n"
+                   f"output condense theory=z{CONDENSE_MAX_N + 1} algebra=1\n")
+    assert main(["run", "--config", str(big)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("line", [
     "seed", "seed abc", "channel rate=abc trials=10", "error 0|99:1,0", "error 0|-1:1,0",
     "channel rate=2 trials=10", "channel rate=-0.1 trials=10", "channel rate=nan trials=10",
     "channel rate=inf trials=10", "channel rate=0.1 trials=-1",
-    "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=a,b,c,d"])
+    "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=a,b,c,d",
+    "output spin x=abc", "defect kitaev-twist lenght=5", "defect ising-twists k=2 x=1",
+    "model toric rows=4 cols=4 colls=4", "channel rate=0.1 trials=10 sed=3",
+    "output syndrome verbose=1"])
 def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
     # the config is valid without ``line`` (its syndrome output succeeds), so
     # the exit code comes from the rejected line alone
@@ -156,6 +171,7 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error:")
+    assert "line 0:" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

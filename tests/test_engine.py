@@ -17,6 +17,7 @@ from quditlab.lattice import (Generator, StabilizerModel, build_toric_code,
                               toric_string_operator)
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
                             pauli_mul, single_site)
+from pauli_reference import from_dense
 from snf_reference import subgroup_order_snf
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -80,7 +81,7 @@ def test_logical_dimension_invariances():
     n = m.n_sites
     relabeled = tuple(
         Generator(g.gid, g.kind,
-                  type(g.op)(g.op.modulus, tuple(reversed(g.op.x_exp)),
+                  from_dense(g.op.modulus, tuple(reversed(g.op.x_exp)),
                              tuple(reversed(g.op.z_exp)), g.op.phase_exp), g.order)
         for g in gens)
     assert logical_dimension(StabilizerModel(m.geometry, m.modulus, relabeled)) == base
@@ -225,7 +226,7 @@ def model_and_error(draw, names=("Z2", "Z3", "Z4", "bombin", "dsemion", "disloca
     zs = [0] * sites
     for site, (x, z) in support.items():
         xs[site], zs[site] = x, z
-    return model, PauliOp(n, tuple(xs), tuple(zs), draw(st.integers(0, 2 * n - 1)))
+    return model, from_dense(n, xs, zs, draw(st.integers(0, 2 * n - 1)))
 
 
 @ORACLE
@@ -327,7 +328,7 @@ def test_noncommuting_pair_matches_all_pairs_loop(N, data):
 
 def _fold_terms(modulus, sites, terms, phase=0):
     """The product of single-site words, one pauli_mul per term."""
-    op = PauliOp(modulus, (0,) * sites, (0,) * sites, phase)
+    op = PauliOp(modulus, sites, (), phase)
     for site, x, z in terms:
         op = pauli_mul(op, single_site(modulus, sites, site, x, z))
     return op

@@ -7,7 +7,7 @@ from quditlab.errors import GeometryError, PathError, UnsupportedModelError
 from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev,
                               build_bombin_lattice, build_toric_code,
                               evaluate_constraint, toric_string_operator)
-from quditlab.pauli import commutation_exponent, single_site
+from quditlab.pauli import commutation_exponent, single_site, to_text
 
 
 def test_geometry_counts():
@@ -34,6 +34,18 @@ def test_toric_constraint_certificates():
         m = build_toric_code(3, 3, N)
         for cert in m.constraints:
             assert evaluate_constraint(m, cert).is_identity()
+
+
+def test_z2_toric_l32_scale():
+    # the 32x32 target lattice: build, dimension, both certificates and a
+    # weight-1 syndrome all run on supports only (not timed here)
+    m = build_toric_code(32, 32, 2)
+    assert m.n_sites == 2048 and len(m.generators) == 2048
+    assert engine.logical_dimension(m) == 4
+    for cert in m.constraints:
+        assert to_text(evaluate_constraint(m, cert)) == "0|"
+    error = single_site(2, m.n_sites, m.geometry.edge_index("h", 5, 7), x=1)
+    assert engine.syndrome(m, error).violated() == ["B(5,6)", "B(5,7)"]
 
 
 def test_toric_generators_commute_and_have_order_n():

@@ -1,13 +1,17 @@
-"""Pauli-word algebra: products, phases, commutation, serialization."""
+"""Pauli-word algebra: products, phases, commutation, serialization, and the
+sparse core against the dense reference in ``pauli_reference``."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pauli_reference as ref
 from quditlab.errors import ParseError, ShapeError
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, from_text,
                             identity, pauli_adjoint, pauli_mul, pauli_pow,
-                            single_site, to_text)
+                            pauli_prod, single_site, sort_key, to_text)
 
 
 def test_z4_zx_reordering_phase():
@@ -60,9 +64,9 @@ def test_commutation_examples():
 
 
 def _random_word(rng, N, n):
-    return PauliOp(N, tuple(rng.randrange(N) for _ in range(n)),
-                   tuple(rng.randrange(N) for _ in range(n)),
-                   rng.randrange(2 * N))
+    return ref.from_dense(N, tuple(rng.randrange(N) for _ in range(n)),
+                      tuple(rng.randrange(N) for _ in range(n)),
+                      rng.randrange(2 * N))
 
 
 def test_commutation_is_mul_reordering_phase():
@@ -163,3 +167,112 @@ def test_y_convention_at_n2():
     Y = single_site(2, 1, 0, x=1, z=1, phase=1)
     assert pauli_adjoint(Y) == Y
     assert pauli_mul(Y, Y).is_identity()
+
+
+# ----------------------------------------------------------------------
+# the sparse core against the dense reference (tests/pauli_reference.py)
+# ----------------------------------------------------------------------
+
+OF_REFERENCE = settings(max_examples=150, deadline=None, derandomize=True)
+MODULI = [2, 3, 4, 6, 12]
+
+
+@st.composite
+def words(draw, N, sites, count):
+    """``count`` words on one register; exponents drawn beyond [0, N) and
+    sparse supports, so reduction and empty sites are both exercised."""
+    exp = st.integers(-2 * N, 2 * N)
+    out = []
+    for _ in range(count):
+        support = draw(st.dictionaries(st.integers(0, sites - 1), st.tuples(exp, exp),
+                                       max_size=sites))
+        xs = [0] * sites
+        zs = [0] * sites
+        for site, (x, z) in support.items():
+            xs[site], zs[site] = x, z
+        out.append(ref.from_dense(N, xs, zs, draw(st.integers(-4 * N, 4 * N))))
+    return out
+
+
+@st.composite
+def register(draw, count):
+    N = draw(st.sampled_from(MODULI))
+    sites = draw(st.integers(1, 6))
+    return N, sites, draw(words(N, sites, count))
+
+
+@OF_REFERENCE
+@given(register(2))
+def test_sparse_core_matches_dense_reference(case):
+    N, sites, (p, q) = case
+    dp, dq = ref.dense(p), ref.dense(q)
+    assert p.terms == tuple((s, x, z) for s, (x, z) in enumerate(zip(dp.x_exp, dp.z_exp))
+                            if x or z)
+    assert ref.dense(pauli_mul(p, q)) == ref.pauli_mul(dp, dq)
+    assert ref.dense(pauli_adjoint(p)) == ref.pauli_adjoint(dp)
+    assert commutation_exponent(p, q) == ref.commutation_exponent(dp, dq)
+    assert to_text(p) == ref.to_text(dp)
+    assert p.support() == tuple(s for s in range(sites) if dp.x_exp[s] or dp.z_exp[s])
+    assert p.weight() == len(p.support())
+    for k in range(-N - 1, 2 * N + 2):
+        assert ref.dense(pauli_pow(p, k)) == ref.pauli_pow(dp, k)
+
+
+@OF_REFERENCE
+@given(register(4), st.data())
+def test_from_terms_and_products_match_dense_reference(case, data):
+    N, sites, ws = case
+    exp = st.integers(-2 * N, 2 * N)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, sites - 1), exp, exp), max_size=10))
+    phase = data.draw(st.integers(-4 * N, 4 * N))
+    assert ref.dense(from_terms(N, sites, terms, phase)) == ref.from_terms(N, sites, terms,
+                                                                           phase)
+    fold = ref.identity(N, sites)
+    for w in ws:
+        fold = ref.pauli_mul(fold, ref.dense(w))
+    assert ref.dense(pauli_prod(N, sites, ws)) == fold
+
+
+@OF_REFERENCE
+@given(register(6))
+def test_sort_key_orders_like_dense_vectors(case):
+    N, sites, ws = case
+    # equal-support variants make ties in one block and differences in the other
+    ws = ws + [pauli_mul(w, single_site(N, sites, 0, z=1)) for w in ws[:2]]
+    assert (sorted(ws, key=sort_key) ==
+            sorted(ws, key=lambda w: ref.sort_key(ref.dense(w))))
+    for p in ws:
+        for q in ws:
+            assert (sort_key(p) < sort_key(q)) == (ref.sort_key(ref.dense(p))
+                                                   < ref.sort_key(ref.dense(q)))
+
+
+@OF_REFERENCE
+@given(register(3))
+def test_group_laws(case):
+    N, sites, (p, q, r) = case
+    # associativity, phases included
+    assert pauli_mul(pauli_mul(p, q), r) == pauli_mul(p, pauli_mul(q, r))
+    # (pq)^dagger = q^dagger p^dagger
+    assert pauli_adjoint(pauli_mul(p, q)) == pauli_mul(pauli_adjoint(q), pauli_adjoint(p))
+    # the commutation exponent is antisymmetric
+    assert (commutation_exponent(p, q) + commutation_exponent(q, p)) % N == 0
+    # p^order = I exactly, and no smaller positive power is
+    k = p.order()
+    assert pauli_pow(p, k).is_identity()
+    assert not any(pauli_pow(p, j).is_identity() for j in range(1, k))
+
+
+def test_constructor_normal_form_and_views():
+    p = PauliOp(4, 5, ((3, 4, 2), (1, -1, 0), (0, 8, 4)), phase_exp=-1)
+    assert p.terms == ((1, 3, 0), (3, 0, 2))
+    assert p.phase_exp == 7
+    assert p.x_exp == (0, 3, 0, 0, 0) and p.z_exp == (0, 0, 0, 2, 0)
+    assert p == ref.from_dense(4, p.x_exp, p.z_exp, 7)
+    assert hash(p) == hash(from_text(to_text(p), 4, 5))
+    with pytest.raises(ShapeError, match="repeats"):
+        PauliOp(2, 3, ((1, 1, 0), (1, 0, 1)))
+    with pytest.raises(ShapeError, match="outside"):
+        PauliOp(2, 3, ((3, 1, 0),))
+    with pytest.raises(ShapeError, match="outside"):
+        from_terms(2, 3, [(-1, 1, 0)])
