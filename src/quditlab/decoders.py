@@ -19,7 +19,7 @@ from .dsemion import string_operator
 from .errors import DecodeNotFoundError, InconsistentSyndromeError
 from .lattice import StabilizerModel, toric_string_operator
 from .pauli import (PauliOp, commutation_exponent, identity, pauli_adjoint,
-                    pauli_mul, pauli_pow, single_site, sort_key)
+                    pauli_mul, pauli_pow, pauli_prod, single_site, sort_key)
 
 __all__ = [
     "Correction",
@@ -142,48 +142,60 @@ def _torus_path(geo, a, b):
     return path
 
 
-def _min_weight_pairing(positions, dist):
-    """Exact minimum-weight perfect matching by subset dynamic programming."""
+def _pairing_table(geo, positions):
+    """Subset DP over torus distances: the upper-triangle distance matrix and
+    ``_best_pairing`` of every index mask reached from the full set."""
     k = len(positions)
     if k % 2:
         raise InconsistentSyndromeError("odd number of violations cannot pair up")
-    memo = {0: (0, ())}
-
-    def solve(mask):
-        if mask in memo:
-            return memo[mask]
-        i = next(b for b in range(k) if mask >> b & 1)
-        best = None
-        for j in range(i + 1, k):
-            if mask >> j & 1:
-                rest = solve(mask & ~(1 << i) & ~(1 << j))
-                cand = (rest[0] + dist(positions[i], positions[j]),
-                        rest[1] + ((i, j),))
-                if best is None or cand < best:
-                    best = cand
-        memo[mask] = best
-        return best
-
-    return solve((1 << k) - 1)[1]
+    d = [[_torus_dist(geo, a, b) if j > i else 0 for j, b in enumerate(positions)]
+         for i, a in enumerate(positions)]
+    table = {0: (0, ())}
+    _best_pairing((1 << k) - 1, d, table)
+    return d, table
 
 
-def _all_pairings(k):
-    """Every perfect matching on k indices (k even, desk scale)."""
-    if k == 0:
-        return [()]
-    items = list(range(k))
+# these recurse at module level: a recursive closure is a reference cycle that
+# keeps its table alive until the cyclic collector runs, a cost on every decode
+def _best_pairing(mask, d, table):
+    """``table[mask]`` = (cost, pairs) of the minimum-cost pairing of the mask:
+    its lowest index pairs first, and cost ties go to the smaller pairs."""
+    if mask in table:
+        return table[mask]
+    i = (mask & -mask).bit_length() - 1
+    best = None
+    for j in range(i + 1, len(d)):
+        if mask >> j & 1:
+            rest = _best_pairing(mask & ~(1 << i) & ~(1 << j), d, table)
+            cand = (rest[0] + d[i][j], rest[1] + ((i, j),))
+            if best is None or cand < best:
+                best = cand
+    table[mask] = best
+    return best
 
-    def rec(rest):
-        if not rest:
-            return [()]
-        i = rest[0]
-        out = []
-        for pos, j in enumerate(rest[1:], start=1):
-            sub = rest[1:pos] + rest[pos + 1:]
-            out += [((i, j),) + tail for tail in rec(sub)]
-        return out
 
-    return rec(items)
+def _walk_pairings(mask, d, table):
+    if not mask:
+        yield ()
+        return
+    i = (mask & -mask).bit_length() - 1
+    for j in range(i + 1, len(d)):
+        rest = mask & ~(1 << i) & ~(1 << j)
+        if mask >> j & 1 and table[rest][0] + d[i][j] == table[mask][0]:
+            for tail in _walk_pairings(rest, d, table):
+                yield ((i, j),) + tail
+
+
+def _min_weight_pairing(geo, positions):
+    """Exact minimum-weight perfect matching by subset dynamic programming."""
+    return _pairing_table(geo, positions)[1][(1 << len(positions)) - 1][1]
+
+
+def _min_cost_pairings(geo, positions):
+    """Every minimum-cost pairing, walking only the ``_pairing_table``
+    branches that stay at the minimum; the lowest index pairs with each later
+    one in ascending order, the order of full enumeration."""
+    return _walk_pairings((1 << len(positions)) - 1, *_pairing_table(geo, positions))
 
 
 def _geodesic_paths(geo, a, b):
@@ -233,9 +245,8 @@ def _violations(model, syn, kind):
     return sorted(out)
 
 
-def _string_multiplier(model, string, anchor_gid, want, syn_of):
-    base = syn_of(string)
-    k = base.exponents.get(anchor_gid, 0)
+def _string_multiplier(model, string, anchor_gid, want):
+    k = engine.syndrome(model, string).exponents.get(anchor_gid, 0)
     n = model.modulus
     for m in range(1, n):
         if (k * m) % n == (-want) % n:
@@ -243,8 +254,9 @@ def _string_multiplier(model, string, anchor_gid, want, syn_of):
     raise InconsistentSyndromeError("string cannot annihilate the charge")
 
 
-# above this many violations a family takes one subset-DP matching instead
-# of every minimum-cost pairing
+# up to this many violations a family tries every minimum-cost pairing and
+# geodesic (subset-DP table of O(k 2^k), then O(k^2) per minimum-cost
+# pairing); above it, the canonical DP pairing along one path per pair
 PAIRING_CAP = 12
 
 
@@ -259,24 +271,17 @@ def _family_candidates(model, positions, stype):
     if not positions:
         return [identity(model.modulus, model.n_sites)]
     if len(positions) > PAIRING_CAP:
-        pairs = _min_weight_pairing(positions, lambda a, b: _torus_dist(geo, a, b))
-        corr = identity(model.modulus, model.n_sites)
-        for i, j in pairs:
-            corr = pauli_mul(corr, toric_string_operator(
-                model, _torus_path(geo, positions[i], positions[j]), stype))
-        return [corr]
-    pairings = _all_pairings(len(positions))
-    costs = [sum(_torus_dist(geo, positions[i], positions[j]) for i, j in pr)
-             for pr in pairings]
-    best = min(costs)
+        pairs = _min_weight_pairing(geo, positions)
+        return [pauli_prod(model.modulus, model.n_sites, [toric_string_operator(
+            model, _torus_path(geo, positions[i], positions[j]), stype)
+            for i, j in pairs])]
     words = {}
-    for pr, cost in zip(pairings, costs):
-        if cost != best:
-            continue
-        partial = [identity(model.modulus, model.n_sites)]
-        for i, j in pr:
-            strings = [toric_string_operator(model, list(path), stype)
-                       for path in _geodesic_paths(geo, positions[i], positions[j])]
+    for pr in _min_cost_pairings(geo, positions):
+        legs = [[toric_string_operator(model, list(path), stype)
+                 for path in _geodesic_paths(geo, positions[i], positions[j])]
+                for i, j in pr]
+        partial = legs[0]
+        for strings in legs[1:]:
             partial = [pauli_mul(w, s) for w in partial for s in strings]
         for w in partial:
             words.setdefault(w.terms, w)
@@ -296,7 +301,8 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     """Pair violated vertices with Z strings and plaquettes with X strings.
 
     For modulus 2 the pairing is an exact minimum-weight perfect matching on
-    torus distance; degenerate ties are broken canonically by (weight,
+    torus distance from a subset-DP table (see ``PAIRING_CAP``), never a list
+    of all (k-1)!! pairings; degenerate ties are broken canonically by (weight,
     logical class, exponents), the same order the brute-force oracle uses.
     For larger moduli the charges are folded into a reference location along
     shortest paths (sound, deterministic).
@@ -318,10 +324,6 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         return Correction(best[1], ())
 
     corr = identity(n, model.n_sites)
-
-    def raw_syndrome(op):
-        return engine.syndrome(model, op)
-
     for kind, stype in (("vertex", "e"), ("plaquette", "m")):
         current = _violations(model, syn, kind)
         if not current:
@@ -333,10 +335,10 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
             (p0, q0), (p1, q1) = items[0], items[1]
             gid = f"{'A' if kind == 'vertex' else 'B'}({p0[0]},{p0[1]})"
             string = toric_string_operator(model, _torus_path(geo, p0, p1), stype)
-            m = _string_multiplier(model, string, gid, q0, raw_syndrome)
+            m = _string_multiplier(model, string, gid, q0)
             word = pauli_pow(string, m)
             corr = pauli_mul(corr, word)
-            moved = raw_syndrome(word).exponents.get(
+            moved = engine.syndrome(model, word).exponents.get(
                 f"{'A' if kind == 'vertex' else 'B'}({p1[0]},{p1[1]})", 0)
             q1 = (q1 + moved) % n
             items = ([(p1, q1)] if q1 else []) + items[2:]
@@ -379,7 +381,7 @@ def _close_plaquettes(ds, exps):
         return [identity(4, ds.n_sites)], "none"
     if len(pos) % 2:
         raise InconsistentSyndromeError("odd number of plaquette excitations")
-    pairs = _min_weight_pairing(pos, lambda a, b: _torus_dist(geo, a, b))
+    pairs = _min_weight_pairing(geo, pos)
     words = [identity(4, ds.n_sites)]
     for i, j in pairs:
         path = _torus_path(geo, pos[i], pos[j])
@@ -402,7 +404,7 @@ def _close_vertices(ds, exps):
             pos.append(_gid_coords(g))
     if not pos:
         return identity(4, ds.n_sites), "none"
-    pairs = _min_weight_pairing(sorted(pos), lambda a, b: _torus_dist(geo, a, b))
+    pairs = _min_weight_pairing(geo, sorted(pos))
     pos = sorted(pos)
     corr = identity(4, ds.n_sites)
     for i, j in pairs:
@@ -524,6 +526,7 @@ class BruteForceOracle:
         self.n = model.n_sites
         self.N = model.modulus
         self.gens = list(model.generators)
+        self._orders = [g.order for g in self.gens]
         self.singles = []  # (key, op) in deterministic order
         for site in range(self.n):
             for a in range(self.N):
@@ -545,10 +548,6 @@ class BruteForceOracle:
                         continue
                     self.w2.add(tuple((a + b) % o for a, b, o in
                                       zip(k1, k2, self._orders)))
-
-    @property
-    def _orders(self):
-        return [g.order for g in self.gens]
 
     def _key(self, op):
         n = self.N

@@ -145,6 +145,9 @@ def test_exit_codes(tmp_path, capsys):
     # condensation cost grows as N^6, so z<N> above the documented cap is refused
     assert main(["condense", f"z{CONDENSE_MAX_N + 1}", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    # the catalog dump of z<N> has the same cap
+    assert main(["catalog", f"z{CONDENSE_MAX_N + 1}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
     big = tmp_path / "big.cfg"
     big.write_text("quditlab-config v1\nmodel toric rows=2 cols=2\n"
                    f"output condense theory=z{CONDENSE_MAX_N + 1} algebra=1\n")
