@@ -276,10 +276,14 @@ def _family_candidates(model, positions, stype):
             model, _torus_path(geo, positions[i], positions[j]), stype)
             for i, j in pairs])]
     words = {}
+    geodesics = {}  # pair -> its geodesic strings, built once per call
     for pr in _min_cost_pairings(geo, positions):
-        legs = [[toric_string_operator(model, list(path), stype)
-                 for path in _geodesic_paths(geo, positions[i], positions[j])]
-                for i, j in pr]
+        for i, j in pr:
+            if (i, j) not in geodesics:
+                geodesics[i, j] = [
+                    toric_string_operator(model, list(path), stype)
+                    for path in _geodesic_paths(geo, positions[i], positions[j])]
+        legs = [geodesics[pair] for pair in pr]
         partial = legs[0]
         for strings in legs[1:]:
             partial = [pauli_mul(w, s) for w in partial for s in strings]
@@ -413,6 +417,24 @@ def _close_vertices(ds, exps):
     return corr, "5b"
 
 
+def _step2_candidates(plans, k, sites):
+    """(word, rules) for every power assignment of ``plans[k:]``: plan k
+    varies fastest, trying its ``first`` power, then the negated one.
+
+    A plan is (rule, site, first): rule 2a puts X^s on the site, rule 2b
+    Z^s.  Module-level recursion, so a decode leaves no reference cycle.
+    """
+    if k == len(plans):
+        yield identity(4, sites), ()
+        return
+    rule, site, first = plans[k]
+    for rest, rules in _step2_candidates(plans, k + 1, sites):
+        for s in (first, (-first) % 4):
+            word = (single_site(4, sites, site, x=s) if rule == "2a"
+                    else single_site(4, sites, site, z=s))
+            yield pauli_mul(word, rest), (rule,) + rules
+
+
 def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     """The five-step doubled-semion correction.
 
@@ -444,38 +466,20 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
 
     plans = []
     for o, x, y in trail:
-        edge_idx = geo.edge_index(o, x, y)
         if any(b in exps0 for b in flanking_plaquettes(o, x, y)):
-            rule = "2a"
-            site = edge_idx
-            make = lambda s, site=site: single_site(4, ds.n_sites, site, x=s)
             # endpoint vertex exponent suggests the power
             hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
                         else f"A({(x - 1) % geo.cols},{y})")
             hint = exps0.get(hint_gid, 1) % 4
             hint = hint if hint in (1, 3) else 1
-            first = (-hint) % 4
+            plans.append(("2a", geo.edge_index(o, x, y), (-hint) % 4))
+        elif o == "h":
+            plans.append(("2b", geo.edge_index("v", x + 1, y), 3))
         else:
-            rule = "2b"
-            if o == "h":
-                site = geo.edge_index("v", x + 1, y)
-            else:
-                site = geo.edge_index("h", x, y + 1)
-            make = lambda s, site=site: single_site(4, ds.n_sites, site, z=s)
-            first = 3
-        plans.append((rule, make, first))
-
-    def candidates(k):
-        if k == len(plans):
-            yield identity(4, ds.n_sites), ()
-            return
-        rule, make, first = plans[k]
-        for rest, rules in candidates(k + 1):
-            for s in (first, (-first) % 4):
-                yield pauli_mul(make(s), rest), (rule,) + rules
+            plans.append(("2b", geo.edge_index("h", x, y + 1), 3))
 
     cleared = []
-    for step2, rules in candidates(0):
+    for step2, rules in _step2_candidates(plans, 0, ds.n_sites):
         exps = _combine(ds, exps0, step2)
         if any(g.startswith("C(") for g in exps):
             continue

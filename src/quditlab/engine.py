@@ -6,14 +6,18 @@ Z_N^{2n} generated by the rows has order N^{2n} / [Z^{2n} : L], which is
 N^{2n} / prod(diag SNF [G; N*I]).  N is not assumed prime (Z_4 is not a
 field), so the elimination works over Z with gcd steps.
 
-Every routine works on nonzero support only.  Each model carries a
-site -> generator incidence index, built once (``StabilizerModel.incidence``):
-the commutation check visits the generator pairs that share a site, a
-syndrome or a membership pre-check visits the generators incident to the
-word's support, O(weight x degree), and the elimination takes sparse rows
-read straight off the words' supports.  ``GeneratorMatrix`` keeps dense
-rows for callers that want the matrix itself; the model-facing routines do
-not build it.
+Every routine works on nonzero support only.  A row is the sparse
+``{column: exponent}`` map of a word's support, site s's x exponent in
+column 2s and its z exponent in column 2s + 1 (``_row``); ``GeneratorMatrix``
+holds such rows, and dense matrices enter through ``from_dense``.  One
+elimination, ``echelon``, returns the index together with its per-column
+pivots.  Each model caches its echelon once (``StabilizerModel.echelon``):
+``logical_dimension`` reads the index from it and ``is_member`` reduces the
+word's row against the stored pivots, with no second elimination.  Each
+model also carries a site -> generator incidence index
+(``StabilizerModel.incidence``): the commutation check visits the generator
+pairs that share a site, and a syndrome or a membership pre-check visits
+the generators incident to the word's support, O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction and a brute-force check asserts so on
@@ -23,17 +27,17 @@ small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
 
 from .errors import InvalidModelError, ShapeError
 from .pauli import PauliOp, identity, pauli_mul
 
 __all__ = [
     "GeneratorMatrix",
+    "Echelon",
     "Syndrome",
+    "echelon",
     "subgroup_order",
     "lattice_index",
-    "sparse_lattice_index",
     "logical_dimension",
     "is_member",
     "syndrome",
@@ -42,9 +46,26 @@ __all__ = [
 ]
 
 
+def _row(op: PauliOp) -> dict:
+    """The sparse row of a word: site s's x in column 2s, its z in 2s + 1.
+
+    The index does not depend on column order; keeping a site's two columns
+    adjacent roughly halves the fill-in of the elimination on the doubled
+    semion.
+    """
+    row = {}
+    for s, x, z in op.terms:
+        if x:
+            row[2 * s] = x
+        if z:
+            row[2 * s + 1] = z
+    return row
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Integer matrix, one row per generator, columns (x-block | z-block) mod N."""
+    """Integer matrix mod N, one sparse row ``{column: exponent}`` per
+    generator (entries reduced mod N, zeros dropped)."""
 
     modulus: int
     rows: tuple
@@ -58,16 +79,16 @@ class GeneratorMatrix:
             sites = ops[0].sites
         if modulus is None or sites is None:
             raise ShapeError("empty generator list needs explicit modulus and sites")
-        rows = []
         for op in ops:
             if op.modulus != modulus or op.sites != sites:
                 raise ShapeError("generator register mismatch")
-            row = [0] * (2 * sites)
-            for s, x, z in op.terms:
-                row[s] = x
-                row[sites + s] = z
-            rows.append(tuple(row))
-        return cls(modulus, tuple(rows), 2 * sites)
+        return cls(modulus, tuple(_row(op) for op in ops), 2 * sites)
+
+    @classmethod
+    def from_dense(cls, modulus: int, rows, columns: int) -> "GeneratorMatrix":
+        """The matrix of dense integer rows; column c stays column c."""
+        return cls(modulus, tuple({c: e for c, v in enumerate(r) if (e := v % modulus)}
+                                  for r in rows), columns)
 
 
 def _egcd(a, b):
@@ -77,30 +98,61 @@ def _egcd(a, b):
     return d, t, s - (a // b) * t
 
 
-def lattice_index(rows, modulus, columns) -> int:
-    """[Z^columns : L] for the lattice L spanned by dense ``rows`` and N Z^columns.
+@dataclass(frozen=True)
+class Echelon:
+    """The index [Z^columns : L] of a row lattice L and its pivots.
 
-    Converts each row to its nonzero entries and eliminates with
-    :func:`sparse_lattice_index`.
+    ``pivots`` maps each pivot column c to (row, d, a): the pivot row, whose
+    first nonzero column is c, d = gcd(row[c], N) and a with
+    a * row[c] = d mod N.
     """
-    N = modulus
-    return sparse_lattice_index(
-        ({c: e for c in compress(count(), r) if (e := r[c] % N)} for r in rows),
-        modulus, columns)
+
+    modulus: int
+    index: int
+    pivots: dict
+
+    def contains(self, row: dict) -> bool:
+        """True iff the sparse row lies in L, by reduction against the pivots.
+
+        Every vector of L whose first nonzero column is c has there a
+        multiple of d_c, and subtracting the matching multiple of the pivot
+        leaves a vector of L that starts later (Howell form; Storjohann and
+        Mulders, "Fast algorithms for linear algebra modulo N", 1998).  So
+        a leading entry with no pivot, or not divisible by d_c, means "not
+        in L".
+        """
+        N = self.modulus
+        row = dict(row)
+        while row:
+            col = min(row)
+            if col not in self.pivots:
+                return False
+            pivot, d, a = self.pivots[col]
+            if row[col] % d:
+                return False
+            q = a * (row[col] // d)
+            for c, v in pivot.items():
+                e = (row.get(c, 0) - q * v) % N
+                if e:
+                    row[c] = e
+                else:
+                    row.pop(c, None)
+        return True
 
 
-def sparse_lattice_index(rows, modulus, columns) -> int:
-    """[Z^columns : L] for the lattice L spanned by ``rows`` and N Z^columns.
+def echelon(rows, modulus, columns) -> Echelon:
+    """Eliminate sparse ``rows`` together with N Z^columns.
 
     Column-wise gcd triangularization on sparse rows ``{column: exponent}``
     (entries reduced mod N, zeros dropped; the rows are not modified),
     bucketed by leading column.  The rows leading in a column are
     gcd-combined until one pivot remains; a combination whose entry there
     cancels moves to the bucket of its new leading column, and the
-    annihilator (N/d) * pivot is re-inserted the same way.  The result
-    equals the diagonal product of the Smith normal form of the stacked
-    matrix [rows; N I] (cross-checked in the tests).  The cost follows the
-    nonzeros the elimination touches, not rows x columns.
+    annihilator (N/d) * pivot, zero when the pivot is a unit, is
+    re-inserted the same way.  The index equals the diagonal product of
+    the Smith normal form of the stacked matrix [rows; N I] (cross-checked
+    in the tests).  The cost follows the nonzeros the elimination touches,
+    not rows x columns.
     """
     N = modulus
     buckets = {}
@@ -112,6 +164,7 @@ def sparse_lattice_index(rows, modulus, columns) -> int:
     for r in rows:
         push(r)
     index = 1
+    pivots = {}
     for col in range(columns):
         nz = buckets.pop(col, None)
         if not nz:
@@ -139,8 +192,15 @@ def sparse_lattice_index(rows, modulus, columns) -> int:
         pivot = nz[0]
         d, a, _ = _egcd(pivot[col], N)
         index *= d
-        push({c: e for c, v in pivot.items() if (e := a * (N // d) * v % N)})
-    return index
+        pivots[col] = (pivot, d, a)
+        if d > 1:
+            push({c: e for c, v in pivot.items() if (e := (N // d) * v % N)})
+    return Echelon(N, index, pivots)
+
+
+def lattice_index(rows, modulus, columns) -> int:
+    """[Z^columns : L] for the lattice L spanned by sparse ``rows`` and N Z^columns."""
+    return echelon(rows, modulus, columns).index
 
 
 def subgroup_order(gens: GeneratorMatrix) -> int:
@@ -150,17 +210,6 @@ def subgroup_order(gens: GeneratorMatrix) -> int:
     total = gens.modulus ** n2
     assert total % prod == 0
     return total // prod
-
-
-def _row(op: PauliOp, sites: int) -> dict:
-    """The ``sparse_lattice_index`` row of a word: x block, then z block."""
-    row = {}
-    for s, x, z in op.terms:
-        if x:
-            row[s] = x
-        if z:
-            row[sites + s] = z
-    return row
 
 
 def _first_noncommuting_pair(model):
@@ -209,8 +258,7 @@ def logical_dimension(model) -> int:
             f"generators {model.generators[i].gid} and "
             f"{model.generators[j].gid} do not commute")
     n, N = model.n_sites, model.modulus
-    index = sparse_lattice_index((_row(g.op, n) for g in model.generators), N, 2 * n)
-    order = N ** (2 * n) // index
+    order = N ** (2 * n) // model.echelon.index
     total = N ** n
     if total % order:
         raise InvalidModelError("stabilizer order does not divide Hilbert dimension")
@@ -221,17 +269,14 @@ def is_member(model, op: PauliOp) -> bool:
     """True iff op lies in the stabilizer group up to phase.
 
     Operators that fail to commute with some generator are detectable errors,
-    not members; they return False without raising.  Otherwise op is a
-    member exactly when appending its row leaves the lattice index unchanged.
+    not members; they return False without raising.  Otherwise op's row is
+    reduced against the pivots of the model's cached echelon.
     """
     if op.modulus != model.modulus or op.sites != model.n_sites:
         raise ShapeError("operator register does not match model")
     if _noncommuting(model, op):
         return False
-    n, N = model.n_sites, model.modulus
-    rows = [_row(g.op, n) for g in model.generators]
-    return (sparse_lattice_index(rows + [_row(op, n)], N, 2 * n)
-            == sparse_lattice_index(rows, N, 2 * n))
+    return model.echelon.contains(_row(op))
 
 
 @dataclass(frozen=True)
@@ -301,7 +346,7 @@ def brute_force_subgroup_order(gens: GeneratorMatrix) -> int:
     n = gens.modulus
     seen = {(0,) * gens.columns}
     frontier = [(0,) * gens.columns]
-    rows = [tuple(e % n for e in r) for r in gens.rows]
+    rows = [tuple(r.get(c, 0) for c in range(gens.columns)) for r in gens.rows]
     while frontier:
         cur = frontier.pop()
         for r in rows:

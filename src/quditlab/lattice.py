@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from . import engine
 from .errors import GeometryError, PathError, UnsupportedModelError
 from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
 
@@ -158,6 +159,15 @@ class StabilizerModel:
             for s, x, z in g.op.terms:
                 inc.setdefault(s, []).append((j, x, z))
         return inc
+
+    @cached_property
+    def echelon(self) -> "engine.Echelon":
+        """The generators' ``engine.Echelon`` (index and pivots), eliminated
+        once per model on first use; ``replace`` gives a new model that
+        eliminates its own generators."""
+        gens = engine.GeneratorMatrix.from_ops([g.op for g in self.generators],
+                                               self.modulus, self.n_sites)
+        return engine.echelon(gens.rows, gens.modulus, gens.columns)
 
     def generator(self, gid: str) -> Generator:
         return self._by_gid[gid]

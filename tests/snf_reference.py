@@ -1,7 +1,7 @@
 """Reference oracle: group order from the Smith normal form of [G; N I].
 
 An independent, deliberately plain path for cross-checking the sparse
-elimination in ``quditlab.engine.lattice_index``.  It diagonalizes the dense
+elimination in ``quditlab.engine.echelon``.  It diagonalizes the dense
 stacked matrix by unimodular row and column operations, so it is only for
 the small matrices the tests draw.
 """
@@ -79,7 +79,7 @@ def smith_normal_form(rows, columns):
 
 def _stacked(gens: GeneratorMatrix):
     n2 = gens.columns
-    rows = [tuple(e % gens.modulus for e in r) for r in gens.rows]
+    rows = [tuple(r.get(c, 0) for c in range(n2)) for r in gens.rows]
     rows += [tuple(gens.modulus if j == i else 0 for j in range(n2)) for i in range(n2)]
     return rows
 

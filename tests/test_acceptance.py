@@ -162,7 +162,7 @@ def test_criterion_5_subgroup_order_oracle():
         mod = rng.choice([2, 3, 4])
         k = rng.randint(1, 5)
         rows = tuple(tuple(rng.randrange(mod) for _ in range(2 * n)) for _ in range(k))
-        gm = GeneratorMatrix(mod, rows, 2 * n)
+        gm = GeneratorMatrix.from_dense(mod, rows, 2 * n)
         assert subgroup_order(gm) == brute_force_subgroup_order(gm), (mod, n, rows)
     dt = time.monotonic() - start
     assert dt < 30.0

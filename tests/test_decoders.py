@@ -1,6 +1,7 @@
 """Decoders: soundness, oracle agreement, the five-step trace, Monte Carlo."""
 
 import functools
+import gc
 import pathlib
 import random
 
@@ -146,6 +147,30 @@ def test_ds_phase_flip_uses_rule_2b():
     corr = decode_doubled_semion(ds, engine.syndrome(ds, err))
     assert "2b" in corr.trace
     assert decode_outcome(ds, err, corr).success
+
+
+def test_decodes_leave_no_reference_cycle():
+    # a length-2 edge trail runs the step-2 candidate recursion; a recursive
+    # closure there would leave a cycle for the cyclic collector on every call
+    ds = build_doubled_semion(4, 4)
+    geo = ds.geometry
+    err = from_terms(4, ds.n_sites, [(geo.edge_index("h", 1, 1), 1, 0),
+                                     (geo.edge_index("v", 2, 2), 0, 2)])
+    ds_syn = engine.syndrome(ds, err)
+    tc = build_toric_code(6, 6, 2)
+    tc_syn = engine.syndrome(tc, from_terms(2, tc.n_sites, [(3, 1, 0), (20, 0, 1),
+                                                          (40, 1, 1), (61, 1, 0)]))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        corr = decode_doubled_semion(ds, ds_syn)
+        decode_toric(tc, tc_syn)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert "2a" in corr.trace and decode_outcome(ds, err, corr).success
 
 
 def test_left_right_convention_flip_is_equally_sound():

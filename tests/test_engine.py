@@ -1,6 +1,8 @@
 """Stabilizer arithmetic against Smith-normal-form and brute-force oracles."""
 
+import dataclasses
 import functools
+import math
 import random
 
 import pytest
@@ -13,10 +15,10 @@ from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              is_member, logical_dimension, subgroup_order,
                              syndrome, excitation_energy, assert_sign_consistent)
 from quditlab.errors import InvalidModelError
-from quditlab.lattice import (Generator, StabilizerModel, build_toric_code,
+from quditlab.lattice import (DefectSpec, Generator, StabilizerModel, build_toric_code,
                               toric_string_operator)
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
-                            pauli_mul, single_site)
+                            pauli_mul, pauli_pow, single_site)
 from pauli_reference import from_dense
 from snf_reference import subgroup_order_snf
 
@@ -24,10 +26,10 @@ ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def test_subgroup_order_trivial_and_full():
-    zero = GeneratorMatrix(3, ((0, 0, 0, 0),), 4)
+    zero = GeneratorMatrix.from_dense(3, ((0, 0, 0, 0),), 4)
     assert subgroup_order(zero) == 1
-    full = GeneratorMatrix(3, tuple(tuple(1 if i == j else 0 for j in range(4))
-                                    for i in range(4)), 4)
+    full = GeneratorMatrix.from_dense(3, tuple(tuple(1 if i == j else 0 for j in range(4))
+                                               for i in range(4)), 4)
     assert subgroup_order(full) == 3 ** 4
 
 
@@ -45,7 +47,7 @@ def test_subgroup_order_matches_brute_force():
         n = rng.randint(1, 3)
         k = rng.randint(1, 4)
         rows = tuple(tuple(rng.randrange(N) for _ in range(2 * n)) for _ in range(k))
-        gm = GeneratorMatrix(N, rows, 2 * n)
+        gm = GeneratorMatrix.from_dense(N, rows, 2 * n)
         assert subgroup_order(gm) == brute_force_subgroup_order(gm)
 
 
@@ -153,7 +155,7 @@ def test_fast_order_path_matches_snf_reference():
         n = rng.randint(1, 3)
         rows = tuple(tuple(rng.randrange(N) for _ in range(2 * n))
                      for _ in range(rng.randint(1, 5)))
-        gm = GeneratorMatrix(N, rows, 2 * n)
+        gm = GeneratorMatrix.from_dense(N, rows, 2 * n)
         assert subgroup_order(gm) == subgroup_order_snf(gm)
 
 
@@ -177,7 +179,7 @@ def small_matrices(draw):
     row = st.one_of(st.just((0,) * cols),
                     st.tuples(*[st.integers(-N, 2 * N)] * cols))
     rows = draw(st.lists(row, max_size=5))
-    return GeneratorMatrix(N, tuple(rows), cols)
+    return GeneratorMatrix.from_dense(N, rows, cols)
 
 
 @ORACLE
@@ -188,10 +190,14 @@ def test_lattice_index_matches_snf_and_closure(gm):
     assert subgroup_order(gm) == subgroup_order_snf(gm)
 
 
+def _sparse(modulus, rows, columns):
+    return GeneratorMatrix.from_dense(modulus, rows, columns).rows
+
+
 def test_lattice_index_empty_and_zero_rows():
     assert engine.lattice_index((), 6, 4) == 6 ** 4
-    assert engine.lattice_index(((0, 0), (6, -12)), 6, 2) == 36
-    assert engine.lattice_index(((2, 0), (0, 3)), 6, 2) == 6
+    assert engine.lattice_index(_sparse(6, ((0, 0), (6, -12)), 2), 6, 2) == 36
+    assert engine.lattice_index(_sparse(6, ((2, 0), (0, 3)), 2), 6, 2) == 6
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,13 +245,12 @@ def test_syndrome_matches_dense_reference(case):
     assert syn.kinds == {g: kind for g, (_, kind) in ref.items()}
 
 
-def _bfs_rows(gm):
-    n = gm.modulus
-    seen = {(0,) * gm.columns}
+def _bfs_rows(rows, n, columns):
+    seen = {(0,) * columns}
     frontier = list(seen)
     while frontier:
         cur = frontier.pop()
-        for r in gm.rows:
+        for r in rows:
             nxt = tuple((a + b) % n for a, b in zip(cur, r))
             if nxt not in seen:
                 seen.add(nxt)
@@ -263,8 +268,8 @@ def _small_model(name):
         model = (lattice.build_bombin_lattice(2, 2) if name == "bombin"
                  else build_toric_code(2, 2, int(name[1:])))
         logicals = [op for _, op in model.logicals]
-    gm = GeneratorMatrix.from_ops([g.op for g in model.generators])
-    return model, logicals, frozenset(_bfs_rows(gm))
+    dense = [g.op.x_exp + g.op.z_exp for g in model.generators]
+    return model, logicals, frozenset(_bfs_rows(dense, model.modulus, 2 * model.n_sites))
 
 
 @st.composite
@@ -293,6 +298,89 @@ def test_is_member_matches_closure(case):
     commutes = all(not commutation_exponent(g.op, op) for g in model.generators)
     expected = commutes and (op.x_exp + op.z_exp) in closure
     assert is_member(model, op) == expected
+
+
+@st.composite
+def isotropic_models(draw):
+    """(model, spare): commuting generators on up to three of four sites,
+    N composite, and one more word that commutes with all of them.
+
+    Z-only words, with entries biased toward zero divisors of N, are moved
+    by random maps that keep every commutation exponent: shears
+    z += c x and x += c z, the swap (x, z) -> (z, -x) on one site, and a
+    two-site CNOT (x_t += x_s, z_s -= z_t).  The last word is the spare.
+    """
+    N = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    n = draw(st.integers(1, 2 if N > 8 else 3))
+    entry = st.integers(0, N - 1) | st.sampled_from(
+        [e for e in range(2, N) if math.gcd(e, N) > 1])
+    words = [([0] * n, [draw(entry) for _ in range(n)])
+             for _ in range(draw(st.integers(2, 5)))]
+    for _ in range(draw(st.integers(0, 6))):
+        move = draw(st.sampled_from(["shear_z", "shear_x", "swap", "cnot"]))
+        s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(entry)
+        for xs, zs in words:
+            if move == "shear_z":
+                zs[s] = (zs[s] + c * xs[s]) % N
+            elif move == "shear_x":
+                xs[s] = (xs[s] + c * zs[s]) % N
+            elif move == "swap":
+                xs[s], zs[s] = zs[s], -xs[s] % N
+            elif s != t:
+                xs[t] = (xs[t] + xs[s]) % N
+                zs[s] = (zs[s] - zs[t]) % N
+    ops = [from_terms(N, 4, [(j, xs[j], zs[j]) for j in range(n)]) for xs, zs in words]
+    gens = tuple(Generator(f"g{i}", "vertex", op, N) for i, op in enumerate(ops[:-1]))
+    return StabilizerModel(lattice.LatticeGeometry(2, 2, "vertices"), N, gens), ops[-1]
+
+
+@ORACLE
+@given(isotropic_models(), st.data())
+def test_echelon_matches_closure_on_zero_divisors(case, data):
+    model, spare = case
+    N, sites = model.modulus, model.n_sites
+    ops = [g.op for g in model.generators]
+    closure = _bfs_rows([op.x_exp + op.z_exp for op in ops], N, 2 * sites)
+    assert subgroup_order(GeneratorMatrix.from_ops(ops)) == len(closure)
+    assert logical_dimension(model) == N ** sites // len(closure)
+    exponent = st.integers(0, N - 1)
+    for _ in range(4):
+        op = identity(N, sites)
+        for g in ops:
+            op = pauli_mul(op, pauli_pow(g, data.draw(exponent)))
+        extra = data.draw(st.sampled_from(["none", "spare", "word"]))
+        if extra == "spare":
+            op = pauli_mul(op, pauli_pow(spare, data.draw(exponent)))
+        elif extra == "word":
+            op = pauli_mul(op, from_terms(N, sites, [
+                (j, data.draw(exponent), data.draw(exponent)) for j in range(3)]))
+        commutes = all(not commutation_exponent(g, op) for g in ops)
+        assert is_member(model, op) == (commutes and op.x_exp + op.z_exp in closure)
+
+
+def test_replaced_model_computes_its_own_echelon():
+    m = build_toric_code(3, 3, 2)
+    assert logical_dimension(m) == 4
+    same = dataclasses.replace(m, family="copy")
+    assert same.echelon is not m.echelon and same.echelon.index == m.echelon.index
+    a0, a1 = (m.generator(gid) for gid in m.gids("vertex")[:2])
+    rest = tuple(g for g in m.generators if g not in (a0, a1))
+    for cut in (m.with_surgery([a0.gid, a1.gid], (), (), DefectSpec("cut")),
+                dataclasses.replace(m, generators=rest)):
+        assert cut.echelon is not m.echelon
+        assert logical_dimension(cut) == 8
+        assert is_member(m, a0.op) and not is_member(cut, a0.op)
+
+
+def test_annihilator_when_the_bezout_coefficient_shares_a_factor():
+    # N = 10, pivot 6: gcd 2 with Bezout coefficient 2, so 2 * (10/2) * (6, 1)
+    # vanishes while 5 * (6, 1) = (0, 5) is a nonzero element of the group
+    gm = GeneratorMatrix.from_dense(10, ((6, 1),), 2)
+    assert subgroup_order(gm) == brute_force_subgroup_order(gm) == 10
+    gen = Generator("g", "vertex", from_terms(10, 4, [(0, 6, 1)]), 10)
+    model = StabilizerModel(lattice.LatticeGeometry(2, 2, "vertices"), 10, (gen,))
+    assert is_member(model, single_site(10, 4, 0, z=5))
 
 
 def test_noncommuting_error_names_first_pair():

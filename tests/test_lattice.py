@@ -3,11 +3,12 @@
 import pytest
 
 from quditlab import engine
+from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import GeometryError, PathError, UnsupportedModelError
 from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev,
                               build_bombin_lattice, build_toric_code,
                               evaluate_constraint, toric_string_operator)
-from quditlab.pauli import commutation_exponent, single_site, to_text
+from quditlab.pauli import commutation_exponent, pauli_prod, single_site, to_text
 
 
 def test_geometry_counts():
@@ -37,8 +38,9 @@ def test_toric_constraint_certificates():
 
 
 def test_z2_toric_l32_scale():
-    # the 32x32 target lattice: build, dimension, both certificates and a
-    # weight-1 syndrome all run on supports only (not timed here)
+    # the 32x32 target lattice: build, dimension, both certificates, a
+    # weight-1 syndrome and membership all run on supports only (not timed
+    # here); membership reduces against the echelon the dimension cached
     m = build_toric_code(32, 32, 2)
     assert m.n_sites == 2048 and len(m.generators) == 2048
     assert engine.logical_dimension(m) == 4
@@ -46,6 +48,11 @@ def test_z2_toric_l32_scale():
         assert to_text(evaluate_constraint(m, cert)) == "0|"
     error = single_site(2, m.n_sites, m.geometry.edge_index("h", 5, 7), x=1)
     assert engine.syndrome(m, error).violated() == ["B(5,6)", "B(5,7)"]
+    gens = m.generators
+    product = pauli_prod(2, m.n_sites, [gens[3].op, gens[700].op, gens[1500].op])
+    assert engine.is_member(m, product)
+    assert not engine.is_member(m, m.logicals[0][1])
+    assert engine.logical_dimension(build_doubled_semion(16, 16)) == 4
 
 
 def test_toric_generators_commute_and_have_order_n():
