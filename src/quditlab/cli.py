@@ -18,6 +18,7 @@ identical config and seed produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -55,7 +56,8 @@ class ExperimentConfig:
 
 
 def _parse_kv(tokens, line_no, fields):
-    """key=value tokens as a dict; a key outside ``fields`` is an error."""
+    """key=value tokens as a dict; a key outside ``fields`` or repeated on
+    the line is an error."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -64,6 +66,8 @@ def _parse_kv(tokens, line_no, fields):
         if k not in fields:
             expected = ", ".join(fields) if fields else "no fields"
             raise ConfigError(f"line {line_no}: unknown field {k!r} (expected {expected})")
+        if k in out:
+            raise ConfigError(f"line {line_no}: repeated field {k!r}")
         out[k] = v
     return out
 
@@ -455,7 +459,9 @@ CONFIG_COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="quditlab",
         description="Qudit stabilizer laboratory: build lattice models, apply "
@@ -483,8 +489,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("catalog", help="dump a built-in anyon theory")
     p.add_argument("theory")
     add_common(p, needs_config=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "condense":
             theory = _theory_by_name(args.theory)

@@ -18,8 +18,9 @@ from . import engine
 from .dsemion import string_operator
 from .errors import DecodeNotFoundError, InconsistentSyndromeError
 from .lattice import StabilizerModel, toric_string_operator
-from .pauli import (PauliOp, commutation_exponent, identity, pauli_adjoint,
-                    pauli_mul, pauli_pow, pauli_prod, single_site, sort_key)
+from .pauli import (PauliOp, commutation_exponent, from_terms, identity,
+                    pauli_adjoint, pauli_mul, pauli_pow, pauli_prod, single_site,
+                    sort_key)
 
 __all__ = [
     "Correction",
@@ -617,33 +618,56 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
                       seed: int) -> MonteCarloResult:
     """i.i.d. per-site X/Z error injection, decode, classify the residual.
 
-    Identical seeds reproduce identical trials bit-for-bit.
+    Identical seeds reproduce identical trials bit-for-bit.  A trial makes
+    2n draws in site order, X before Z: draw i is a uniform for site i // 2
+    (X when i is even, Z when odd) and, on a hit, the exponent in [1, N)
+    drawn before the next uniform, the call sequence of a per-site loop.
+    An error-free trial costs one empty comprehension and never decodes.
+
+    Decoders are pure functions of the syndrome, so each distinct syndrome
+    is decoded once per call: a dict local to the call maps its exponents to
+    the correction.  The residual, its syndrome and its class still follow
+    every trial's error.  A decoder that gives up
+    (``InconsistentSyndromeError``) fails the trial under the class
+    ``gave-up``; the memo keeps the give-up too.
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError("error_rate must lie in [0, 1]")
     rng = random.Random(seed)
+    rand, randrange = rng.random, rng.randrange
     n = model.n_sites
     N = model.modulus
+    draws = range(2 * n)
     failures = 0
     class_counts = {}
     names = _class_names(model, model.logicals)
+    corrections = {}  # syndrome exponents -> Correction, None if it gave up
     for _ in range(trials):
-        terms = []
-        for site in range(n):
-            x = rng.randrange(1, N) if rng.random() < error_rate else 0
-            z = rng.randrange(1, N) if rng.random() < error_rate else 0
-            if x or z:
-                terms.append((site, x, z))
-        if not terms:
+        hits = [(i, randrange(1, N)) for i in draws if rand() < error_rate]
+        if not hits:
             class_counts["1"] = class_counts.get("1", 0) + 1
             continue
-        err = PauliOp(N, n, tuple(terms))
-        corr = decoder(model, engine.syndrome(model, err))
-        residual = pauli_mul(err, corr.op)
-        if engine.syndrome(model, residual):
-            label = "syndrome"
+        # X^x then Z^z on one site is the normal form, so no phase arises
+        err = from_terms(N, n, [(i >> 1, 0, e) if i & 1 else (i >> 1, e, 0)
+                                for i, e in hits])
+        syn = engine.syndrome(model, err)
+        key = tuple(syn.exponents.items())
+        if key in corrections:
+            corr = corrections[key]
         else:
-            label = names.get(_class_tuple(residual, model.logicals), "unknown")
+            try:
+                corr = decoder(model, syn)
+            except InconsistentSyndromeError:
+                corr = None
+            corrections[key] = corr
+        if corr is None:
+            label = "gave-up"
+        else:
+            residual = pauli_mul(err, corr.op)
+            if engine.syndrome(model, residual):
+                label = "syndrome"
+            else:
+                label = names.get(_class_tuple(residual, model.logicals), "unknown")
         class_counts[label] = class_counts.get(label, 0) + 1
         if label != "1":
             failures += 1

@@ -253,17 +253,21 @@ def pauli_prod(modulus: int, sites: int, words) -> PauliOp:
 
 
 def pauli_pow(p: PauliOp, k: int) -> PauliOp:
-    """p^k by square-and-multiply; negative k uses the adjoint."""
-    if k < 0:
-        return pauli_pow(pauli_adjoint(p), -k)
-    acc = identity(p.modulus, p.sites)
-    base = p
-    while k:
-        if k & 1:
-            acc = pauli_mul(acc, base)
-        base = pauli_mul(base, base)
-        k >>= 1
-    return acc
+    """p^k in one pass over the support, for any integer k.
+
+    Sites commute, and per site (X^x Z^z)^k = omega^{xz k(k-1)/2} X^{kx} Z^{kz},
+    so the phase is tau^{k phase + k(k-1) sum xz}.  The identity holds for
+    negative k too: k = -1 gives the adjoint.
+    """
+    n = p.modulus
+    cross = 0
+    terms = []
+    for s, x, z in p.terms:
+        cross += x * z
+        kx, kz = k * x % n, k * z % n
+        if kx or kz:
+            terms.append((s, kx, kz))
+    return _word(n, p.sites, tuple(terms), k * p.phase_exp + k * (k - 1) * cross)
 
 
 def pauli_adjoint(p: PauliOp) -> PauliOp:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from quditlab.cli import CONDENSE_MAX_N, EXIT_CONFIG, EXIT_MODEL, main, parse_config, run
+from quditlab.cli import (CONDENSE_MAX_N, EXIT_CONFIG, EXIT_MODEL, _parser, main, parse_config,
+                          run)
 from quditlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,6 +43,8 @@ def test_parse_errors_name_the_field():
         _cfg("model doubled-semion rows=4 cols=4\noutput spin x=abc\n")
     with pytest.raises(ConfigError, match="^line 3: unknown field 'lenght'"):
         _cfg("model toric rows=6 cols=6\ndefect kitaev-twist lenght=5\n")
+    with pytest.raises(ConfigError, match="^line 2: repeated field 'modulus'$"):
+        _cfg("model toric rows=4 cols=4 modulus=2 modulus=3\n")
 
 
 def test_run_requires_consistent_requests():
@@ -162,7 +165,7 @@ def test_exit_codes(tmp_path, capsys):
     "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=a,b,c,d",
     "output spin x=abc", "defect kitaev-twist lenght=5", "defect ising-twists k=2 x=1",
     "model toric rows=4 cols=4 colls=4", "channel rate=0.1 trials=10 sed=3",
-    "output syndrome verbose=1"])
+    "output syndrome verbose=1", "model toric rows=4 cols=4 modulus=2 modulus=3"])
 def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
     # the config is valid without ``line`` (its syndrome output succeeds), so
     # the exit code comes from the rejected line alone
@@ -177,6 +180,26 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
     assert "line 0:" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_mc_on_doubled_semion_counts_decoder_give_ups(tmp_path, capsys):
+    # 2 of the 957 noisy trials leave the five-step decoder without a clearing
+    # assignment; the run counts them as failures instead of aborting
+    cfg = tmp_path / "ds_mc.cfg"
+    cfg.write_text("quditlab-config v1\nmodel doubled-semion rows=4 cols=4\n"
+                   "channel rate=0.01 trials=2000\nseed 5\noutput mc\n")
+    assert main(["mc", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("mc rate=0.01 trials=2000 seed=5 failures=5 ")
+    assert out[-1] == "mc-classes 1=1995 X1^1*X2^1=1 Z1^1*Z2^1=2 gave-up=2"
+
+
+def test_main_builds_its_parser_once(capsys):
+    _parser.cache_clear()
+    assert main(["catalog", "toric"]) == 0
+    assert main(["catalog", "ising"]) == 0
+    capsys.readouterr()
+    assert _parser.cache_info().misses == 1
 
 
 def test_out_and_json_format(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mc_reference
 import pairing_reference as ref
 from quditlab import engine
 from quditlab.cli import parse_config
@@ -354,3 +355,32 @@ def test_mc_toric_config_class_counts():
     tc = build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
     res = monte_carlo_trial(tc, decode_toric, cfg.rate, cfg.trials, cfg.seed)
     assert res.class_counts == {"1": 9998, "Z2^1": 2}
+
+
+# ----------------------------------------------------------------------
+# the Monte Carlo harness against the plain per-site loop
+# ----------------------------------------------------------------------
+
+# small lattices repeat syndromes within a run, so the memo is exercised; the
+# doubled semion runs on 2x2 because at rate 0.3 a 4x4 trial can take seconds
+MC_MODELS = {
+    "toric-z2": (lambda: build_toric_code(4, 4, 2), decode_toric),
+    "toric-z3": (lambda: build_toric_code(2, 2, 3), decode_toric),
+    "toric-z4": (lambda: build_toric_code(3, 3, 4), decode_toric),
+    "doubled-semion": (lambda: build_doubled_semion(2, 2), decode_doubled_semion),
+}
+
+
+@functools.cache
+def _mc_model(name):
+    return MC_MODELS[name][0]()
+
+
+@pytest.mark.parametrize("name", sorted(MC_MODELS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rate=st.sampled_from((0.0, 1e-3, 0.02, 0.3, 1.0)), trials=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_matches_per_site_reference(name, rate, trials, seed):
+    model, decoder = _mc_model(name), MC_MODELS[name][1]
+    assert (monte_carlo_trial(model, decoder, rate, trials, seed)
+            == mc_reference.monte_carlo_trial(model, decoder, rate, trials, seed))
