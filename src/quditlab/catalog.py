@@ -177,12 +177,12 @@ class AnyonTheory:
         return self
 
 
-def _group_theory(name, moduli, label_of, twist_of, label_order=None) -> AnyonTheory:
-    """Pointed theory from an abelian group given as a tuple of moduli."""
+def _group_theory(name, moduli, label_of, twist_of, label_order) -> AnyonTheory:
+    """Pointed theory from an abelian group given as a tuple of moduli; its
+    labels in ``label_order``."""
     import itertools
     elems = list(itertools.product(*[range(m) for m in moduli]))
-    labels = tuple(label_order) if label_order else tuple(label_of(e) for e in elems)
-    by_label = {label_of(e): e for e in elems}
+    labels = tuple(label_order)
     fusion = {}
     for ea in elems:
         for eb in elems:

@@ -263,6 +263,12 @@ def build_model(cfg: ExperimentConfig):
 
 
 def _decoder_for(model):
+    """The decoder of a plain toric or doubled-semion model; no decoder
+    handles bombin, bilayer or defect models."""
+    if model.defects or model.family not in ("toric", "doubled-semion"):
+        what = "a model with a defect" if model.defects else f"the {model.family} model"
+        raise ConfigError(f"no decoder handles {what}: decode and mc need "
+                          "a toric or doubled-semion model without defects")
     if model.family == "doubled-semion":
         return decoders.decode_doubled_semion
     return decoders.decode_toric

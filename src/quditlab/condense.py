@@ -186,10 +186,6 @@ def local_modules(theory: AnyonTheory, algebra: CondensableAlgebra):
 def condensed_theory(theory: AnyonTheory, algebra: CondensableAlgebra) -> AnyonTheory:
     """The theory of local modules: orbit fusion, inherited twists, scaled dims."""
     locals_ = local_modules(theory, algebra)
-    reps = {}
-    for mod in locals_:
-        rep = mod.summands[0]
-        reps[mod.summands] = rep
     labels = tuple(mod.label() for mod in locals_)
     by_orbit = {mod.summands: mod.label() for mod in locals_}
     fusion = {}
@@ -208,12 +204,9 @@ def condensed_theory(theory: AnyonTheory, algebra: CondensableAlgebra) -> AnyonT
                 f"inherited twist ill-defined on module {mod.label()}")
         twist[mod.label()] = values.pop()
     dim = {mod.label(): mod.dim for mod in locals_}
-    square = 0
-    for mod in locals_:
-        if mod.dim != QDim(1):
-            raise QuditLabError("pointed condensation should have unit module dims")
-        square += 1
-    total = _sqrt_qdim(square)
+    if any(mod.dim != QDim(1) for mod in locals_):
+        raise QuditLabError("pointed condensation should have unit module dims")
+    total = _sqrt_qdim(len(locals_))
     name = f"{theory.name}/({algebra.label()})"
     return AnyonTheory(name, labels, fusion, twist, dim, total).validate()
 

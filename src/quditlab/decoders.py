@@ -187,9 +187,11 @@ def _walk_pairings(mask, d, table):
                 yield ((i, j),) + tail
 
 
-def _min_weight_pairing(geo, positions):
-    """Exact minimum-weight perfect matching by subset dynamic programming."""
-    return _pairing_table(geo, positions)[1][(1 << len(positions)) - 1][1]
+def _pair_paths(geo, positions):
+    """One ``_torus_path`` per pair of the canonical subset-DP pairing of
+    ``positions``: an exact minimum-weight perfect matching."""
+    pairs = _pairing_table(geo, positions)[1][(1 << len(positions)) - 1][1]
+    return [_torus_path(geo, positions[i], positions[j]) for i, j in pairs]
 
 
 def _min_cost_pairings(geo, positions):
@@ -246,15 +248,6 @@ def _violations(model, syn, kind):
     return sorted(out)
 
 
-def _string_multiplier(model, string, anchor_gid, want):
-    k = engine.syndrome(model, string).exponents.get(anchor_gid, 0)
-    n = model.modulus
-    for m in range(1, n):
-        if (k * m) % n == (-want) % n:
-            return m
-    raise InconsistentSyndromeError("string cannot annihilate the charge")
-
-
 # up to this many violations a family tries every minimum-cost pairing and
 # geodesic (subset-DP table of O(k 2^k), then O(k^2) per minimum-cost
 # pairing); above it, the canonical DP pairing along one path per pair
@@ -272,10 +265,8 @@ def _family_candidates(model, positions, stype):
     if not positions:
         return [identity(model.modulus, model.n_sites)]
     if len(positions) > PAIRING_CAP:
-        pairs = _min_weight_pairing(geo, positions)
-        return [pauli_prod(model.modulus, model.n_sites, [toric_string_operator(
-            model, _torus_path(geo, positions[i], positions[j]), stype)
-            for i, j in pairs])]
+        return [pauli_prod(model.modulus, model.n_sites, [
+            toric_string_operator(model, path, stype) for path in _pair_paths(geo, positions)])]
     words = {}
     geodesics = {}  # pair -> its geodesic strings, built once per call
     for pr in _min_cost_pairings(geo, positions):
@@ -310,10 +301,15 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     of all (k-1)!! pairings; degenerate ties are broken canonically by (weight,
     logical class, exponents), the same order the brute-force oracle uses.
     For larger moduli the charges are folded into a reference location along
-    shortest paths (sound, deterministic).
+    shortest paths (sound, deterministic): each merge takes one syndrome of
+    its unit string.  A violated generator of any other kind raises
+    ``InconsistentSyndromeError``.
     """
     geo = model.geometry
     n = model.modulus
+    if any(model.generator(gid).kind not in ("vertex", "plaquette") for gid in syn.exponents):
+        raise InconsistentSyndromeError(
+            "decode_toric corrects vertex and plaquette violations only")
     if n == 2:
         vert = [p for p, q in _violations(model, syn, "vertex")]
         plaq = [p for p, q in _violations(model, syn, "plaquette")]
@@ -329,23 +325,19 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         return Correction(best[1], ())
 
     corr = identity(n, model.n_sites)
-    for kind, stype in (("vertex", "e"), ("plaquette", "m")):
-        current = _violations(model, syn, kind)
-        if not current:
-            continue
-        if sum(q for _, q in current) % n:
+    for kind, stype, letter in (("vertex", "e", "A"), ("plaquette", "m", "B")):
+        items = _violations(model, syn, kind)
+        if sum(q for _, q in items) % n:
             raise InconsistentSyndromeError(f"{kind} charges do not cancel mod {n}")
-        items = list(current)
         while len(items) > 1:
             (p0, q0), (p1, q1) = items[0], items[1]
-            gid = f"{'A' if kind == 'vertex' else 'B'}({p0[0]},{p0[1]})"
             string = toric_string_operator(model, _torus_path(geo, p0, p1), stype)
-            m = _string_multiplier(model, string, gid, q0)
-            word = pauli_pow(string, m)
-            corr = pauli_mul(corr, word)
-            moved = engine.syndrome(model, word).exponents.get(
-                f"{'A' if kind == 'vertex' else 'B'}({p1[0]},{p1[1]})", 0)
-            q1 = (q1 + moved) % n
+            # the unit string's charge at p0 is k0 = +-1, so k0 is its own
+            # inverse and the power m clears q0; the string moves m * k1 to p1
+            ks = engine.syndrome(model, string).exponents
+            m = -q0 * ks[f"{letter}({p0[0]},{p0[1]})"] % n
+            corr = pauli_mul(corr, pauli_pow(string, m))
+            q1 = (q1 + m * ks.get(f"{letter}({p1[0]},{p1[1]})", 0)) % n
             items = ([(p1, q1)] if q1 else []) + items[2:]
         if items and items[0][1]:
             raise InconsistentSyndromeError("unpaired charge remains")
@@ -380,42 +372,30 @@ def _trail_edges(ds, exps):
 
 def _close_plaquettes(ds, exps):
     """Step 3: close residual plaquette excitations with semion strings."""
-    geo = ds.geometry
     pos = sorted(_gid_coords(g) for g in exps if g.startswith("B("))
-    if not pos:
-        return [identity(4, ds.n_sites)], "none"
     if len(pos) % 2:
         raise InconsistentSyndromeError("odd number of plaquette excitations")
-    pairs = _min_weight_pairing(geo, pos)
     words = [identity(4, ds.n_sites)]
-    for i, j in pairs:
-        path = _torus_path(geo, pos[i], pos[j])
+    for path in _pair_paths(ds.geometry, pos):
         segs = []
         for anyon in ("s", "sbar"):
             w = string_operator(ds, anyon, path).op
             segs += [w, pauli_adjoint(w)]
         words = [pauli_mul(w0, s) for w0 in words for s in segs]
-    return words, "3"
+    return words, ("3",) if pos else ()
 
 
 def _close_vertices(ds, exps):
     """Step 5b: pair double vertex excitations with ss-bar strings."""
-    geo = ds.geometry
     pos = []
     for g in exps:
         if g.startswith("A("):
             if exps[g] != 2:
                 raise InconsistentSyndromeError("unpaired single vertex excitation")
             pos.append(_gid_coords(g))
-    if not pos:
-        return identity(4, ds.n_sites), "none"
-    pairs = _min_weight_pairing(geo, sorted(pos))
-    pos = sorted(pos)
-    corr = identity(4, ds.n_sites)
-    for i, j in pairs:
-        w = string_operator(ds, "ssbar", _torus_path(geo, pos[i], pos[j])).op
-        corr = pauli_mul(corr, w)
-    return corr, "5b"
+    strings = [string_operator(ds, "ssbar", path).op
+               for path in _pair_paths(ds.geometry, sorted(pos))]
+    return pauli_prod(4, ds.n_sites, strings), ("5b",) if pos else ()
 
 
 def _step2_candidates(plans, k, sites):
@@ -490,20 +470,16 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
             exps3 = _combine(ds, exps, closer)
             if any(g.startswith("B(") for g in exps3):
                 continue
-            t3 = trace + ((rule3,) if rule3 != "none" else ())
+            t3 = trace + rule3
             if any(g.startswith("A(") for g in exps3):
                 t3 = t3 + ("4",)
             try:
                 fixer, rule5 = _close_vertices(ds, exps3)
             except InconsistentSyndromeError:
                 continue
-            exps5 = _combine(ds, exps3, pauli_mul(closer, fixer)) if rule5 != "none" else exps3
-            if exps5:
+            if _combine(ds, exps3, fixer):
                 continue
-            corr = pauli_mul(step2, pauli_mul(closer, fixer))
-            if rule5 != "none":
-                t3 = t3 + (rule5,)
-            cleared.append((corr, t3))
+            cleared.append((pauli_prod(4, ds.n_sites, [step2, closer, fixer]), t3 + rule5))
     if not cleared:
         raise InconsistentSyndromeError("no rule assignment clears the syndrome")
     corr, trace = min(cleared, key=lambda ct: (

@@ -183,15 +183,35 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
 
 
 def test_mc_on_doubled_semion_counts_decoder_give_ups(tmp_path, capsys):
-    # 2 of the 957 noisy trials leave the five-step decoder without a clearing
-    # assignment; the run counts them as failures instead of aborting
+    # the five-step decoder clears all 957 noisy trials, 3 of them into a
+    # logical class; test_monte_carlo_counts_give_ups (test_decoders.py)
+    # covers the ``gave-up`` class of a decoder that gives up
     cfg = tmp_path / "ds_mc.cfg"
     cfg.write_text("quditlab-config v1\nmodel doubled-semion rows=4 cols=4\n"
                    "channel rate=0.01 trials=2000\nseed 5\noutput mc\n")
     assert main(["mc", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-2].startswith("mc rate=0.01 trials=2000 seed=5 failures=5 ")
-    assert out[-1] == "mc-classes 1=1995 X1^1*X2^1=1 Z1^1*Z2^1=2 gave-up=2"
+    assert out[-2].startswith("mc rate=0.01 trials=2000 seed=5 failures=3 ")
+    assert out[-1] == "mc-classes 1=1997 X1^1*X2^1=1 Z1^1*Z2^1=2"
+
+
+# shipped configs whose model is bombin or bilayer or carries a defect
+UNDECODABLE = sorted(cfg.stem for cfg in CONFIGS.glob("*.cfg") if any(
+    line.startswith(("model bombin", "model bilayer", "defect "))
+    for line in cfg.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+@pytest.mark.parametrize("command", ["decode", "mc"])
+def test_decode_and_mc_refuse_models_without_a_decoder(tmp_path, capsys, name, command):
+    lines = {"decode": "error 0|3:1,1\noutput decode\n",
+             "mc": "channel rate=0.01 trials=10\nseed 1\noutput mc\n"}[command]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text((CONFIGS / f"{name}.cfg").read_text() + lines)
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: no decoder handles ")
 
 
 def test_main_builds_its_parser_once(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import pathlib
 import random
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 import mc_reference
 import pairing_reference as ref
 from quditlab import engine
-from quditlab.cli import parse_config
-from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, _family_candidates,
+from quditlab.cli import build_model, parse_config
+from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
+                               _class_names, _class_tuple, _family_candidates,
                                _min_cost_pairings, _torus_path,
                                brute_force_decode, classify_residual,
                                decode_doubled_semion, decode_outcome, decode_toric,
@@ -22,7 +24,8 @@ from quditlab.dsemion import build_doubled_semion, string_operator
 from quditlab.engine import Syndrome
 from quditlab.errors import DecodeNotFoundError, InconsistentSyndromeError
 from quditlab.lattice import build_toric_code, toric_string_operator
-from quditlab.pauli import from_terms, identity, pauli_mul, single_site, to_text
+from quditlab.pauli import (from_terms, from_text, identity, pauli_mul, single_site,
+                            to_text)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +103,16 @@ def test_inconsistent_syndrome_raises():
         decode_toric(tc, fake)
 
 
+@pytest.mark.parametrize("name", ["bombin_4x4", "twist_i"])
+def test_decode_toric_refuses_other_generator_kinds(name):
+    # a violated cell or fish generator is neither a vertex nor a plaquette,
+    # so no pairing of vertices and plaquettes can clear it
+    model, _ = build_model(parse_config((CONFIGS / f"{name}.cfg").read_text()))
+    syn = engine.syndrome(model, from_text("0|3:1,1", model.modulus, model.n_sites))
+    with pytest.raises(InconsistentSyndromeError, match="vertex and plaquette"):
+        decode_toric(model, syn)
+
+
 def test_ds_weight1_sample_and_traces():
     ds = build_doubled_semion(4, 4)
     rng = random.Random(41)
@@ -148,6 +161,18 @@ def test_ds_phase_flip_uses_rule_2b():
     corr = decode_doubled_semion(ds, engine.syndrome(ds, err))
     assert "2b" in corr.trace
     assert decode_outcome(ds, err, corr).success
+
+
+def test_ds_step3_and_step5b_combine():
+    # this error needs a step-3 semion closer and a step-5b ss-bar fixer; the
+    # closer's syndrome is already in the step-3 exponents, so step 5 checks
+    # the fixer alone
+    ds = build_doubled_semion(4, 4)
+    err = from_text("0|13:0,2;28:3,0;30:0,1", 4, ds.n_sites)
+    corr = decode_doubled_semion(ds, engine.syndrome(ds, err))
+    assert to_text(corr.op) == "0|13:0,2;28:1,0;30:0,3"
+    assert corr.trace == ("1", "2a", "3", "4", "5b")
+    assert decode_outcome(ds, err, corr) == DecodeOutcome(True, "1")
 
 
 def test_decodes_leave_no_reference_cycle():
@@ -350,6 +375,111 @@ def test_decode_toric_pinned_iid():
     assert got == PINNED_IID
 
 
+def _qudit_error(modulus, n_sites, p, rng):
+    """i.i.d. X^a and Z^b per site, each exponent drawn from [1, modulus)."""
+    terms = []
+    for site in range(n_sites):
+        x = rng.randrange(1, modulus) if rng.random() < p else 0
+        z = rng.randrange(1, modulus) if rng.random() < p else 0
+        if x or z:
+            terms.append((site, x, z))
+    return from_terms(modulus, n_sites, terms)
+
+
+# decode_toric corrections (the Z_N fold) on 6x6 for eight i.i.d. errors at
+# p = 0.04 per modulus N, drawn from random.Random(2026 + N)
+PINNED_FOLD = {
+    3: [
+        "0|0:0,1;2:0,1;4:0,1;7:0,1;10:2,0;11:0,2;23:0,2;30:0,1;32:0,1;69:2,0",
+        "0|0:0,1;20:1,0;21:0,1;62:0,1",
+        "0|12:1,0;19:0,2;21:0,2;31:0,2;33:0,1;37:0,1;42:0,1;60:1,0;68:0,2",
+        "0|25:2,0;46:2,0",
+        "2|6:1,0;26:2,0;31:0,2;32:0,1;39:0,1;41:0,2;51:0,1;53:2,2;62:0,2",
+        "0|3:0,1;11:0,1;23:0,1;31:0,1;32:0,2;54:0,1;57:0,1;69:0,1",
+        "0|1:0,2;3:0,2;6:0,1;12:0,1;34:2,0;45:2,0",
+        "0|55:1,0;70:0,1",
+    ],
+    4: [
+        "0|20:3,0;26:1,0",
+        "2|3:0,2;8:1,0;10:3,0;13:0,3;15:0,1;18:2,0;25:0,3;27:0,1;30:2,0;31:2,0;37:0,3;"
+        "39:0,2;41:0,3;42:2,0;50:1,1;54:2,0;66:2,0;69:3,0;71:3,0",
+        "6|1:0,1;3:0,3;13:0,1;15:1,3;56:0,2;60:0,3;63:0,3",
+        "4|2:3,0;4:1,0;11:0,2;32:0,3;35:0,3;51:3,0;62:1,2;65:1,0;66:3,0;67:3,0;69:3,0;"
+        "70:3,0;71:3,0",
+        "0|2:2,0;14:2,0;18:3,0;20:1,0;22:3,0;26:1,0;30:3,0;32:1,0;35:0,3;38:2,0;44:3,0;"
+        "50:2,0;51:2,0;62:2,0",
+        "2|7:0,1;10:1,0;12:1,0;14:3,0;15:1,0;48:0,1;65:3,0;67:3,3;69:1,0;71:3,0",
+        "0|29:0,1;31:0,1;53:2,0;68:2,0",
+        "0|8:1,0;23:3,0;24:0,3;31:0,2;34:1,0;46:1,0;49:1,0;58:1,0;59:1,0;68:1,0",
+    ],
+    6: [
+        "0|11:0,1;13:0,1;18:0,1;21:1,0;35:0,1;47:0,1;59:0,1;71:3,0",
+        "0|3:1,0;4:1,0;5:1,0;8:5,0;12:0,2;17:0,5;20:5,0;22:1,0;32:2,0;34:1,0;35:1,0;"
+        "51:0,1;67:2,0;69:1,0",
+        "0|4:1,0;16:1,0;18:0,5;19:2,0;21:2,0;26:3,0;27:2,0;32:4,0;35:1,0;38:1,0;50:3,0;"
+        "53:5,0;64:1,0",
+        "0|25:0,2;45:0,2;47:0,4;57:0,2;59:0,4;66:0,3;68:0,2",
+        "0|0:1,0;4:5,0;16:5,0;18:4,0;20:2,0;22:1,0;28:5,0;30:4,0;31:4,0;33:3,0;34:1,0;"
+        "35:1,0;37:0,1;63:5,0;65:1,0",
+        "0|12:2,0;15:1,0;17:0,5;20:3,0;26:0,1;53:0,1;56:0,3",
+        "0|27:0,3;28:1,0;29:3,0;31:0,4;54:0,4",
+        "0|19:0,5;21:0,1;29:4,0;31:0,5;32:3,0;33:0,1;42:0,3;55:4,0;66:5,0",
+    ],
+}
+
+
+@pytest.mark.parametrize("modulus", sorted(PINNED_FOLD))
+def test_decode_toric_pinned_fold(modulus):
+    tc = build_toric_code(6, 6, modulus)
+    rng = random.Random(2026 + modulus)
+    got = []
+    for _ in PINNED_FOLD[modulus]:
+        err = _qudit_error(modulus, tc.n_sites, 0.04, rng)
+        corr = decode_toric(tc, engine.syndrome(tc, err))
+        assert not engine.syndrome(tc, pauli_mul(err, corr.op))
+        got.append(to_text(corr.op))
+    assert got == PINNED_FOLD[modulus]
+
+
+def _digest_models(rng):
+    """(model, decoder, errors) for the decode digest: Z2 with one family
+    above ``PAIRING_CAP``, the Z_N fold for N = 3..6, the doubled semion."""
+    tc = build_toric_code(8, 8, 2)
+    yield tc, decode_toric, [_chain_error(tc, PAIRING_CAP + 2, "m", rng)] + [
+        _qudit_error(2, tc.n_sites, 0.03, rng) for _ in range(60)]
+    for modulus in (3, 4, 5, 6):
+        tc = build_toric_code(5, 5, modulus)
+        yield tc, decode_toric, [_qudit_error(modulus, tc.n_sites, 0.03, rng)
+                                 for _ in range(40)]
+    for L in (3, 4):
+        ds = build_doubled_semion(L, L)
+        yield ds, decode_doubled_semion, [_qudit_error(4, ds.n_sites, 0.02, rng)
+                                          for _ in range(40)]
+
+
+# SHA-256 over correction, trace and outcome of 301 seeded decodes; a change
+# that alters any decoder output on purpose re-pins it
+DECODE_DIGEST = "416a70f669e2a255518e269660fededc9325a7e146e78890f7ad144a50f33bf8"
+
+
+def test_decode_digest():
+    h = hashlib.sha256()
+    for model, decoder, errors in _digest_models(random.Random(2027)):
+        # the class table once per model: classify_residual rebuilds it per call
+        names = _class_names(model, model.logicals)
+        for err in errors:
+            try:
+                corr = decoder(model, engine.syndrome(model, err))
+            except InconsistentSyndromeError:
+                h.update(b"gave-up\n")
+                continue
+            residual = pauli_mul(err, corr.op)
+            label = ("syndrome" if engine.syndrome(model, residual)
+                     else names[_class_tuple(residual, model.logicals)])
+            h.update(f"{to_text(corr.op)} {','.join(corr.trace)} {label}\n".encode())
+    assert h.hexdigest() == DECODE_DIGEST
+
+
 def test_mc_toric_config_class_counts():
     cfg = parse_config((CONFIGS / "mc_toric.cfg").read_text())
     tc = build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
@@ -384,3 +514,16 @@ def test_monte_carlo_matches_per_site_reference(name, rate, trials, seed):
     model, decoder = _mc_model(name), MC_MODELS[name][1]
     assert (monte_carlo_trial(model, decoder, rate, trials, seed)
             == mc_reference.monte_carlo_trial(model, decoder, rate, trials, seed))
+
+
+def _give_up(model, syn):
+    if syn:
+        raise InconsistentSyndromeError("gives up on every nonzero syndrome")
+    return decode_toric(model, syn)
+
+
+def test_monte_carlo_counts_give_ups():
+    tc = build_toric_code(4, 4, 2)
+    res = monte_carlo_trial(tc, _give_up, 0.02, 40, seed=7)
+    assert res == mc_reference.monte_carlo_trial(tc, _give_up, 0.02, 40, seed=7)
+    assert res.class_counts["gave-up"] == res.failures > 0
