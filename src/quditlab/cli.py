@@ -46,7 +46,7 @@ class ExperimentConfig:
     rows: int = 4
     cols: int = 4
     modulus: int = 2
-    defects: list = field(default_factory=list)
+    defects: list = field(default_factory=list)  # (kind, parsed fields) pairs
     error_text: str = None
     string_spec: tuple = None  # (anyon-or-e/m, path) alternative to error
     rate: float = None
@@ -55,9 +55,96 @@ class ExperimentConfig:
     outputs: list = field(default_factory=list)
 
 
-def _parse_kv(tokens, line_no, fields):
-    """key=value tokens as a dict; a key outside ``fields`` or repeated on
-    the line is an error."""
+def _flag(text: str) -> bool:
+    return {"true": True, "1": True, "yes": True,
+            "false": False, "0": False, "no": False}[text.lower()]
+
+
+def _mouths(text: str):
+    x1, y1, x2, y2 = (int(c) for c in text.split(","))
+    return (x1, y1), (x2, y2)
+
+
+def _one_of(*options):
+    """A field of one of ``options``: (parser, what the value must be)."""
+    def parse(text):
+        if text not in options:
+            raise ValueError(text)
+        return text
+    return parse, "one of " + ", ".join(options)
+
+
+# field -> (parser, what the value must be); the parser raises ValueError or
+# KeyError on a bad value.  ``string`` is the type token of a string line.
+FIELDS = {
+    **dict.fromkeys(("rows", "cols", "modulus", "trials", "seed", "x", "y", "width",
+                     "length", "multiplicity", "k"), (int, "an integer")),
+    "rate": (float, "a number"),
+    "contractible": (_flag, "true or false"),
+    "mouths": (_mouths, "x1,y1,x2,y2"),
+    "anyon": _one_of("s", "sbar", "ssbar"),
+    "string": _one_of("e", "m", "1", "s", "sbar", "ssbar"),
+    "theory": (str, "a theory name"),
+    "algebra": (str, "a sum of labels"),
+}
+
+# model family -> builder of (rows, cols, modulus).  Builders and surgeries
+# are looked up on their module at call time, so a wrapper installed there
+# (a tracer, say) sees the call.
+MODELS = {
+    "toric": lambda rows, cols, modulus: lattice.build_toric_code(rows, cols, modulus),
+    "bombin": lambda rows, cols, modulus: lattice.build_bombin_lattice(rows, cols),
+    "doubled-semion": lambda rows, cols, modulus: dsemion.build_doubled_semion(rows, cols),
+    "bilayer": lambda rows, cols, modulus: lattice.build_bilayer_toric(rows, cols, modulus),
+}
+
+# defect kind -> (fields, required fields, surgery of (model, **fields));
+# anchors default to x=1, y=1
+DEFECTS = {
+    "bombin-twist": (("x", "y", "width", "contractible", "multiplicity"), (),
+                     lambda m, x=1, y=1, **kw: defects.apply_bombin_twist(m, x, y, **kw)),
+    "kitaev-twist": (("x", "y", "length", "contractible"), (),
+                     lambda m, x=1, y=1, **kw: defects.apply_kitaev_twist(m, x, y, **kw)),
+    "krishna-dislocation-i": (("x", "y"), (),
+                              lambda m, x=1, y=1: defects.apply_dislocation(m, "i", x, y)),
+    "krishna-dislocation-ii": (("x", "y"), (),
+                               lambda m, x=1, y=1: defects.apply_dislocation(m, "ii", x, y)),
+    "ds-patch": (("x", "y", "contractible"), (),
+                 lambda m, x=1, y=1, **kw: defects.apply_ds_patch(m, x, y, **kw)),
+    "z4-patch-in-ds": (("x", "y"), (),
+                       lambda m, x=1, y=1: defects.apply_z4_patch_in_ds(m, x, y)),
+    "bilayer-wormhole-i": (("mouths",), (),
+                           lambda m, **kw: defects.couple_bilayer(m, "i", **kw)),
+    "bilayer-wormhole-ii": (("mouths",), (),
+                            lambda m, **kw: defects.couple_bilayer(m, "ii", **kw)),
+    "ising-twists": (("k",), ("k",),
+                     lambda m, k: defects.apply_multiple_ising_twists(m, k)),
+}
+
+# the key=value fields each output reads
+OUTPUT_FIELDS = {
+    "dimension": (), "generators": (), "syndrome": (), "decode": (), "mc": (),
+    "spin": ("anyon", "x", "y"),
+    "condense": ("theory", "algebra"),
+}
+
+# condense checks every triple of labels, so its cost grows as N^6 on Z_N (z8
+# about 1 s, z20 about 3 min); a catalog dump takes z20 20 s, z40 over 2 min
+CONDENSE_MAX_N = 8
+
+
+def _value(key, text, line_no):
+    parse, what = FIELDS[key]
+    try:
+        return parse(text)
+    except (ValueError, KeyError):
+        raise ConfigError(f"line {line_no}: field {key!r} must be {what}")
+
+
+def _parse_kv(tokens, line_no, fields, required=()):
+    """Parsed key=value tokens as a dict; a key outside ``fields``, repeated
+    on the line or with a bad value is an error, and so is a missing
+    ``required`` key."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -68,64 +155,11 @@ def _parse_kv(tokens, line_no, fields):
             raise ConfigError(f"line {line_no}: unknown field {k!r} (expected {expected})")
         if k in out:
             raise ConfigError(f"line {line_no}: repeated field {k!r}")
-        out[k] = v
+        out[k] = _value(k, v, line_no)
+    for k in required:
+        if k not in out:
+            raise ConfigError(f"line {line_no}: missing field {k!r}")
     return out
-
-
-def _as_int(kv, key, line_no, default=None):
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"line {line_no}: missing field {key!r}")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"line {line_no}: field {key!r} must be an integer")
-
-
-def _as_float(kv, key, line_no):
-    if key not in kv:
-        raise ConfigError(f"line {line_no}: missing field {key!r}")
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"line {line_no}: field {key!r} must be a number")
-
-
-def _as_bool(kv, key, line_no, default=True):
-    if key not in kv:
-        return default
-    v = kv[key].lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"line {line_no}: field {key!r} must be true or false")
-
-
-# the key=value fields each directive reads; any other key is a config error
-MODEL_FIELDS = ("rows", "cols", "modulus")
-CHANNEL_FIELDS = ("rate", "trials")
-DEFECT_FIELDS = {
-    "bombin-twist": ("x", "y", "width", "contractible", "multiplicity"),
-    "kitaev-twist": ("x", "y", "length", "contractible"),
-    "krishna-dislocation-i": ("x", "y"),
-    "krishna-dislocation-ii": ("x", "y"),
-    "ds-patch": ("x", "y", "contractible"),
-    "z4-patch-in-ds": ("x", "y"),
-    "bilayer-wormhole-i": ("mouths",),
-    "bilayer-wormhole-ii": ("mouths",),
-    "ising-twists": ("k",),
-}
-OUTPUT_FIELDS = {
-    "dimension": (), "generators": (), "syndrome": (), "decode": (), "mc": (),
-    "spin": ("anyon", "x", "y"),
-    "condense": ("theory", "algebra"),
-}
-
-# condense checks every triple of labels, so its cost grows as N^6 on Z_N (z8
-# about 1 s, z20 about 3 min); a catalog dump takes z20 20 s, z40 over 2 min
-CONDENSE_MAX_N = 8
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -141,124 +175,67 @@ def parse_config(text: str) -> ExperimentConfig:
         if head == "model":
             if not rest:
                 raise ConfigError(f"line {no}: model needs a family")
-            cfg.family = rest[0]
-            kv = _parse_kv(rest[1:], no, MODEL_FIELDS)
-            cfg.rows = _as_int(kv, "rows", no)
-            cfg.cols = _as_int(kv, "cols", no)
-            cfg.modulus = _as_int(kv, "modulus", no, default=2)
+            kv = _parse_kv(rest[1:], no, ("rows", "cols", "modulus"), ("rows", "cols"))
+            if rest[0] not in MODELS:
+                raise ConfigError(f"unknown model family {rest[0]!r}")
+            cfg.family, cfg.rows, cfg.cols = rest[0], kv["rows"], kv["cols"]
+            cfg.modulus = kv.get("modulus", 2)
         elif head == "defect":
             if not rest:
                 raise ConfigError(f"line {no}: defect needs a kind")
-            kind = rest[0]
-            if kind not in DEFECT_FIELDS:
-                raise ConfigError(f"line {no}: unknown defect kind {kind!r}")
-            kv = _parse_kv(rest[1:], no, DEFECT_FIELDS[kind])
-            kv["kind"] = kind
-            kv["line"] = no
-            cfg.defects.append(kv)
+            if rest[0] not in DEFECTS:
+                raise ConfigError(f"line {no}: unknown defect kind {rest[0]!r}")
+            fields, required, _ = DEFECTS[rest[0]]
+            cfg.defects.append((rest[0], _parse_kv(rest[1:], no, fields, required)))
+        elif head in ("error", "seed") and len(rest) > 1:
+            raise ConfigError(f"line {no}: {head} takes one value, got {len(rest)}")
         elif head == "error":
             if not rest:
                 raise ConfigError(f"line {no}: error needs a Pauli word")
             cfg.error_text = rest[0]
+        elif head == "seed":
+            if not rest:
+                raise ConfigError(f"line {no}: missing field 'seed'")
+            cfg.seed = _value("seed", rest[0], no)
         elif head == "string":
             if len(rest) < 3:
                 raise ConfigError(f"line {no}: string needs an anyon type and "
                                   f"at least two path nodes")
+            kind = _value("string", rest[0], no)
             try:
                 path = tuple(tuple(int(c) for c in tok.split(",")) for tok in rest[1:])
             except ValueError:
                 raise ConfigError(f"line {no}: string path nodes must be x,y pairs")
             if any(len(p) != 2 for p in path):
                 raise ConfigError(f"line {no}: string path nodes must be x,y pairs")
-            cfg.string_spec = (rest[0], path)
+            cfg.string_spec = (kind, path)
         elif head == "channel":
-            kv = _parse_kv(rest, no, CHANNEL_FIELDS)
-            cfg.rate = _as_float(kv, "rate", no)
-            cfg.trials = _as_int(kv, "trials", no)
+            kv = _parse_kv(rest, no, ("rate", "trials"), ("rate", "trials"))
+            cfg.rate, cfg.trials = kv["rate"], kv["trials"]
             if not 0.0 <= cfg.rate <= 1.0:
                 raise ConfigError(f"line {no}: field 'rate' must lie in [0, 1]")
             if cfg.trials < 0:
                 raise ConfigError(f"line {no}: field 'trials' must not be negative")
-        elif head == "seed":
-            cfg.seed = _as_int(dict(seed=rest[0]) if rest else {}, "seed", no)
         elif head == "output":
             if not rest:
                 raise ConfigError(f"line {no}: output needs a name")
             if rest[0] not in OUTPUT_FIELDS:
                 raise ConfigError(f"line {no}: unknown output {rest[0]!r}")
-            kv = _parse_kv(rest[1:], no, OUTPUT_FIELDS[rest[0]])
-            for key in ("x", "y"):
-                if key in kv:
-                    kv[key] = _as_int(kv, key, no)
-            cfg.outputs.append((rest[0], kv))
+            cfg.outputs.append((rest[0], _parse_kv(rest[1:], no, OUTPUT_FIELDS[rest[0]])))
         else:
             raise ConfigError(f"line {no}: unknown directive {head!r}")
     return cfg
 
 
-def _apply_defect(model, kv):
-    kind = kv["kind"]
-    no = kv.get("line", "?")
-    x = _as_int(kv, "x", no, default=1)
-    y = _as_int(kv, "y", no, default=1)
-    if kind == "bombin-twist":
-        return defects.apply_bombin_twist(
-            model, x0=x, y0=y, width=_as_int(kv, "width", no, default=2),
-            contractible=_as_bool(kv, "contractible", no),
-            multiplicity=_as_int(kv, "multiplicity", no, default=1))
-    if kind == "kitaev-twist":
-        return defects.apply_kitaev_twist(
-            model, x0=x, y0=y, length=_as_int(kv, "length", no, default=3),
-            contractible=_as_bool(kv, "contractible", no))
-    if kind == "krishna-dislocation-i":
-        return defects.apply_dislocation(model, "i", x, y)
-    if kind == "krishna-dislocation-ii":
-        return defects.apply_dislocation(model, "ii", x, y)
-    if kind == "ds-patch":
-        return defects.apply_ds_patch(model, x, y,
-                                      contractible=_as_bool(kv, "contractible", no))
-    if kind == "z4-patch-in-ds":
-        return defects.apply_z4_patch_in_ds(model, x, y)
-    if kind == "ising-twists":
-        return defects.apply_multiple_ising_twists(model, _as_int(kv, "k", no))
-    raise ConfigError(f"line {no}: defect {kind!r} needs a bilayer model")
-
-
 def build_model(cfg: ExperimentConfig):
     """Construct the configured model with all defects applied; returns
     (model, [DefectReport])."""
+    model = MODELS[cfg.family](cfg.rows, cfg.cols, cfg.modulus)
     reports = []
-    if cfg.family == "toric":
-        model = lattice.build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
-    elif cfg.family == "bombin":
-        model = lattice.build_bombin_lattice(cfg.rows, cfg.cols)
-    elif cfg.family == "doubled-semion":
-        model = dsemion.build_doubled_semion(cfg.rows, cfg.cols)
-    elif cfg.family == "bilayer":
-        a = lattice.build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
-        b = lattice.build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
-        worm = [d for d in cfg.defects if d["kind"].startswith("bilayer-wormhole")]
-        if len(worm) != 1:
-            raise ConfigError("bilayer model needs exactly one bilayer-wormhole defect")
-        kv = worm[0]
-        try:
-            x1, y1, x2, y2 = (int(c) for c in kv.get("mouths", "0,0,2,2").split(","))
-        except ValueError:
-            raise ConfigError(f"line {kv.get('line')}: mouths needs x1,y1,x2,y2")
-        model, rep = defects.couple_bilayer(a, b, kv["kind"].rsplit("-", 1)[-1],
-                                            ((x1, y1), (x2, y2)))
-        reports.append(rep)
-        rest = [d for d in cfg.defects if not d["kind"].startswith("bilayer-wormhole")]
-        if rest:
-            raise ConfigError("bilayer models support only the wormhole defect")
-        return model, reports
-    else:
-        raise ConfigError(f"unknown model family {cfg.family!r}")
-    for kv in cfg.defects:
-        if kv["kind"].startswith("bilayer-wormhole"):
-            raise ConfigError("bilayer wormholes need the bilayer model family")
-        model, rep = _apply_defect(model, kv)
-        reports.append(rep)
+    for kind, kv in cfg.defects:
+        _, _, surgery = DEFECTS[kind]
+        model, report = surgery(model, **kv)
+        reports.append(report)
     return model, reports
 
 
@@ -351,16 +328,14 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
                 raise ConfigError("output spin needs the doubled-semion model")
             which = kv.get("anyon")
             anyons = [which] if which else ["s", "sbar", "ssbar"]
-            px = int(kv.get("x", max(2, m.geometry.cols // 2)))
-            py = int(kv.get("y", max(2, m.geometry.rows // 2)))
+            px = kv.get("x", max(2, m.geometry.cols // 2))
+            py = kv.get("y", max(2, m.geometry.rows // 2))
             for anyon in anyons:
                 k = dsemion.extract_topological_spin(m, (px, py), anyon)
                 lines.append(f"spin {anyon} = {turn_to_str(Fraction(k, 4))}")
         elif name == "condense":
             theory = _theory_by_name(kv.get("theory", "z4"))
             lines += _condense_lines(theory, kv.get("algebra", "1"))
-        else:
-            raise ConfigError(f"unknown output {name!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -412,10 +387,8 @@ def _catalog_lines(theory):
     for a in theory.labels:
         t = theory.twist[a]
         lines.append(f"twist {a} = {turn_to_str(t)} (turn {t})")
-    for a in theory.labels:
-        for b in theory.labels:
-            if theory.labels.index(b) < theory.labels.index(a):
-                continue
+    for i, a in enumerate(theory.labels):
+        for b in theory.labels[i:]:
             out = theory.fuse(a, b)
             pretty = " + ".join(
                 (f"{m}*{c}" if m > 1 else c) for c, m in sorted(out.items()))

@@ -39,7 +39,7 @@ from . import engine
 from .dsemion import hop_op
 from .errors import DefectError, GeometryError, UnsupportedModelError
 from .lattice import (DefectSpec, Generator, LatticeGeometry, StabilizerModel,
-                      fish_op, plaquette_op, star_op, toric_generators)
+                      fish_op, plaquette_op, star_op)
 from .pauli import PauliOp, from_terms, pauli_mul
 
 __all__ = [
@@ -233,6 +233,7 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
     if model.family != "bombin":
         raise UnsupportedModelError("bombin twist needs a Bombin-lattice model")
     geo = model.geometry
+    x0, y0 = geo.wrap(x0, y0)
     removed = []
     added = []
     cells = []
@@ -241,7 +242,7 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             raise DefectError("multiplicity applies to non-contractible twists")
         if width < 2 or width + 3 >= geo.cols:
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
-        y = y0 % geo.rows
+        y = y0
         cols = [(x0 - 1 + j) % geo.cols for j in range(width + 3)]
         cells = [(a, y) for a in cols]
         removed = [f"P({a},{y})" for a, _ in cells]
@@ -286,6 +287,7 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
     if model.family != "toric" or model.modulus != 4:
         raise UnsupportedModelError("the patch needs a Z_4 toric code")
     geo = model.geometry
+    x, y = geo.wrap(x, y)
     N = 4
     if contractible:
         if geo.cols < 4 or geo.rows < 4:
@@ -293,8 +295,8 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
         sites = _patch_sites(geo, x, y)
         hops = [("h", x, y), ("h", x, y + 1), ("v", x, y), ("v", x + 1, y)]
     else:
-        sites = [(a, y % geo.rows) for a in range(geo.cols)]
-        hops = [("h", a, y % geo.rows) for a in range(geo.cols)]
+        sites = [(a, y) for a in range(geo.cols)]
+        hops = [("h", a, y) for a in range(geo.cols)]
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
     fish = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
             for a, b in sites]
@@ -345,9 +347,9 @@ def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
 # Bilayer wormholes
 # ----------------------------------------------------------------------
 
-def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
-                   wormhole: str, mouths=((0, 0), (2, 2))):
-    """Couple two equal-size Z_2 toric codes through a pair of wormhole mouths.
+def couple_bilayer(model: StabilizerModel, wormhole: str, mouths=((0, 0), (2, 2))):
+    """Couple the two layers of a ``lattice.build_bilayer_toric`` model
+    through a pair of wormhole mouths, taken mod the lattice.
 
     Variant "i" pairs a plaquette of one layer with a star of the other in
     both directions (dimension 16 stays 16, trivial constraints merge
@@ -355,25 +357,14 @@ def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
     of the upper layer at both mouths, so fluxes of one layer re-emerge as
     charges of the other; the dimension doubles to 32.
     """
-    for m in (model_a, model_b):
-        if m.family != "toric" or m.modulus != 2:
-            raise UnsupportedModelError("bilayer coupling needs two Z_2 toric codes")
-        if m.defects:
-            # both layers are rebuilt from their size, so a defect would be lost
-            raise UnsupportedModelError("bilayer coupling needs toric codes without defects")
-    ga, gb = model_a.geometry, model_b.geometry
-    if (ga.rows, ga.cols) != (gb.rows, gb.cols):
-        raise UnsupportedModelError("bilayer coupling needs equal lattice sizes")
+    # the constraints below are those of two uncoupled layers
+    if model.family != "bilayer" or model.defects:
+        raise UnsupportedModelError("bilayer coupling needs a bilayer model without defects")
     if wormhole not in ("i", "ii"):
         raise DefectError(f"unknown wormhole variant {wormhole!r}")
-    (x1, y1), (x2, y2) = mouths
+    (x1, y1), (x2, y2) = (model.geometry.wrap(x, y) for x, y in mouths)
     if (x1, y1) == (x2, y2):
         raise DefectError("wormhole mouths must be distinct")
-    geo = LatticeGeometry(ga.rows, ga.cols, "edges", layers=2)
-    gens = tuple(replace(g, kind=f"{g.kind}-T{layer + 1}")
-                 for layer in (0, 1)
-                 for g in toric_generators(geo, 2, layer, f"T{layer + 1}/"))
-    base = StabilizerModel(geo, 2, gens, (), "bilayer")
 
     if wormhole == "i":
         removed = [f"T1/B({x1},{y1})", f"T2/A({x1},{y1})",
@@ -381,12 +372,12 @@ def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
     else:
         removed = [f"T1/A({x1},{y1})", f"T2/B({x1},{y1})",
                    f"T1/A({x2},{y2})", f"T2/B({x2},{y2})"]
-    f1, f2 = (pauli_mul(base.generator(a).op, base.generator(b).op)
+    f1, f2 = (pauli_mul(model.generator(a).op, model.generator(b).op)
               for a, b in (removed[:2], removed[2:]))
     added = [Generator("F1", "bilayer-fish", f1, 2), Generator("F2", "bilayer-fish", f2, 2)]
 
     def ones(*kinds, extra=()):
-        gids = [g for k in kinds for g in base.gids(k) if g not in removed]
+        gids = [g for k in kinds for g in model.gids(k) if g not in removed]
         return dict.fromkeys(gids + list(extra), 1)
 
     if wormhole == "i":
@@ -395,5 +386,5 @@ def couple_bilayer(model_a: StabilizerModel, model_b: StabilizerModel,
     else:
         constraints = (ones("vertex-T2"), ones("plaquette-T1"),
                        ones("vertex-T1", "plaquette-T2", extra=["F1", "F2"]))
-    return _surgery(base, f"bilayer-wormhole-{wormhole}",
+    return _surgery(model, f"bilayer-wormhole-{wormhole}",
                     [("mouth", x1, y1), ("mouth", x2, y2)], removed, added, constraints)

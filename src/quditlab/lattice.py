@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import engine
-from .errors import GeometryError, PathError, UnsupportedModelError
+from .errors import DefectError, GeometryError, PathError, UnsupportedModelError
 from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "fish_op",
     "toric_generators",
     "build_toric_code",
+    "build_bilayer_toric",
     "build_bombin_lattice",
     "bombin_to_kitaev",
     "toric_string_operator",
@@ -181,7 +182,7 @@ class StabilizerModel:
         removed = set(remove_ids)
         missing = removed - {g.gid for g in self.generators}
         if missing:
-            raise KeyError(f"cannot remove unknown generators {sorted(missing)}")
+            raise DefectError(f"cannot remove unknown generators {sorted(missing)}")
         gens = tuple(g for g in self.generators if g.gid not in removed) + tuple(added)
         return replace(self, generators=gens, constraints=tuple(constraints),
                        defects=self.defects + (defect,))
@@ -228,13 +229,17 @@ def toric_generators(geo: LatticeGeometry, modulus: int, layer: int = 0, tag: st
     return gens
 
 
-def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
-    """Z_N toric code on a cols x rows torus with qudits on edges."""
+def _toric_geometry(rows: int, cols: int, modulus: int, layers: int = 1) -> LatticeGeometry:
     if rows < 2 or cols < 2:
         raise GeometryError("toric code needs rows, cols >= 2")
     if modulus < 2:
         raise GeometryError("modulus must be >= 2")
-    geo = LatticeGeometry(rows, cols, "edges")
+    return LatticeGeometry(rows, cols, "edges", layers)
+
+
+def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
+    """Z_N toric code on a cols x rows torus with qudits on edges."""
+    geo = _toric_geometry(rows, cols, modulus)
     n = geo.n_sites
     constraints = (
         {f"A({x},{y})": 1 for y in range(rows) for x in range(cols)},
@@ -248,6 +253,22 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     )
     return StabilizerModel(geo, modulus, tuple(toric_generators(geo, modulus)),
                            constraints, "toric", logicals=logicals)
+
+
+def build_bilayer_toric(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
+    """Two uncoupled Z_2 toric codes on one cols x rows torus.
+
+    Layer t's generators are ``T{t}/A(x,y)`` and ``T{t}/B(x,y)`` of kinds
+    ``vertex-T{t}`` and ``plaquette-T{t}``; ``defects.couple_bilayer``
+    joins the layers through a wormhole.
+    """
+    geo = _toric_geometry(rows, cols, modulus, layers=2)
+    if modulus != 2:
+        raise UnsupportedModelError("bilayer coupling needs two Z_2 toric codes")
+    gens = tuple(replace(g, kind=f"{g.kind}-T{layer + 1}")
+                 for layer in (0, 1)
+                 for g in toric_generators(geo, 2, layer, f"T{layer + 1}/"))
+    return StabilizerModel(geo, 2, gens, (), "bilayer")
 
 
 def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:

@@ -26,7 +26,7 @@ from quditlab.defects import (apply_bombin_twist, apply_dislocation,
 from quditlab.dsemion import build_doubled_semion, extract_topological_spin
 from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              subgroup_order)
-from quditlab.lattice import (build_bombin_lattice, build_toric_code,
+from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
                               toric_string_operator)
 from quditlab.pauli import pauli_mul, single_site
 
@@ -62,10 +62,9 @@ def test_criterion_1_logical_dimension_table():
     check("twists (v)",
           lambda: apply_bombin_twist(bomb, y0=1, contractible=False)[1].dim_after, 2)
 
-    a = build_toric_code(4, 4, 2)
-    b = build_toric_code(4, 4, 2)
-    check("wormhole (i)", lambda: couple_bilayer(a, b, "i")[1].dim_after, 16)
-    check("wormhole (ii)", lambda: couple_bilayer(a, b, "ii")[1].dim_after, 32)
+    bilayer = build_bilayer_toric(4, 4)
+    check("wormhole (i)", lambda: couple_bilayer(bilayer, "i")[1].dim_after, 16)
+    check("wormhole (ii)", lambda: couple_bilayer(bilayer, "ii")[1].dim_after, 32)
     for label, value, expected, dt in rows:
         print(f"PASS criterion 1 [{label}]: dimension {value} ({dt * 1000:.0f} ms)")
 

@@ -1,13 +1,19 @@
 """Config parsing, report generation, shipped examples, golden files."""
 
+import contextlib
+import hashlib
+import io
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditlab.cli import (CONDENSE_MAX_N, EXIT_CONFIG, EXIT_MODEL, _parser, main, parse_config,
-                          run)
+from quditlab.cli import (CONDENSE_MAX_N, CONFIG_HEADER, EXIT_CONFIG, EXIT_MODEL, _parser,
+                          main, parse_config, run)
 from quditlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -165,7 +171,10 @@ def test_exit_codes(tmp_path, capsys):
     "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=a,b,c,d",
     "output spin x=abc", "defect kitaev-twist lenght=5", "defect ising-twists k=2 x=1",
     "model toric rows=4 cols=4 colls=4", "channel rate=0.1 trials=10 sed=3",
-    "output syndrome verbose=1", "model toric rows=4 cols=4 modulus=2 modulus=3"])
+    "output syndrome verbose=1", "model toric rows=4 cols=4 modulus=2 modulus=3",
+    "seed 1 2", "error 0|0:1,0 junk", "output spin anyon=foo", "string foo 0,0 1,0",
+    "model doubled-semion rows=4 cols=4\noutput spin anyon=foo",
+    "model doubled-semion rows=4 cols=4\nstring foo 0,0 1,0"])
 def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
     # the config is valid without ``line`` (its syndrome output succeeds), so
     # the exit code comes from the rejected line alone
@@ -180,6 +189,199 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, line):
     assert "line 0:" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# SHA-256 over the stdout of ``run --seed 3`` and ``build`` for every shipped
+# config, in file-name order; a change that alters a report on purpose
+# re-pins it and says so
+SHIPPED_REPORTS_SHA256 = "13715bfdb727be348c08533ee45b5a9606ac46161d7683036a4d262270cc3920"
+
+
+def test_shipped_reports_digest(capsys):
+    shipped = sorted(CONFIGS.glob("*.cfg"))
+    assert len(shipped) == 19
+    digest = hashlib.sha256()
+    for cfg in shipped:
+        for argv in (["run", "--config", str(cfg), "--seed", "3"],
+                     ["build", "--config", str(cfg)]):
+            assert main(argv) == 0, cfg.name
+            digest.update(f"{cfg.name} {argv[0]} 0\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SHIPPED_REPORTS_SHA256
+
+
+TORIC = "model toric rows=4 cols=4 modulus=2\n"
+DSEM = "model doubled-semion rows=4 cols=4\n"
+BILAYER = "model bilayer rows=4 cols=4\n"
+WORMHOLE = "defect bilayer-wormhole-i mouths=0,0,2,2\n"
+
+# config body (after the header) -> (exit code of ``run``, first stderr line)
+CONFIG_ERRORS = [
+    (BILAYER + "output dimension\n", 0, ""),
+    (BILAYER + WORMHOLE + "defect bilayer-wormhole-ii mouths=1,1,3,3\n",
+     3, "model error: bilayer coupling needs a bilayer model without defects"),
+    (BILAYER + WORMHOLE + "defect kitaev-twist x=1 y=1\n",
+     3, "model error: kitaev twist needs an edge-placement toric code"),
+    (TORIC + WORMHOLE,
+     3, "model error: bilayer coupling needs a bilayer model without defects"),
+    (BILAYER + "defect bilayer-wormhole-i mouths=0,0,2\n",
+     2, "config error: line 3: field 'mouths' must be x1,y1,x2,y2"),
+    (BILAYER + "defect bilayer-wormhole-i mouths=0,0,4,0\n",
+     3, "model error: wormhole mouths must be distinct"),
+    (BILAYER.replace("\n", " modulus=3\n") + WORMHOLE,
+     3, "model error: bilayer coupling needs two Z_2 toric codes"),
+    ("model frob rows=4 cols=4\n", 2, "config error: unknown model family 'frob'"),
+    ("model toric cols=4\n", 2, "config error: line 2: missing field 'rows'"),
+    ("model\n", 2, "config error: line 2: model needs a family"),
+    ("model toric rows=4 cols=4 modulus=x\n",
+     2, "config error: line 2: field 'modulus' must be an integer"),
+    ("model toric rows=1 cols=4\n", 3, "model error: toric code needs rows, cols >= 2"),
+    ("model toric rows=6 cols=6\ndefect ising-twists k=x\n",
+     2, "config error: line 3: field 'k' must be an integer"),
+    ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch contractible=maybe\n",
+     2, "config error: line 3: field 'contractible' must be true or false"),
+    ("defect frobnicate\n", 2, "config error: line 2: unknown defect kind 'frobnicate'"),
+    ("defect\n", 2, "config error: line 2: defect needs a kind"),
+    (TORIC + "defect ds-patch x=1 y=1\n", 3, "model error: the patch needs a Z_4 toric code"),
+    # disjoint sites, but both patches remove the hops between them
+    (DSEM + "defect z4-patch-in-ds x=1 y=1\ndefect z4-patch-in-ds x=1 y=3\n",
+     3, "model error: cannot remove unknown generators "
+        "['C(v,1,0)', 'C(v,1,2)', 'C(v,2,0)', 'C(v,2,2)']"),
+    ("model bombin rows=6 cols=8\ndefect bombin-twist x=1 y=1 width=9\n",
+     3, "model error: contractible twist needs 2 <= width <= cols-4"),
+    (TORIC + "channel rate=abc trials=10\n",
+     2, "config error: line 3: field 'rate' must be a number"),
+    (TORIC + "channel rate=0.1\n", 2, "config error: line 3: missing field 'trials'"),
+    (TORIC + "channel rate=2 trials=10\n",
+     2, "config error: line 3: field 'rate' must lie in [0, 1]"),
+    (TORIC + "seed\n", 2, "config error: line 3: missing field 'seed'"),
+    (TORIC + "seed abc\n", 2, "config error: line 3: field 'seed' must be an integer"),
+    (TORIC + "seed 1 2\n", 2, "config error: line 3: seed takes one value, got 2"),
+    (TORIC + "error\n", 2, "config error: line 3: error needs a Pauli word"),
+    (TORIC + "error 0|0:1,0 junk\n", 2, "config error: line 3: error takes one value, got 2"),
+    (TORIC + "string e 0,0\n", 2, "config error: line 3: string needs an anyon type and "
+                                  "at least two path nodes"),
+    (TORIC + "string e 0,0 a,b\n", 2, "config error: line 3: string path nodes must be x,y pairs"),
+    (TORIC + "string s 0,0 1,0\n",
+     2, "config error: string type 's' needs the doubled-semion model"),
+    (TORIC + "string foo 0,0 1,0\n",
+     2, "config error: line 3: field 'string' must be one of e, m, 1, s, sbar, ssbar"),
+    (DSEM + "string foo 0,0 1,0\n",
+     2, "config error: line 3: field 'string' must be one of e, m, 1, s, sbar, ssbar"),
+    (TORIC + "output\n", 2, "config error: line 3: output needs a name"),
+    (TORIC + "output frob\n", 2, "config error: line 3: unknown output 'frob'"),
+    (TORIC + "output spin\n", 2, "config error: output spin needs the doubled-semion model"),
+    (TORIC + "output spin anyon=foo\n",
+     2, "config error: line 3: field 'anyon' must be one of s, sbar, ssbar"),
+    (DSEM + "output spin anyon=foo\n",
+     2, "config error: line 3: field 'anyon' must be one of s, sbar, ssbar"),
+    (TORIC + "output syndrome\n", 2, "config error: output syndrome needs an error line"),
+    (TORIC + "output condense theory=z9 algebra=1\n",
+     2, "config error: theory 'z9' is too large: z<N> needs N <= 8"),
+    (TORIC + "output condense theory=z4 algebra=1+zz\n",
+     2, "config error: algebra summand 'zz' is not a label of z_4"),
+]
+
+
+@pytest.mark.parametrize("body, code, first_err", CONFIG_ERRORS)
+def test_config_error_table(tmp_path, capsys, body, code, first_err):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{CONFIG_HEADER}\n{body}")
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert (err[0] if err else "") == first_err
+
+
+# anchors are taken mod the lattice: each config builds the same report as
+# its in-lattice twin
+@pytest.mark.parametrize("body, twin", [
+    ("model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=-1,0,2,2\n",
+     "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=3,0,2,2\n"),
+    ("model bilayer rows=2 cols=4\ndefect bilayer-wormhole-i mouths=0,0,2,2\n",
+     "model bilayer rows=2 cols=4\ndefect bilayer-wormhole-i mouths=0,0,2,0\n"),
+    ("model bombin rows=6 cols=8\ndefect bombin-twist x=9 y=7\n",
+     "model bombin rows=6 cols=8\ndefect bombin-twist x=1 y=1\n"),
+    ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=5 y=5\n",
+     "model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=1 y=1\n"),
+])
+def test_defect_anchors_wrap_around_the_torus(tmp_path, capsys, body, twin):
+    reports = []
+    for text in (body, twin):
+        cfg = tmp_path / "anchor.cfg"
+        cfg.write_text(f"{CONFIG_HEADER}\n{text}")
+        assert main(["build", "--config", str(cfg)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+# config mutations: delete a line, insert one of INSERTS, replace a key=value
+# value from VALUES (drawn twice as often as the others), or drop a token.
+# No value raises a lattice size or a trial count above the shipped ones, and
+# rates stay at or below 0.01 (the doubled-semion decoder's search is
+# unbounded on noisy trials)
+INSERTS = ("model bilayer rows=2 cols=4", "model toric rows=2 cols=2 modulus=4",
+           "model doubled-semion rows=2 cols=2", "model bombin rows=4 cols=4",
+           "defect bilayer-wormhole-i mouths=0,0,2,2", "defect bilayer-wormhole-ii",
+           "defect ds-patch", "defect z4-patch-in-ds x=5", "defect ising-twists k=1",
+           "defect kitaev-twist", "defect bombin-twist x=9 y=7", "defect krishna-dislocation-i",
+           "error 0|0:1,0", "error 0|0:1,0;3:0,1", "string e 0,0 1,0", "string s 1,1 2,1",
+           "string m 0,0 0,1", "channel rate=0.01 trials=10", "seed 1", "output dimension",
+           "output syndrome", "output decode", "output mc", "output spin anyon=s",
+           "output generators", "output condense theory=ising algebra=1", "# comment", "")
+VALUES = {
+    "rows": ("2", "3", "1", "0", "-2", "x"), "cols": ("2", "3", "1", "0", "-2", "x"),
+    "modulus": ("2", "3", "4", "1", "0", "x"),
+    "mouths": ("0,0,4,0", "-1,0,2,2", "4,4,6,6", "1,1,3,3", "0,0,0,0", "0,0,2", "a,b,c,d"),
+    "rate": ("0", "0.001", "0.01", "-0.5", "2", "nan", "abc"),
+    "trials": ("0", "1", "10", "-1", "x"),
+    "contractible": ("true", "false", "maybe"),
+    "anyon": ("s", "sbar", "ssbar", "foo"),
+    "theory": ("z4", "ising", "z9", "frob"), "algebra": ("1", "1+e2m2", "1+zz"),
+}
+OTHER_VALUES = ("0", "1", "2", "3", "5", "9", "-1", "x", "")
+SHIPPED = sorted(cfg.name for cfg in CONFIGS.glob("*.cfg"))
+
+
+def _mutate(draw, lines):
+    """``lines`` after one drawn mutation; the header line stays."""
+    op = draw(st.sampled_from(("delete", "insert", "replace", "replace", "drop")))
+    if op == "insert":
+        at = draw(st.integers(1, len(lines)))
+        return lines[:at] + [draw(st.sampled_from(INSERTS))] + lines[at:]
+    if op == "replace":
+        keyed = [(at, n) for at, line in enumerate(lines) if at
+                 for n, tok in enumerate(line.split()) if "=" in tok]
+        if not keyed:
+            return lines
+        at, n = draw(st.sampled_from(keyed))
+        tokens = lines[at].split()
+        key = tokens[n].partition("=")[0]
+        tokens[n] = f"{key}={draw(st.sampled_from(VALUES.get(key, OTHER_VALUES)))}"
+    else:
+        if len(lines) < 2:
+            return lines
+        at = draw(st.integers(1, len(lines) - 1))
+        tokens = lines[at].split()
+        if op == "delete" or not tokens:
+            return lines[:at] + lines[at + 1:]
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return lines[:at] + [" ".join(tokens)] + lines[at + 1:]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_configs_end_in_an_exit_code(data):
+    name = data.draw(st.sampled_from(SHIPPED))
+    lines = (CONFIGS / name).read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(data.draw, lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / name
+        cfg.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(cfg)])
+    assert code in (0, 2, 3, 4)
 
 
 def test_mc_on_doubled_semion_counts_decoder_give_ups(tmp_path, capsys):

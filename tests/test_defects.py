@@ -9,7 +9,7 @@ from quditlab.defects import (apply_bombin_twist, apply_dislocation,
                               apply_z4_patch_in_ds, couple_bilayer)
 from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
-from quditlab.lattice import (build_bombin_lattice, build_toric_code,
+from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
                               evaluate_constraint, toric_string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site
 
@@ -243,9 +243,7 @@ def test_z4_patch_confined_vs_free_strings():
 # ----------------------------------------------------------------------
 
 def test_bilayer_wormhole_i():
-    a = build_toric_code(4, 4, 2)
-    b = build_toric_code(4, 4, 2)
-    m, rep = couple_bilayer(a, b, "i")
+    m, rep = couple_bilayer(build_bilayer_toric(4, 4), "i")
     assert len(rep.removed) == 4 and len(rep.added) == 2
     assert (rep.dim_before, rep.dim_after) == (16, 16)
     assert len(rep.constraints_after) == 2
@@ -254,9 +252,7 @@ def test_bilayer_wormhole_i():
 
 
 def test_bilayer_wormhole_ii():
-    a = build_toric_code(4, 4, 2)
-    b = build_toric_code(4, 4, 2)
-    m, rep = couple_bilayer(a, b, "ii")
+    m, rep = couple_bilayer(build_bilayer_toric(4, 4), "ii")
     assert (rep.dim_before, rep.dim_after) == (16, 32)
     assert len(rep.constraints_after) == 3
     _assert_commuting(m)
@@ -264,23 +260,31 @@ def test_bilayer_wormhole_ii():
 
 
 def test_bilayer_validation():
-    a = build_toric_code(4, 4, 2)
-    with pytest.raises(UnsupportedModelError):
-        couple_bilayer(a, build_toric_code(4, 6, 2), "i")
-    with pytest.raises(UnsupportedModelError):
-        couple_bilayer(a, build_toric_code(4, 4, 4), "i")
-    with pytest.raises(UnsupportedModelError, match="without defects"):
-        couple_bilayer(apply_kitaev_twist(a, 0, 1, contractible=False)[0], a, "i")
+    a = build_bilayer_toric(4, 4)
+    with pytest.raises(UnsupportedModelError, match="two Z_2 toric codes"):
+        build_bilayer_toric(4, 4, 4)
+    with pytest.raises(UnsupportedModelError, match="bilayer model without defects"):
+        couple_bilayer(build_toric_code(4, 4, 2), "i")
+    with pytest.raises(UnsupportedModelError, match="bilayer model without defects"):
+        couple_bilayer(couple_bilayer(a, "i")[0], "ii", ((1, 1), (3, 3)))
     with pytest.raises(DefectError):
-        couple_bilayer(a, build_toric_code(4, 4, 2), "iii")
+        couple_bilayer(a, "iii")
     with pytest.raises(DefectError):
-        couple_bilayer(a, build_toric_code(4, 4, 2), "i", ((0, 0), (0, 0)))
+        couple_bilayer(a, "i", ((0, 0), (0, 0)))
+    # mouths are taken mod the lattice
+    with pytest.raises(DefectError, match="distinct"):
+        couple_bilayer(a, "i", ((0, 0), (4, 0)))
+
+
+def test_bilayer_builder_is_two_uncoupled_layers():
+    m = build_bilayer_toric(4, 6)
+    assert (m.family, m.n_sites, len(m.generators)) == ("bilayer", 96, 96)
+    assert engine.logical_dimension(m) == 16
+    _assert_commuting(m)
 
 
 def test_wormhole_ii_transports_flux_to_charge():
-    a = build_toric_code(4, 4, 2)
-    b = build_toric_code(4, 4, 2)
-    m, _ = couple_bilayer(a, b, "ii", ((0, 0), (2, 2)))
+    m, _ = couple_bilayer(build_bilayer_toric(4, 4), "ii", ((0, 0), (2, 2)))
     geo = m.geometry
     terms = [(geo.edge_index("h", 0, 1, 1), 1, 0),
              (geo.edge_index("h", 0, 2, 1), 1, 0)]      # flux leg in layer 2
