@@ -9,6 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,16 +90,12 @@ ONE = QDim(Fraction(1))
 
 def _sqrt_qdim(n: int) -> QDim:
     """Exact sqrt(n) when n = a^2 or n = 2 b^2 (all catalogued cases)."""
-    r = int(round(n ** 0.5))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return QDim(cand)
-    if n % 2 == 0:
-        half = n // 2
-        r = int(round(half ** 0.5))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand * cand == half:
-                return QDim(0, cand)
+    r = math.isqrt(n)
+    if r * r == n:
+        return QDim(r)
+    r = math.isqrt(n // 2)
+    if n % 2 == 0 and 2 * r * r == n:
+        return QDim(0, r)
     raise QuditLabError(f"sqrt({n}) is not representable in Q(sqrt 2)")
 
 

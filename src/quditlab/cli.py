@@ -340,10 +340,13 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
 
 
 def _theory_by_name(name: str):
-    """A built-in theory by its CLI name; refuses z<N> above ``CONDENSE_MAX_N``."""
+    """A built-in theory by its CLI name; refuses z<N> below 2 or above
+    ``CONDENSE_MAX_N``."""
     name = name.lower().replace("-", "_")
     if name.startswith("z") and name[1:].isdigit():
         n = int(name[1:])
+        if n < 2:
+            raise ConfigError(f"theory {name!r} is too small: z<N> needs N >= 2")
         if n > CONDENSE_MAX_N:
             raise ConfigError(f"theory {name!r} is too large: z<N> needs "
                               f"N <= {CONDENSE_MAX_N}")

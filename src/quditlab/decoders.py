@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import engine
 from .dsemion import string_operator
@@ -76,6 +77,12 @@ class MonteCarloResult:
 
 def _class_tuple(op, logicals):
     return tuple(commutation_exponent(op, l) for _, l in logicals)
+
+
+def _rank(word, logicals):
+    """The canonical order every decoder picks its correction by: weight,
+    then logical class, then exponents."""
+    return word.weight(), _class_tuple(word, logicals), sort_key(word)
 
 
 def _class_names(model, logicals):
@@ -315,20 +322,18 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         plaq = [p for p, q in _violations(model, syn, "plaquette")]
         if len(vert) % 2 or len(plaq) % 2:
             raise InconsistentSyndromeError("odd violation parity")
-        best = None
-        for zw in _family_candidates(model, vert, "e"):
-            for xw in _family_candidates(model, plaq, "m"):
-                w = pauli_mul(zw, xw)
-                key = (w.weight(), _class_tuple(w, model.logicals), sort_key(w))
-                if best is None or key < best[0]:
-                    best = (key, w)
-        return Correction(best[1], ())
+        words = product(_family_candidates(model, vert, "e"),
+                        _family_candidates(model, plaq, "m"))
+        return Correction(min((pauli_mul(zw, xw) for zw, xw in words),
+                              key=lambda w: _rank(w, model.logicals)), ())
 
     corr = identity(n, model.n_sites)
     for kind, stype, letter in (("vertex", "e", "A"), ("plaquette", "m", "B")):
         items = _violations(model, syn, kind)
         if sum(q for _, q in items) % n:
             raise InconsistentSyndromeError(f"{kind} charges do not cancel mod {n}")
+        # each merge keeps the total charge and drops an item it clears, so
+        # once the total is 0 the fold ends with no charge left
         while len(items) > 1:
             (p0, q0), (p1, q1) = items[0], items[1]
             string = toric_string_operator(model, _torus_path(geo, p0, p1), stype)
@@ -339,8 +344,6 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
             corr = pauli_mul(corr, pauli_pow(string, m))
             q1 = (q1 + m * ks.get(f"{letter}({p1[0]},{p1[1]})", 0)) % n
             items = ([(p1, q1)] if q1 else []) + items[2:]
-        if items and items[0][1]:
-            raise InconsistentSyndromeError("unpaired charge remains")
     return Correction(corr, ())
 
 
@@ -386,34 +389,12 @@ def _close_plaquettes(ds, exps):
 
 
 def _close_vertices(ds, exps):
-    """Step 5b: pair double vertex excitations with ss-bar strings."""
-    pos = []
-    for g in exps:
-        if g.startswith("A("):
-            if exps[g] != 2:
-                raise InconsistentSyndromeError("unpaired single vertex excitation")
-            pos.append(_gid_coords(g))
+    """Steps 4 and 5b: pair the double vertex excitations left in ``exps``
+    with ss-bar strings."""
+    pos = sorted(_gid_coords(g) for g in exps if g.startswith("A("))
     strings = [string_operator(ds, "ssbar", path).op
-               for path in _pair_paths(ds.geometry, sorted(pos))]
-    return pauli_prod(4, ds.n_sites, strings), ("5b",) if pos else ()
-
-
-def _step2_candidates(plans, k, sites):
-    """(word, rules) for every power assignment of ``plans[k:]``: plan k
-    varies fastest, trying its ``first`` power, then the negated one.
-
-    A plan is (rule, site, first): rule 2a puts X^s on the site, rule 2b
-    Z^s.  Module-level recursion, so a decode leaves no reference cycle.
-    """
-    if k == len(plans):
-        yield identity(4, sites), ()
-        return
-    rule, site, first = plans[k]
-    for rest, rules in _step2_candidates(plans, k + 1, sites):
-        for s in (first, (-first) % 4):
-            word = (single_site(4, sites, site, x=s) if rule == "2a"
-                    else single_site(4, sites, site, z=s))
-            yield pauli_mul(word, rest), (rule,) + rules
+               for path in _pair_paths(ds.geometry, pos)]
+    return pauli_prod(4, ds.n_sites, strings), ("4", "5b") if pos else ()
 
 
 def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
@@ -429,8 +410,13 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     4. Inspect the remaining vertex excitations at the corners.
     5. (a)/(b) Cancel paired double vertex excitations with ss-bar strings.
 
-    Sign ambiguities on interior edges are resolved by deterministic
-    enumeration (first syndrome-clearing assignment in row-major order).
+    The candidates are every step-2 power assignment (both signs per trail
+    edge) times every step-3 closer (s, s-dagger, sbar or sbar-dagger per
+    pair).  Any two differ by X^2 or Z^2 on single edges, which commute with
+    every C and B and move A exponents by 2 or 4, so one candidate decides
+    for all whether C or B excitations stay, an odd A exponent stays, or the
+    A excitations cannot pair.  No candidate is rejected; the correction is
+    their minimum in the order of ``_rank``.
     """
     geo = ds.geometry
     exps0 = dict(syn.exponents)
@@ -459,31 +445,32 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
         else:
             plans.append(("2b", geo.edge_index("h", x, y + 1), 3))
 
-    cleared = []
-    for step2, rules in _step2_candidates(plans, 0, ds.n_sites):
-        exps = _combine(ds, exps0, step2)
-        if any(g.startswith("C(") for g in exps):
-            continue
-        trace = (("1",) if trail else ()) + tuple(dict.fromkeys(rules))
-        closers, rule3 = _close_plaquettes(ds, exps)
-        for closer in closers:
-            exps3 = _combine(ds, exps, closer)
-            if any(g.startswith("B(") for g in exps3):
-                continue
-            t3 = trace + rule3
-            if any(g.startswith("A(") for g in exps3):
-                t3 = t3 + ("4",)
-            try:
-                fixer, rule5 = _close_vertices(ds, exps3)
-            except InconsistentSyndromeError:
-                continue
-            if _combine(ds, exps3, fixer):
-                continue
-            cleared.append((pauli_prod(4, ds.n_sites, [step2, closer, fixer]), t3 + rule5))
-    if not cleared:
-        raise InconsistentSyndromeError("no rule assignment clears the syndrome")
-    corr, trace = min(cleared, key=lambda ct: (
-        ct[0].weight(), _class_tuple(ct[0], ds.logicals), sort_key(ct[0])))
+    # one step-2 word per power assignment, plan 0 varying fastest: each plan
+    # tries its first power, then the negated one
+    steps2 = []
+    for powers in product(*[(p, -p % 4) for _, _, p in reversed(plans)]):
+        steps2.append(from_terms(4, ds.n_sites, [
+            (site, s, 0) if rule == "2a" else (site, 0, s)
+            for (rule, site, _), s in zip(plans, reversed(powers))]))
+    fail = InconsistentSyndromeError("no rule assignment clears the syndrome")
+    exps = _combine(ds, exps0, steps2[0])
+    if any(g.startswith("C(") for g in exps):
+        raise fail
+    closers, rule3 = _close_plaquettes(ds, exps)
+    exps3 = _combine(ds, exps, closers[0])
+    doubles = [e for g, e in exps3.items() if g.startswith("A(")]
+    if (any(g.startswith("B(") for g in exps3) or any(e != 2 for e in doubles)
+            or len(doubles) % 2):
+        raise fail
+    trace0 = (("1",) if trail else ()) + tuple(dict.fromkeys(r for r, _, _ in plans)) + rule3
+    cands = []
+    for step2, closer in product(steps2, closers):
+        partial = pauli_mul(step2, closer)
+        fixer, rule5 = _close_vertices(ds, _combine(ds, exps0, partial))
+        cands.append((pauli_mul(partial, fixer), trace0 + rule5))
+    corr, trace = min(cands, key=lambda ct: _rank(ct[0], ds.logicals))
+    if _combine(ds, exps0, corr):
+        raise fail
     return Correction(corr, trace)
 
 
@@ -551,9 +538,8 @@ class BruteForceOracle:
         return out
 
     def _canonical(self, words, trace) -> Correction:
-        best = min(words, key=lambda w: (_class_tuple(w, self.model.logicals),
-                                         sort_key(w)))
-        return Correction(best, trace)
+        # every word here has the same weight, so _rank orders by class
+        return Correction(min(words, key=lambda w: _rank(w, self.model.logicals)), trace)
 
     def decode(self, syn) -> Correction:
         target = tuple((-v) % o for v, o in zip(self.syndrome_key(syn), self._orders))

@@ -293,7 +293,7 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
         if geo.cols < 4 or geo.rows < 4:
             raise GeometryError("contractible patch needs at least a 4x4 lattice")
         sites = _patch_sites(geo, x, y)
-        hops = [("h", x, y), ("h", x, y + 1), ("v", x, y), ("v", x + 1, y)]
+        hops = [("h", x, y), ("h", *geo.wrap(x, y + 1)), ("v", x, y), ("v", *geo.wrap(x + 1, y))]
     else:
         sites = [(a, y) for a in range(geo.cols)]
         hops = [("h", a, y) for a in range(geo.cols)]

@@ -31,6 +31,7 @@ the identity on any register is ``"0|"``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ShapeError
@@ -135,7 +136,7 @@ class PauliOp:
         for _, x, z in self.terms:
             for e in (x, z):
                 if e:
-                    k = _lcm(k, n // _gcd(e, n))
+                    k = math.lcm(k, n // math.gcd(e, n))
         return k
 
 
@@ -155,16 +156,6 @@ def _word(modulus: int, sites: int, terms: tuple, phase: int) -> PauliOp:
     _set(op, "terms", terms)
     _set(op, "phase_exp", phase % (2 * modulus))
     return op
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def _check_shapes(p: PauliOp, q: PauliOp):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditlab.cli import (CONDENSE_MAX_N, CONFIG_HEADER, EXIT_CONFIG, EXIT_MODEL, _parser,
-                          main, parse_config, run)
+                          build_model, main, parse_config, run)
 from quditlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -157,6 +158,10 @@ def test_exit_codes(tmp_path, capsys):
     # the catalog dump of z<N> has the same cap
     assert main(["catalog", f"z{CONDENSE_MAX_N + 1}"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    # and z<N> below 2 names no theory
+    for argv in (["catalog", "z1"], ["catalog", "z0"], ["condense", "z1", "1"]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
     big = tmp_path / "big.cfg"
     big.write_text("quditlab-config v1\nmodel toric rows=2 cols=2\n"
                    f"output condense theory=z{CONDENSE_MAX_N + 1} algebra=1\n")
@@ -278,6 +283,10 @@ CONFIG_ERRORS = [
     (TORIC + "output syndrome\n", 2, "config error: output syndrome needs an error line"),
     (TORIC + "output condense theory=z9 algebra=1\n",
      2, "config error: theory 'z9' is too large: z<N> needs N <= 8"),
+    (TORIC + "output condense theory=z1 algebra=1\n",
+     2, "config error: theory 'z1' is too small: z<N> needs N >= 2"),
+    (TORIC + "output condense theory=z0 algebra=1\n",
+     2, "config error: theory 'z0' is too small: z<N> needs N >= 2"),
     (TORIC + "output condense theory=z4 algebra=1+zz\n",
      2, "config error: algebra summand 'zz' is not a label of z_4"),
 ]
@@ -293,7 +302,8 @@ def test_config_error_table(tmp_path, capsys, body, code, first_err):
 
 
 # anchors are taken mod the lattice: each config builds the same report as
-# its in-lattice twin
+# its in-lattice twin, and every generator id names a point inside the
+# lattice, also for each surgery anchored on the last row and column
 @pytest.mark.parametrize("body, twin", [
     ("model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=-1,0,2,2\n",
      "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=3,0,2,2\n"),
@@ -303,6 +313,24 @@ def test_config_error_table(tmp_path, capsys, body, code, first_err):
      "model bombin rows=6 cols=8\ndefect bombin-twist x=1 y=1\n"),
     ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=5 y=5\n",
      "model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=1 y=1\n"),
+    ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=3 y=3\n",
+     "model toric rows=4 cols=4 modulus=4\ndefect ds-patch x=-1 y=-1\n"),
+    ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch y=3 contractible=false\n",
+     "model toric rows=4 cols=4 modulus=4\ndefect ds-patch y=-1 contractible=false\n"),
+    ("model doubled-semion rows=4 cols=4\ndefect z4-patch-in-ds x=3 y=3\n",
+     "model doubled-semion rows=4 cols=4\ndefect z4-patch-in-ds x=-1 y=-1\n"),
+    ("model bombin rows=6 cols=8\ndefect bombin-twist x=7 y=5\n",
+     "model bombin rows=6 cols=8\ndefect bombin-twist x=-1 y=-1\n"),
+    ("model toric rows=6 cols=6\ndefect kitaev-twist x=5 y=5\n",
+     "model toric rows=6 cols=6\ndefect kitaev-twist x=-1 y=-1\n"),
+    ("model toric rows=6 cols=6\ndefect krishna-dislocation-i x=5 y=5\n",
+     "model toric rows=6 cols=6\ndefect krishna-dislocation-i x=-1 y=-1\n"),
+    ("model toric rows=6 cols=6\ndefect krishna-dislocation-ii x=5 y=5\n",
+     "model toric rows=6 cols=6\ndefect krishna-dislocation-ii x=-1 y=-1\n"),
+    ("model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=3,3,1,1\n",
+     "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-i mouths=-1,-1,1,1\n"),
+    ("model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=3,3,1,1\n",
+     "model bilayer rows=4 cols=4\ndefect bilayer-wormhole-ii mouths=-1,-1,1,1\n"),
 ])
 def test_defect_anchors_wrap_around_the_torus(tmp_path, capsys, body, twin):
     reports = []
@@ -312,6 +340,13 @@ def test_defect_anchors_wrap_around_the_torus(tmp_path, capsys, body, twin):
         assert main(["build", "--config", str(cfg)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+    model, _ = build_model(_cfg(body))
+    geo = model.geometry
+    for g in model.generators:
+        # the point is the id's last two integers, e.g. Cds(h,3,0) or T1/A(2,1);
+        # the wormhole ids F1 and F2 name none
+        point = [int(v) for v in re.findall(r"-?\d+", g.gid.partition("(")[2])][-2:]
+        assert all(0 <= v < size for v, size in zip(point, (geo.cols, geo.rows))), g.gid
 
 
 # config mutations: delete a line, insert one of INSERTS, replace a key=value

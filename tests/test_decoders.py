@@ -7,9 +7,10 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ds_reference
 import mc_reference
 import pairing_reference as ref
 from quditlab import engine
@@ -22,7 +23,7 @@ from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
                                monte_carlo_trial)
 from quditlab.dsemion import build_doubled_semion, string_operator
 from quditlab.engine import Syndrome
-from quditlab.errors import DecodeNotFoundError, InconsistentSyndromeError
+from quditlab.errors import DecodeNotFoundError, InconsistentSyndromeError, QuditLabError
 from quditlab.lattice import build_toric_code, toric_string_operator
 from quditlab.pauli import (from_terms, from_text, identity, pauli_mul, single_site,
                             to_text)
@@ -439,6 +440,54 @@ def test_decode_toric_pinned_fold(modulus):
         assert not engine.syndrome(tc, pauli_mul(err, corr.op))
         got.append(to_text(corr.op))
     assert got == PINNED_FOLD[modulus]
+
+
+# ----------------------------------------------------------------------
+# the doubled-semion decoder against the filter-search reference
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _ds(L):
+    return build_doubled_semion(L, L)
+
+
+def _ds_outcome(decoder, ds, syn):
+    """The decoder's ``Correction``, or the type and message it raised."""
+    try:
+        return decoder(ds, syn)
+    except QuditLabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.sampled_from((2, 3, 4)), rate=st.sampled_from((0.01, 0.02, 0.05, 0.1)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ds_decoder_matches_reference_on_iid_errors(L, rate, seed):
+    ds = _ds(L)
+    syn = engine.syndrome(ds, _qudit_error(4, ds.n_sites, rate, random.Random(seed)))
+    assert (_ds_outcome(decode_doubled_semion, ds, syn)
+            == _ds_outcome(ds_reference.decode_doubled_semion, ds, syn))
+
+
+@st.composite
+def ds_syndromes(draw):
+    """A lattice size and a random set of doubled-semion generators, each with
+    a random nonzero exponent below its order: mostly inconsistent."""
+    L = draw(st.sampled_from((2, 3, 4)))
+    gens = _ds(L).generators
+    picked = draw(st.lists(st.integers(0, len(gens) - 1), unique=True, max_size=8))
+    return L, {gens[i].gid: draw(st.integers(1, gens[i].order - 1)) for i in sorted(picked)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ds_syndromes())
+@example((3, {"A(1,1)": 2}))
+def test_ds_decoder_matches_reference_on_arbitrary_syndromes(case):
+    L, exponents = case
+    ds = _ds(L)
+    syn = Syndrome(exponents, {gid: ds.generator(gid).kind for gid in exponents})
+    assert (_ds_outcome(decode_doubled_semion, ds, syn)
+            == _ds_outcome(ds_reference.decode_doubled_semion, ds, syn))
 
 
 def _digest_models(rng):
