@@ -283,12 +283,9 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
             raise ConfigError(f"field 'error': {exc}")
     elif cfg.string_spec is not None:
         kind, path = cfg.string_spec
-        if kind in ("e", "m"):
-            error = lattice.toric_string_operator(m, list(path), kind)
-        elif m.family == "doubled-semion":
-            error = dsemion.string_operator(m, kind, list(path)).op
-        else:
+        if kind not in ("e", "m") and m.family != "doubled-semion":
             raise ConfigError(f"string type {kind!r} needs the doubled-semion model")
+        error = lattice.string_operator(m, kind, path)
     for name, kv in outputs:
         if name == "dimension":
             lines.append(f"dimension {engine.logical_dimension(m)}")

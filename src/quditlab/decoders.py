@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import engine
-from .dsemion import string_operator
 from .errors import DecodeNotFoundError, InconsistentSyndromeError
-from .lattice import StabilizerModel, toric_string_operator
+from .lattice import StabilizerModel, string_operator
 from .pauli import (PauliOp, commutation_exponent, from_terms, identity,
                     pauli_adjoint, pauli_mul, pauli_pow, pauli_prod, single_site,
                     sort_key)
@@ -273,14 +272,14 @@ def _family_candidates(model, positions, stype):
         return [identity(model.modulus, model.n_sites)]
     if len(positions) > PAIRING_CAP:
         return [pauli_prod(model.modulus, model.n_sites, [
-            toric_string_operator(model, path, stype) for path in _pair_paths(geo, positions)])]
+            string_operator(model, stype, path) for path in _pair_paths(geo, positions)])]
     words = {}
     geodesics = {}  # pair -> its geodesic strings, built once per call
     for pr in _min_cost_pairings(geo, positions):
         for i, j in pr:
             if (i, j) not in geodesics:
                 geodesics[i, j] = [
-                    toric_string_operator(model, list(path), stype)
+                    string_operator(model, stype, path)
                     for path in _geodesic_paths(geo, positions[i], positions[j])]
         legs = [geodesics[pair] for pair in pr]
         partial = legs[0]
@@ -308,9 +307,9 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     of all (k-1)!! pairings; degenerate ties are broken canonically by (weight,
     logical class, exponents), the same order the brute-force oracle uses.
     For larger moduli the charges are folded into a reference location along
-    shortest paths (sound, deterministic): each merge takes one syndrome of
-    its unit string.  A violated generator of any other kind raises
-    ``InconsistentSyndromeError``.
+    shortest paths (sound, deterministic): a unit string's end charges are
+    fixed by ``lattice.STRINGS``, so no merge takes a syndrome.  A violated
+    generator of any other kind raises ``InconsistentSyndromeError``.
     """
     geo = model.geometry
     n = model.modulus
@@ -328,7 +327,9 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
                               key=lambda w: _rank(w, model.logicals)), ())
 
     corr = identity(n, model.n_sites)
-    for kind, stype, letter in (("vertex", "e", "A"), ("plaquette", "m", "B")):
+    # a unit e string carries charge +1 at its first node and -1 at its last,
+    # an m string -1 and +1
+    for kind, stype, k0 in (("vertex", "e", 1), ("plaquette", "m", -1)):
         items = _violations(model, syn, kind)
         if sum(q for _, q in items) % n:
             raise InconsistentSyndromeError(f"{kind} charges do not cancel mod {n}")
@@ -336,13 +337,11 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         # once the total is 0 the fold ends with no charge left
         while len(items) > 1:
             (p0, q0), (p1, q1) = items[0], items[1]
-            string = toric_string_operator(model, _torus_path(geo, p0, p1), stype)
-            # the unit string's charge at p0 is k0 = +-1, so k0 is its own
-            # inverse and the power m clears q0; the string moves m * k1 to p1
-            ks = engine.syndrome(model, string).exponents
-            m = -q0 * ks[f"{letter}({p0[0]},{p0[1]})"] % n
-            corr = pauli_mul(corr, pauli_pow(string, m))
-            q1 = (q1 + m * ks.get(f"{letter}({p1[0]},{p1[1]})", 0)) % n
+            string = string_operator(model, stype, _torus_path(geo, p0, p1))
+            # k0 = +-1 is its own inverse, so the power -q0 * k0 clears q0 and
+            # moves q0 itself to p1
+            corr = pauli_mul(corr, pauli_pow(string, -q0 * k0 % n))
+            q1 = (q1 + q0) % n
             items = ([(p1, q1)] if q1 else []) + items[2:]
     return Correction(corr, ())
 
@@ -382,7 +381,7 @@ def _close_plaquettes(ds, exps):
     for path in _pair_paths(ds.geometry, pos):
         segs = []
         for anyon in ("s", "sbar"):
-            w = string_operator(ds, anyon, path).op
+            w = string_operator(ds, anyon, path)
             segs += [w, pauli_adjoint(w)]
         words = [pauli_mul(w0, s) for w0 in words for s in segs]
     return words, ("3",) if pos else ()
@@ -392,7 +391,7 @@ def _close_vertices(ds, exps):
     """Steps 4 and 5b: pair the double vertex excitations left in ``exps``
     with ss-bar strings."""
     pos = sorted(_gid_coords(g) for g in exps if g.startswith("A("))
-    strings = [string_operator(ds, "ssbar", path).op
+    strings = [string_operator(ds, "ssbar", path)
                for path in _pair_paths(ds.geometry, pos)]
     return pauli_prod(4, ds.n_sites, strings), ("4", "5b") if pos else ()
 

@@ -13,42 +13,33 @@ mutual commutation, C_e order 2, spin values i/-i/1, logical dimension 4):
       C_h(x,y) = Z^2 on h(x,y)  *  X^2 on v(x+1,y)
       C_v(x,y) = Z^2 on v(x,y)  *  X^2 on h(x,y+1)
 
-String operators.  s and sbar live on oriented dual-lattice paths; the
-per-dual-step segments (reverse steps use the adjoint) are
-
-      step p(x,y) -> p(x+1,y):  X      on v(x+1,y),  Z^b on h(x+1,y+1)
-      step p(x,y) -> p(x,y+1):  X^-1   on h(x,y+1),  Z^b on v(x+1,y+1)
-
-with b = +1 for s and b = -1 for sbar; this is the labeling that extracts
-theta(s) = +i.  The ss-bar string is orientation-free: Z^2 on every edge of
-a lattice path.  All three commute with every stabilizer away from their
-endpoints.
+String operators.  The s, sbar and ss-bar strings are rows of
+``lattice.STRINGS``, built by ``lattice.string_operator``; all three commute
+with every stabilizer away from their endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import GeometryError, PathError, UnsupportedModelError
-from .lattice import (Generator, LatticeGeometry, StabilizerModel, _steps, fish_op,
-                      plaquette_op)
-from .pauli import PauliOp, from_terms, identity, pauli_adjoint, pauli_mul, pauli_prod
+from .errors import GeometryError, PathError
+from .lattice import (Generator, LatticeGeometry, StabilizerModel, fish_op, plaquette_op,
+                      string_operator)
+from .pauli import PauliOp, from_terms, pauli_adjoint, pauli_mul
 
 __all__ = [
     "StringOperator",
     "hop_op",
     "build_doubled_semion",
-    "string_operator",
     "extract_topological_spin",
     "logical_operators",
 ]
 
-ANYONS = ("1", "s", "sbar", "ssbar")
-
 
 @dataclass(frozen=True)
 class StringOperator:
-    """A realized anyon string: its type, its path, and its Pauli word."""
+    """A realized anyon string: its type, its path, and its Pauli word; the
+    value type of :func:`logical_operators`."""
 
     anyon: str
     path: tuple
@@ -97,44 +88,6 @@ def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:
     return replace(model, logicals=logicals)
 
 
-# frozen segment signs: (alpha, beta, alpha', beta') = (1, 1, -1, 1)
-def _segment(geo: LatticeGeometry, n: int, direction: str, x: int, y: int,
-             sbar: bool) -> PauliOp:
-    b = -1 if sbar else 1
-    if direction == "+x":
-        terms = [(geo.edge_index("v", x + 1, y), 1, 0),
-                 (geo.edge_index("h", x + 1, y + 1), 0, b)]
-    else:  # "+y"
-        terms = [(geo.edge_index("h", x, y + 1), -1, 0),
-                 (geo.edge_index("v", x + 1, y + 1), 0, b)]
-    return from_terms(4, n, terms)
-
-
-def string_operator(ds: StabilizerModel, anyon: str, path) -> StringOperator:
-    """Realize an anyon string on a path.
-
-    s and sbar take an oriented dual-lattice path (plaquette sequence);
-    ssbar takes an unoriented lattice path (vertex sequence).
-    """
-    geo = ds.geometry
-    n = ds.n_sites
-    if len(path) < 2:
-        raise PathError("string path needs at least two nodes")
-    if anyon in ("s", "sbar"):
-        segs = []
-        for step, x, y in _steps(path, geo):
-            seg = _segment(geo, n, "+" + step[1], x, y, anyon == "sbar")
-            segs.append(pauli_adjoint(seg) if step[0] == "-" else seg)
-        return StringOperator(anyon, tuple(path), pauli_prod(4, n, segs))
-    if anyon == "ssbar":
-        terms = [(geo.edge_index("h" if step[1] == "x" else "v", x, y), 0, 2)
-                 for step, x, y in _steps(path, geo)]
-        return StringOperator(anyon, tuple(path), from_terms(4, n, terms))
-    if anyon == "1":
-        return StringOperator("1", tuple(path), identity(4, n))
-    raise UnsupportedModelError(f"unknown anyon type {anyon!r}")
-
-
 def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str, reach: int = 3) -> int:
     """Topological spin from the ordered triple product of strings meeting a plaquette.
 
@@ -150,9 +103,9 @@ def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str, reach: 
     left = [((px - d) % geo.cols, py) for d in range(reach, 0, -1)] + [(px, py)]
     below = [(px, (py - d) % geo.rows) for d in range(reach, 0, -1)] + [(px, py)]
     right = [((px + d) % geo.cols, py) for d in range(reach, 0, -1)] + [(px, py)]
-    w1 = string_operator(ds, anyon, left).op
-    w2 = string_operator(ds, anyon, below).op
-    w3 = string_operator(ds, anyon, right).op
+    w1 = string_operator(ds, anyon, left)
+    w2 = string_operator(ds, anyon, below)
+    w3 = string_operator(ds, anyon, right)
     fwd = pauli_mul(pauli_mul(w1, pauli_adjoint(w2)), w3)
     rev = pauli_mul(pauli_mul(w3, pauli_adjoint(w2)), w1)
     if fwd.terms != rev.terms:
@@ -173,9 +126,7 @@ def logical_operators(ds: StabilizerModel) -> dict:
     geo = ds.geometry
     merid = [(x, 0) for x in range(geo.cols)] + [(0, 0)]
     longi = [(0, y) for y in range(geo.rows)] + [(0, 0)]
-    return {
-        "X1": string_operator(ds, "s", merid),
-        "X2": string_operator(ds, "sbar", merid),
-        "Z1": string_operator(ds, "s", longi),
-        "Z2": string_operator(ds, "sbar", longi),
-    }
+    loops = {"X1": ("s", merid), "X2": ("sbar", merid),
+             "Z1": ("s", longi), "Z2": ("sbar", longi)}
+    return {name: StringOperator(anyon, tuple(path), string_operator(ds, anyon, path))
+            for name, (anyon, path) in loops.items()}

@@ -39,7 +39,8 @@ __all__ = [
     "build_bilayer_toric",
     "build_bombin_lattice",
     "bombin_to_kitaev",
-    "toric_string_operator",
+    "STRINGS",
+    "string_operator",
     "evaluate_constraint",
 ]
 
@@ -343,42 +344,52 @@ def _steps(path, geo: LatticeGeometry):
     return out
 
 
-def toric_string_operator(model: StabilizerModel, path, string_type: str) -> PauliOp:
-    """Z-string along a lattice path (type "e") or X-string along a dual path (type "m").
+# STRINGS[type][axis] lists the (orient, dx, dy, x, z) terms, X^x Z^z on edge
+# orient(x+dx, y+dy), of a + step from node (x, y).  ``_steps`` anchors a
+# - step at its end node, where it takes the same terms with negated
+# exponents: the step's adjoint, since no term holds both X and Z.
+# * e is Z along a vertex path; m is X across a plaquette (dual) path, its
+#   signs the edge-orientation cross product, so that closed dual loops
+#   commute with every plaquette for any modulus.
+# * s and sbar (doubled semion, Z_4) cross a plaquette path with X^+-1 on the
+#   crossed edge and Z^b on the far plaquette's next edge, b = +1 for s and
+#   -1 for sbar: the frozen segment signs (alpha, beta, alpha', beta') =
+#   (1, 1, -1, 1), the labeling that extracts theta(s) = +i.
+# * ssbar (Z_4) is Z^2 along a vertex path, orientation-free; 1 has no terms
+#   but still checks its path.
+STRINGS = {
+    "1": {"x": (), "y": ()},
+    "e": {"x": (("h", 0, 0, 0, 1),), "y": (("v", 0, 0, 0, 1),)},
+    "m": {"x": (("v", 1, 0, -1, 0),), "y": (("h", 0, 1, 1, 0),)},
+    "s": {"x": (("v", 1, 0, 1, 0), ("h", 1, 1, 0, 1)),
+          "y": (("h", 0, 1, -1, 0), ("v", 1, 1, 0, 1))},
+    "sbar": {"x": (("v", 1, 0, 1, 0), ("h", 1, 1, 0, -1)),
+             "y": (("h", 0, 1, -1, 0), ("v", 1, 1, 0, -1))},
+    "ssbar": {"x": (("h", 0, 0, 0, 2),), "y": (("v", 0, 0, 0, 2),)},
+}
 
-    An e path is a vertex sequence; an m path is a plaquette sequence (dual
-    lattice).  Open strings anticommute with exactly the two endpoint
-    generators; closed contractible loops are stabilizer products.
+
+def string_operator(model: StabilizerModel, anyon: str, path) -> PauliOp:
+    """The ``anyon`` string of ``STRINGS`` along ``path``, steps multiplied in order.
+
+    Open e and m strings anticommute with exactly their two endpoint
+    generators, and closed contractible loops are stabilizer products; s,
+    sbar and ssbar strings commute with every doubled-semion stabilizer away
+    from their endpoints and need a Z_4 model.
     """
     geo = model.geometry
     if geo.placement != "edges":
         raise UnsupportedModelError("string operators need an edge-placement model")
+    if anyon not in STRINGS:
+        raise UnsupportedModelError(f"unknown anyon type {anyon!r}")
+    if anyon in ("s", "sbar", "ssbar") and model.modulus != 4:
+        raise UnsupportedModelError(
+            f"{anyon} strings need a Z_4 model, got modulus {model.modulus}")
     if len(path) < 2:
         raise PathError("path needs at least two nodes")
-    n = model.n_sites
     terms = []
-    if string_type == "e":
-        for d, x, y in _steps(path, geo):
-            if d == "+x":
-                terms.append((geo.edge_index("h", x, y), 0, 1))
-            elif d == "-x":
-                terms.append((geo.edge_index("h", x, y), 0, -1))
-            elif d == "+y":
-                terms.append((geo.edge_index("v", x, y), 0, 1))
-            else:
-                terms.append((geo.edge_index("v", x, y), 0, -1))
-    elif string_type == "m":
-        # crossing signs follow the edge-orientation cross product, so that
-        # closed dual loops commute with every plaquette for any modulus
-        for d, x, y in _steps(path, geo):
-            if d == "+x":
-                terms.append((geo.edge_index("v", x + 1, y), -1, 0))
-            elif d == "-x":
-                terms.append((geo.edge_index("v", x + 1, y), 1, 0))
-            elif d == "+y":
-                terms.append((geo.edge_index("h", x, y + 1), 1, 0))
-            else:
-                terms.append((geo.edge_index("h", x, y + 1), -1, 0))
-    else:
-        raise PathError(f"unknown string type {string_type!r}")
-    return from_terms(model.modulus, n, terms)
+    for step, x, y in _steps(path, geo):
+        sign = -1 if step[0] == "-" else 1
+        terms += [(geo.edge_index(o, x + dx, y + dy), sign * a, sign * b)
+                  for o, dx, dy, a, b in STRINGS[anyon][step[1]]]
+    return from_terms(model.modulus, model.n_sites, terms)

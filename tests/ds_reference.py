@@ -11,8 +11,8 @@ The step-5b helper is kept here as it was, with its own give-up.
 
 from quditlab.decoders import (Correction, _class_tuple, _close_plaquettes, _combine,
                                _gid_coords, _pair_paths, _trail_edges)
-from quditlab.dsemion import string_operator
 from quditlab.errors import InconsistentSyndromeError
+from quditlab.lattice import string_operator
 from quditlab.pauli import identity, pauli_mul, pauli_prod, single_site, sort_key
 
 
@@ -24,7 +24,7 @@ def _close_vertices(ds, exps):
             if exps[g] != 2:
                 raise InconsistentSyndromeError("unpaired single vertex excitation")
             pos.append(_gid_coords(g))
-    strings = [string_operator(ds, "ssbar", path).op
+    strings = [string_operator(ds, "ssbar", path)
                for path in _pair_paths(ds.geometry, sorted(pos))]
     return pauli_prod(4, ds.n_sites, strings), ("5b",) if pos else ()
 

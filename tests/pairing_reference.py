@@ -8,7 +8,7 @@ the families of at most ``PAIRING_CAP`` violations the tests draw.
 """
 
 from quditlab.decoders import _class_tuple, _geodesic_paths, _torus_dist
-from quditlab.lattice import toric_string_operator
+from quditlab.lattice import string_operator
 from quditlab.pauli import identity, pauli_mul, sort_key
 
 
@@ -52,7 +52,7 @@ def family_candidates(model, positions, stype):
     for pr in min_cost_pairings(geo, positions):
         partial = [identity(model.modulus, model.n_sites)]
         for i, j in pr:
-            strings = [toric_string_operator(model, list(path), stype)
+            strings = [string_operator(model, stype, list(path))
                        for path in _geodesic_paths(geo, positions[i], positions[j])]
             partial = [pauli_mul(w, s) for w in partial for s in strings]
         for w in partial:

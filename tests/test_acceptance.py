@@ -27,7 +27,7 @@ from quditlab.dsemion import build_doubled_semion, extract_topological_spin
 from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              subgroup_order)
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
-                              toric_string_operator)
+                              string_operator)
 from quditlab.pauli import pauli_mul, single_site
 
 
@@ -223,9 +223,9 @@ def test_criterion_7_confinement():
     for length in range(1, 9):
         path = [(1 + k, 4) for k in range(length + 1)]
         ds_energy.append(engine.excitation_energy(
-            ds, toric_string_operator(ds, path, "m")))
+            ds, string_operator(ds, "m", path)))
         tc_energy.append(engine.excitation_energy(
-            tc, toric_string_operator(tc, path, "m")))
+            tc, string_operator(tc, "m", path)))
     assert tc_energy == [2] * 8
     for shorter, longer in zip(ds_energy, ds_energy[1:]):
         assert longer >= shorter + 1
@@ -238,16 +238,16 @@ def test_criterion_8_twist_transport():
     tc = build_toric_code(8, 8, 2)
     m1, _ = apply_kitaev_twist(tc, 0, 2, contractible=False)
     m2, _ = apply_kitaev_twist(m1, 0, 5, contractible=False)
-    once = pauli_mul(toric_string_operator(m2, [(3, 0), (3, 1), (3, 2)], "e"),
-                     toric_string_operator(m2, [(3, 2), (3, 3), (3, 4)], "m"))
+    once = pauli_mul(string_operator(m2, "e", [(3, 0), (3, 1), (3, 2)]),
+                     string_operator(m2, "m", [(3, 2), (3, 3), (3, 4)]))
     syn = engine.syndrome(m2, once)
     kinds = sorted(syn.kinds[g] for g in syn.exponents)
     assert kinds == ["plaquette", "vertex"], "one crossing must swap the kinds"
     geo = m2.geometry
     twice = pauli_mul(pauli_mul(pauli_mul(
-        once, toric_string_operator(m2, [(3, 4), (3, 5)], "m")),
+        once, string_operator(m2, "m", [(3, 4), (3, 5)])),
         single_site(2, m2.n_sites, geo.edge_index("h", 3, 5), z=1)),
-        toric_string_operator(m2, [(4, 5), (4, 6), (4, 7)], "e"))
+        string_operator(m2, "e", [(4, 5), (4, 6), (4, 7)]))
     syn2 = engine.syndrome(m2, twice)
     kinds2 = sorted(syn2.kinds[g] for g in syn2.exponents)
     assert kinds2 == ["vertex", "vertex"], "two crossings must restore the kinds"

@@ -273,6 +273,7 @@ CONFIG_ERRORS = [
      2, "config error: line 3: field 'string' must be one of e, m, 1, s, sbar, ssbar"),
     (DSEM + "string foo 0,0 1,0\n",
      2, "config error: line 3: field 'string' must be one of e, m, 1, s, sbar, ssbar"),
+    (DSEM + "string 1 0,0 2,2\n", 3, "model error: path step (0, 0) -> (2, 2) is not adjacent"),
     (TORIC + "output\n", 2, "config error: line 3: output needs a name"),
     (TORIC + "output frob\n", 2, "config error: line 3: unknown output 'frob'"),
     (TORIC + "output spin\n", 2, "config error: output spin needs the doubled-semion model"),

@@ -21,10 +21,10 @@ from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
                                brute_force_decode, classify_residual,
                                decode_doubled_semion, decode_outcome, decode_toric,
                                monte_carlo_trial)
-from quditlab.dsemion import build_doubled_semion, string_operator
+from quditlab.dsemion import build_doubled_semion
 from quditlab.engine import Syndrome
 from quditlab.errors import DecodeNotFoundError, InconsistentSyndromeError, QuditLabError
-from quditlab.lattice import build_toric_code, toric_string_operator
+from quditlab.lattice import build_toric_code, string_operator
 from quditlab.pauli import (from_terms, from_text, identity, pauli_mul, single_site,
                             to_text)
 
@@ -142,7 +142,7 @@ def test_ds_length2_x_string_trace():
 
 def test_ds_semion_segment_fires_step3():
     ds = build_doubled_semion(6, 6)
-    err = string_operator(ds, "s", [(1, 1), (2, 1)]).op
+    err = string_operator(ds, "s", [(1, 1), (2, 1)])
     corr = decode_doubled_semion(ds, engine.syndrome(ds, err))
     assert "3" in corr.trace
     assert decode_outcome(ds, err, corr).success
@@ -150,7 +150,7 @@ def test_ds_semion_segment_fires_step3():
 
 def test_ds_ssbar_error_fires_step5b():
     ds = build_doubled_semion(6, 6)
-    err = string_operator(ds, "ssbar", [(1, 1), (2, 1), (3, 1)]).op
+    err = string_operator(ds, "ssbar", [(1, 1), (2, 1), (3, 1)])
     corr = decode_doubled_semion(ds, engine.syndrome(ds, err))
     assert "5b" in corr.trace and "4" in corr.trace
     assert decode_outcome(ds, err, corr).success
@@ -299,7 +299,7 @@ def _chain_error(model, w, stype, rng):
     ends = rng.sample(cells, w)
     err = identity(2, model.n_sites)
     for a, b in zip(ends[::2], ends[1::2]):
-        err = pauli_mul(err, toric_string_operator(model, _torus_path(geo, a, b), stype))
+        err = pauli_mul(err, string_operator(model, stype, _torus_path(geo, a, b)))
     return err
 
 
@@ -440,6 +440,27 @@ def test_decode_toric_pinned_fold(modulus):
         assert not engine.syndrome(tc, pauli_mul(err, corr.op))
         got.append(to_text(corr.op))
     assert got == PINNED_FOLD[modulus]
+
+
+_toric = functools.cache(build_toric_code)
+
+
+# the Z_N fold relies on these end charges of a unit string: +1 at its first
+# node and -1 at its last for e, -1 and +1 for m
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(modulus=st.integers(2, 6), rows=st.integers(2, 6), cols=st.integers(2, 6),
+       a=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       b=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_unit_string_end_charges(modulus, rows, cols, a, b):
+    tc = _toric(rows, cols, modulus)
+    a, b = (a[0] % cols, a[1] % rows), (b[0] % cols, b[1] % rows)
+    if a == b:
+        return
+    path = _torus_path(tc.geometry, a, b)
+    for stype, letter, k0 in (("e", "A", 1), ("m", "B", -1)):
+        syn = engine.syndrome(tc, string_operator(tc, stype, path))
+        assert syn.exponents == {f"{letter}({a[0]},{a[1]})": k0 % modulus,
+                                 f"{letter}({b[0]},{b[1]})": -k0 % modulus}
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from quditlab.defects import (apply_bombin_twist, apply_dislocation,
 from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, toric_string_operator)
+                              evaluate_constraint, string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site
 
 
@@ -324,15 +324,15 @@ def test_twist_transport_swaps_and_restores_kinds():
     m2, _ = apply_kitaev_twist(m1, 0, 5, contractible=False)
     geo = m2.geometry
     n = m2.n_sites
-    e_leg = toric_string_operator(m2, [(3, 0), (3, 1), (3, 2)], "e")
-    m_mid = toric_string_operator(m2, [(3, 2), (3, 3), (3, 4)], "m")
+    e_leg = string_operator(m2, "e", [(3, 0), (3, 1), (3, 2)])
+    m_mid = string_operator(m2, "m", [(3, 2), (3, 3), (3, 4)])
     once = pauli_mul(e_leg, m_mid)
     syn1 = engine.syndrome(m2, once)
     assert sorted(syn1.kinds[g] for g in syn1.exponents) == ["plaquette", "vertex"]
 
-    m_cross = toric_string_operator(m2, [(3, 4), (3, 5)], "m")
+    m_cross = string_operator(m2, "m", [(3, 4), (3, 5)])
     dress = single_site(2, n, geo.edge_index("h", 3, 5), z=1)
-    e_up = toric_string_operator(m2, [(4, 5), (4, 6), (4, 7)], "e")
+    e_up = string_operator(m2, "e", [(4, 5), (4, 6), (4, 7)])
     twice = pauli_mul(pauli_mul(pauli_mul(once, m_cross), dress), e_up)
     syn2 = engine.syndrome(m2, twice)
     assert sorted(syn2.kinds[g] for g in syn2.exponents) == ["vertex", "vertex"]

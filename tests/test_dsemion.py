@@ -6,11 +6,10 @@ from quditlab import engine
 from quditlab.decoders import classify_residual
 from quditlab.defects import apply_z4_patch_in_ds
 from quditlab.dsemion import (build_doubled_semion,
-                              extract_topological_spin, logical_operators,
-                              string_operator)
+                              extract_topological_spin, logical_operators)
 from quditlab.errors import PathError, UnsupportedModelError
 from quditlab.lattice import (StabilizerModel, build_toric_code, evaluate_constraint,
-                              toric_string_operator)
+                              string_operator)
 from quditlab.pauli import commutation_exponent, pauli_mul
 
 
@@ -56,16 +55,16 @@ def test_closed_contractible_s_loop_is_stabilizer():
     square = [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2), (1, 1)]
     for anyon in ("s", "sbar"):
         loop = string_operator(ds, anyon, square)
-        assert not engine.syndrome(ds, loop.op)
-        assert engine.is_member(ds, loop.op)
+        assert not engine.syndrome(ds, loop)
+        assert engine.is_member(ds, loop)
 
 
 def test_half_s_half_sbar_loop_gives_two_vertex_excitations():
     ds = build_doubled_semion(8, 8)
     out = [(2, 2), (3, 2), (4, 2)]
     back = [(4, 2), (4, 3), (4, 4), (3, 4), (2, 4), (2, 3), (2, 2)]
-    word = pauli_mul(string_operator(ds, "s", out).op,
-                     string_operator(ds, "sbar", back).op)
+    word = pauli_mul(string_operator(ds, "s", out),
+                     string_operator(ds, "sbar", back))
     syn = engine.syndrome(ds, word)
     assert len(syn.violated_vertices) == 2
     assert not syn.violated_plaquettes and not syn.violated_edges
@@ -74,7 +73,7 @@ def test_half_s_half_sbar_loop_gives_two_vertex_excitations():
 
 def test_open_s_string_creates_vertex_and_plaquette_excitations():
     ds = build_doubled_semion(8, 8)
-    word = string_operator(ds, "s", [(1, 4), (2, 4), (3, 4), (4, 4)]).op
+    word = string_operator(ds, "s", [(1, 4), (2, 4), (3, 4), (4, 4)])
     syn = engine.syndrome(ds, word)
     assert syn.violated_plaquettes and syn.violated_vertices
     assert not syn.violated_edges
@@ -86,7 +85,7 @@ def test_open_s_string_creates_vertex_and_plaquette_excitations():
 
 def test_open_ssbar_string_endpoint_vertices_only():
     ds = build_doubled_semion(6, 6)
-    word = string_operator(ds, "ssbar", [(1, 1), (2, 1), (3, 1)]).op
+    word = string_operator(ds, "ssbar", [(1, 1), (2, 1), (3, 1)])
     syn = engine.syndrome(ds, word)
     assert sorted(syn.exponents) == ["A(1,1)", "A(3,1)"]
     assert all(v == 2 for v in syn.exponents.values())
@@ -143,9 +142,9 @@ def test_confinement_of_bare_x_string():
     for L in range(1, 9):
         path = [(1 + k, 4) for k in range(L + 1)]
         ds_energies.append(
-            engine.excitation_energy(ds, toric_string_operator(ds, path, "m")))
+            engine.excitation_energy(ds, string_operator(ds, "m", path)))
         tc_energies.append(
-            engine.excitation_energy(tc, toric_string_operator(tc, path, "m")))
+            engine.excitation_energy(tc, string_operator(tc, "m", path)))
     assert tc_energies == [2] * 8  # excitations travel for free
     for a, b in zip(ds_energies, ds_energies[1:]):
         assert b >= a + 1  # at least unit slope

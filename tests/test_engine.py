@@ -16,7 +16,7 @@ from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              syndrome, excitation_energy, assert_sign_consistent)
 from quditlab.errors import InvalidModelError
 from quditlab.lattice import (DefectSpec, Generator, StabilizerModel, build_toric_code,
-                              toric_string_operator)
+                              string_operator)
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
                             pauli_mul, pauli_pow, single_site)
 from pauli_reference import from_dense
@@ -101,7 +101,7 @@ def test_is_member():
     assert prod.is_identity(up_to_phase=True)
     assert is_member(m, prod)
     # a non-contractible string commutes with everything but is not a member
-    loop = toric_string_operator(m, [(0, y) for y in range(3)] + [(0, 0)], "e")
+    loop = string_operator(m, "e", [(0, y) for y in range(3)] + [(0, 0)])
     assert not engine.syndrome(m, loop)
     assert not is_member(m, loop)
     # a detectable error is not a member either
@@ -141,7 +141,7 @@ def test_excitation_energy_string_independence():
     for L in (1, 2, 3, 4):
         # X string along a dual path keeps exactly two endpoint excitations
         path = [(1 + k, 2) for k in range(L + 1)]
-        err = toric_string_operator(m, path, "m")
+        err = string_operator(m, "m", path)
         assert excitation_energy(m, err) == 2
 
 

@@ -1,13 +1,18 @@
 """Lattice geometry, toric/Bombin builders, the Hadamard translation, strings."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import string_reference as ref
 from quditlab import engine
 from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import GeometryError, PathError, UnsupportedModelError
 from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev,
                               build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, toric_string_operator)
+                              evaluate_constraint, string_operator)
 from quditlab.pauli import commutation_exponent, pauli_prod, single_site, to_text
 
 
@@ -133,16 +138,16 @@ def test_string_operator_endpoints():
     m = build_toric_code(4, 4, 2)
     geo = m.geometry
     # single-edge X string: exactly two plaquette violations
-    err = toric_string_operator(m, [(1, 1), (2, 1)], "m")
+    err = string_operator(m, "m", [(1, 1), (2, 1)])
     syn = engine.syndrome(m, err)
     assert len(syn.violated_plaquettes) == 2 and not syn.violated_vertices
     # extending the string moves the violation to the new endpoints only
-    longer = toric_string_operator(m, [(1, 1), (2, 1), (3, 1)], "m")
+    longer = string_operator(m, "m", [(1, 1), (2, 1), (3, 1)])
     syn2 = engine.syndrome(m, longer)
     assert len(syn2.violated_plaquettes) == 2
     assert set(syn.violated_plaquettes) & set(syn2.violated_plaquettes) == {"B(1,1)"}
     # e strings violate the two endpoint vertices
-    err = toric_string_operator(m, [(0, 0), (0, 1), (0, 2)], "e")
+    err = string_operator(m, "e", [(0, 0), (0, 1), (0, 2)])
     syn3 = engine.syndrome(m, err)
     assert sorted(syn3.violated_vertices) == ["A(0,0)", "A(0,2)"]
 
@@ -152,7 +157,7 @@ def test_closed_contractible_loop_is_stabilizer():
         m = build_toric_code(4, 4, N)
         square = [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)]
         for stype in ("e", "m"):
-            loop = toric_string_operator(m, square, stype)
+            loop = string_operator(m, stype, square)
             assert not engine.syndrome(m, loop)
             assert engine.is_member(m, loop)
 
@@ -168,8 +173,45 @@ def test_noncontractible_loops_are_logical():
 def test_string_path_errors():
     m = build_toric_code(4, 4, 2)
     with pytest.raises(PathError):
-        toric_string_operator(m, [(0, 0), (2, 2)], "e")
+        string_operator(m, "e", [(0, 0), (2, 2)])
     with pytest.raises(PathError):
-        toric_string_operator(m, [(0, 0)], "m")
-    with pytest.raises(PathError):
-        toric_string_operator(m, [(0, 0), (1, 0)], "q")
+        string_operator(m, "m", [(0, 0)])
+    with pytest.raises(UnsupportedModelError):
+        string_operator(m, "q", [(0, 0), (1, 0)])
+    # the semion strings are Z_4 words: refused on any other modulus
+    for modulus in (2, 3, 5):
+        for anyon in ("s", "sbar", "ssbar"):
+            with pytest.raises(UnsupportedModelError):
+                string_operator(build_toric_code(4, 4, modulus), anyon, [(0, 0), (1, 0)])
+
+
+@functools.cache
+def _string_model(family, rows, cols):
+    if family == "ds":
+        return build_doubled_semion(rows, cols)
+    return build_toric_code(rows, cols, family)
+
+
+STRING_CASES = ([(n, t) for n in range(2, 7) for t in ("e", "m")]
+                + [("ds", t) for t in ("1", "s", "sbar", "ssbar")])
+MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+# random walks backtrack and cross themselves; unwrapped ones leave the
+# lattice's coordinate range, wrapped ones step across its seam
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(STRING_CASES), rows=st.integers(2, 7), cols=st.integers(2, 7),
+       start=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       moves=st.lists(st.sampled_from(MOVES), min_size=1, max_size=24),
+       wrap=st.booleans())
+def test_string_operator_matches_reference(case, rows, cols, start, moves, wrap):
+    family, anyon = case
+    model = _string_model(family, rows, cols)
+    path = [start]
+    for dx, dy in moves:
+        x, y = path[-1][0] + dx, path[-1][1] + dy
+        path.append((x % cols, y % rows) if wrap else (x, y))
+    got = string_operator(model, anyon, path)
+    want = (ref.string_operator(model, anyon, path).op if family == "ds"
+            else ref.toric_string_operator(model, path, anyon))
+    assert (got.terms, got.phase_exp) == (want.terms, want.phase_exp)
