@@ -6,18 +6,20 @@ from scratch via the engine's sparse gcd elimination; nothing is trusted
 from the construction arithmetic.
 
 Every surgery ends in ``_surgery``, which claims the defect region, rewrites
-the generators and reports the dimension before and after.
+the generators and reports the dimension before and after.  ``_carry``
+rewrites the parent's certificates, so they stay exact on chained surgeries.
 
 Frozen operator content (pinned by commutation closure, stated orders,
 the dimension results in tests/test_defects.py and the golden build
-reports).  Stars, plaquettes and fish come from ``lattice.star_op``,
-``lattice.plaquette_op`` and ``lattice.fish_op``; the boson hops from
-``dsemion.hop_op``:
+reports).  Stars, plaquettes, fish, hops and vertex cells come from
+``lattice.star_op``, ``plaquette_op``, ``fish_op``, ``hop_op`` and
+``cell_op``:
 
-* Kitaev-lattice twist line: per site v the star and its north-east
-  plaquette merge into a fish; consecutive sites are linked by 2-edge
-  "short" hops  Z on h(v) * X^-1 on v(v+x1)  which condense the diagonal
-  charge-flux composite along the line.
+* Fish merge (Kitaev twist lines, dislocations, Ising insertions): per site
+  v the star and its north-east plaquette merge into a fish; along a twist
+  line consecutive sites are linked by 2-edge "short" hops
+  Z on h(v) * X^-1 on v(v+x1)  which condense the diagonal charge-flux
+  composite.
 * Bombin twist line between vertex rows y0, y0+1: cells under the cut are
   sheared into parallelograms  X(a,y0) Z(a+1,y0) Z(a+1,y0+1) X(a+2,y0+1);
   the two ends close with mirror-image pentagons carrying Y at the
@@ -33,14 +35,15 @@ reports).  Stars, plaquettes and fish come from ``lattice.star_op``,
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import engine
-from .dsemion import hop_op
 from .errors import DefectError, GeometryError, UnsupportedModelError
-from .lattice import (DefectSpec, Generator, LatticeGeometry, StabilizerModel,
-                      fish_op, plaquette_op, star_op)
-from .pauli import PauliOp, from_terms, pauli_mul
+from .lattice import (DefectSpec, Generator, StabilizerModel, cell_op, fish_op, hop_op,
+                      plaquette_op, star_op)
+from .pauli import pauli_mul
 
 __all__ = [
     "DefectReport",
@@ -60,12 +63,9 @@ class DefectReport:
     added: tuple  # Generator instances
     dim_before: int
     dim_after: int
-    constraints_after: tuple
 
     def summary(self) -> str:
-        kinds = {}
-        for g in self.added:
-            kinds[g.kind] = kinds.get(g.kind, 0) + 1
+        kinds = Counter(g.kind for g in self.added)
         added = " ".join(f"{k}:{v}" for k, v in sorted(kinds.items()))
         return (f"removed {len(self.removed)} added {len(self.added)} ({added}) "
                 f"dimension {self.dim_before} -> {self.dim_after}")
@@ -73,26 +73,71 @@ class DefectReport:
 
 def _surgery(model: StabilizerModel, kind: str, region, removed, added, constraints):
     """Claim ``region`` for a new ``kind`` defect, swap ``removed`` for
-    ``added`` and report the logical dimension before and after."""
+    ``added``, replace the constraints and report the logical dimension
+    before and after."""
     taken = {cell for spec in model.defects for cell in spec.region}
     overlap = taken & set(region)
     if overlap:
         raise DefectError(f"defect region overlaps an existing defect at {sorted(overlap)}")
-    new = model.with_surgery(removed, added, constraints, DefectSpec(kind, tuple(region)))
-    report = DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
-                          engine.logical_dimension(new), tuple(constraints))
-    return new, report
+    gone = set(removed)
+    missing = gone - {g.gid for g in model.generators}
+    if missing:
+        raise DefectError(f"cannot remove unknown generators {sorted(missing)}")
+    gens = tuple(g for g in model.generators if g.gid not in gone) + tuple(added)
+    new = replace(model, generators=gens, constraints=tuple(constraints),
+                  defects=model.defects + (DefectSpec(kind, tuple(region)),))
+    return new, DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
+                             engine.logical_dimension(new))
+
+
+def _carry(model: StabilizerModel, certificates, sites, rule):
+    """``certificates`` with the exponents a of A(x,y) and b of B(x,y) at
+    each of ``sites`` replaced by the {gid: exponent} map ``rule(x, y, a, b)``;
+    exponents are reduced mod the modulus and zeros dropped."""
+    out = []
+    for cert in certificates:
+        cert = dict(cert)
+        for x, y in sites:
+            cert.update(rule(x, y, cert.pop(f"A({x},{y})", 0), cert.pop(f"B({x},{y})", 0)))
+        out.append({g: e % model.modulus for g, e in cert.items() if e % model.modulus})
+    return out
+
+
+def _fish_merge(model: StabilizerModel, kind: str, sites, hops):
+    """Merge the star A and north-east plaquette B at each of ``sites`` into
+    a fish F = A*B and link each of ``hops`` to its east neighbour by a short
+    string; the parent's certificates sum into one, whose star and plaquette
+    exponents agree at every site, so A^a B^a becomes F^a."""
+    geo, N = model.geometry, model.modulus
+    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
+    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, N, x, y), N) for x, y in sites]
+    added += [Generator(f"S({x},{y})", "short-string", hop_op(geo, N, "h", x, y), N)
+              for x, y in hops]
+    total = Counter()
+    for cert in model.constraints:
+        total.update(cert)
+    merged = _carry(model, [total], sites, lambda x, y, a, b: {f"F({x},{y})": a})
+    return _surgery(model, kind, [("site",) + v for v in sites], removed, added, merged)
 
 
 # ----------------------------------------------------------------------
-# Kitaev-lattice (edge placement) twist lines
+# Kitaev-lattice (edge placement) twist lines and Ising insertions
 # ----------------------------------------------------------------------
 
-def _short_op(geo: LatticeGeometry, modulus: int, x: int, y: int) -> PauliOp:
-    return from_terms(modulus, geo.n_sites, [
-        (geo.edge_index("h", x, y), 0, 1),
-        (geo.edge_index("v", x + 1, y), -1, 0),
-    ])
+def _twist_line(model: StabilizerModel, kind: str, x0: int, y0: int, length: int,
+                contractible: bool):
+    """Fish-merge ``length`` sites east from (x0, y0), or the whole row y0
+    for a non-contractible line, linking consecutive sites by short hops."""
+    if model.family != "toric" or model.geometry.placement != "edges":
+        raise UnsupportedModelError("kitaev twist needs an edge-placement toric code")
+    geo = model.geometry
+    if not contractible:
+        sites = [(x, y0 % geo.rows) for x in range(geo.cols)]
+        return _fish_merge(model, kind, sites, sites)
+    if length < 2 or length >= geo.cols:
+        raise DefectError("contractible twist line needs 2 <= length < cols")
+    sites = [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)]
+    return _fish_merge(model, kind, sites, sites[:-1])
 
 
 def apply_kitaev_twist(model: StabilizerModel, x0: int = 0, y0: int = 0,
@@ -102,26 +147,7 @@ def apply_kitaev_twist(model: StabilizerModel, x0: int = 0, y0: int = 0,
     Contractible lines keep the logical dimension at N^2; a non-contractible
     line (a full row of merged sites) reduces it to N.
     """
-    if model.family != "toric" or model.geometry.placement != "edges":
-        raise UnsupportedModelError("kitaev twist needs an edge-placement toric code")
-    geo = model.geometry
-    N = model.modulus
-    if contractible:
-        if length < 2 or length >= geo.cols:
-            raise DefectError("contractible twist line needs 2 <= length < cols")
-        sites = [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)]
-    else:
-        sites = [(x, y0 % geo.rows) for x in range(geo.cols)]
-    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, N, x, y), N)
-             for x, y in sites]
-    hops = sites if not contractible else sites[:-1]
-    added += [Generator(f"S({x},{y})", "short-string", _short_op(geo, N, x, y), N)
-              for x, y in hops]
-    merged = ({g: 1 for g in model.gids("vertex") + model.gids("plaquette") if g not in removed}
-              | {f"F({x},{y})": 1 for x, y in sites})
-    return _surgery(model, "kitaev-twist", [("site",) + v for v in sites],
-                    removed, added, (merged,))
+    return _twist_line(model, "kitaev-twist", x0, y0, length, contractible)
 
 
 def apply_dislocation(model: StabilizerModel, variant: str, x0: int = 0, y0: int = 0):
@@ -134,14 +160,9 @@ def apply_dislocation(model: StabilizerModel, variant: str, x0: int = 0, y0: int
     """
     if model.modulus != 2:
         raise UnsupportedModelError("dislocations are defined on the Z_2 toric code")
-    if variant == "i":
-        model2, report = apply_kitaev_twist(model, x0, y0, length=3, contractible=True)
-    elif variant == "ii":
-        model2, report = apply_kitaev_twist(model, x0, y0, contractible=False)
-    else:
+    if variant not in ("i", "ii"):
         raise DefectError(f"unknown dislocation variant {variant!r}")
-    spec = replace(model2.defects[-1], kind=f"krishna-dislocation-{variant}")
-    return replace(model2, defects=model2.defects[:-1] + (spec,)), report
+    return _twist_line(model, f"krishna-dislocation-{variant}", x0, y0, 3, variant == "i")
 
 
 def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
@@ -159,64 +180,36 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
     if sites is None:
         if 2 * k > geo.cols * (geo.rows // 2):
             raise DefectError("lattice too small for k separated twists")
-        sites = []
-        for j in range(k):
-            sites.append(((2 * j) % geo.cols, 2 * ((2 * j) // geo.cols)))
+        sites = [((2 * j) % geo.cols, 2 * ((2 * j) // geo.cols)) for j in range(k)]
+    if len(sites) != k:
+        raise DefectError(f"k={k} twists need {k} sites, got {len(sites)}")
     sites = [geo.wrap(x, y) for x, y in sites]
     if len(set(sites)) != k:
         raise DefectError("twist sites must be distinct")
-    for (x1, y1) in sites:
-        for (x2, y2) in sites:
-            if (x1, y1) < (x2, y2):
-                dx = min((x1 - x2) % geo.cols, (x2 - x1) % geo.cols)
-                dy = min((y1 - y2) % geo.rows, (y2 - y1) % geo.rows)
-                if max(dx, dy) < 2:
-                    raise DefectError("twist sites must be pairwise separated")
+    for (x1, y1), (x2, y2) in itertools.combinations(sites, 2):
+        dx = min((x1 - x2) % geo.cols, (x2 - x1) % geo.cols)
+        dy = min((y1 - y2) % geo.rows, (y2 - y1) % geo.rows)
+        if max(dx, dy) < 2:
+            raise DefectError("twist sites must be pairwise separated")
     if k == 0:
-        return model, DefectReport((), (), engine.logical_dimension(model),
-                                   engine.logical_dimension(model), model.constraints)
-    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, 2, x, y), 2)
-             for x, y in sites]
-    merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
-              | {g.gid: 1 for g in added})
-    return _surgery(model, "ising-twists", [("site",) + v for v in sites],
-                    removed, added, (merged,))
+        dim = engine.logical_dimension(model)
+        return model, DefectReport((), (), dim, dim)
+    return _fish_merge(model, "ising-twists", sites, ())
 
 
 # ----------------------------------------------------------------------
 # Bombin-lattice (vertex placement) twist lines
 # ----------------------------------------------------------------------
 
-def _vterm(geo, x, y, pauli):
-    x_exp = 1 if pauli in "XY" else 0
-    z_exp = 1 if pauli in "ZY" else 0
-    return geo.vertex_index(x, y), x_exp, z_exp
+# corners ((dx, dy), pauli) of the sheared cells, taken from their anchor
+_PARALLELOGRAM = (((0, 0), "X"), ((1, 0), "Z"), ((1, 1), "Z"), ((2, 1), "X"))
+_PENTAGON_L = (((-1, 0), "X"), ((0, 0), "Z"), ((-1, 1), "Z"), ((0, 1), "Y"), ((1, 1), "X"))
+_PENTAGON_R = (((-1, 0), "X"), ((0, 0), "Y"), ((1, 0), "Z"), ((0, 1), "Z"), ((1, 1), "X"))
 
 
-def _cell_gen_ops(geo: LatticeGeometry, assignment, phase: int = 0) -> PauliOp:
-    terms = [_vterm(geo, x, y, p) for (x, y), p in assignment]
-    return from_terms(2, geo.n_sites, terms, phase=phase)
-
-
-def _parallelogram(geo, a, y0):
-    y1 = y0 + 1
-    return _cell_gen_ops(geo, [((a, y0), "X"), ((a + 1, y0), "Z"),
-                               ((a + 1, y1), "Z"), ((a + 2, y1), "X")])
-
-
-def _pentagon_left(geo, x0, y0):
-    y1 = y0 + 1
-    return _cell_gen_ops(geo, [((x0 - 1, y0), "X"), ((x0, y0), "Z"),
-                               ((x0 - 1, y1), "Z"), ((x0, y1), "Y"),
-                               ((x0 + 1, y1), "X")], phase=1)
-
-
-def _pentagon_right(geo, c, y0):
-    y1 = y0 + 1
-    return _cell_gen_ops(geo, [((c - 1, y0), "X"), ((c, y0), "Y"),
-                               ((c + 1, y0), "Z"), ((c, y1), "Z"),
-                               ((c + 1, y1), "X")], phase=1)
+def _cell(geo, name, kind, a, y, corners, phase=0):
+    op = cell_op(geo, [((a + dx, y + dy), p) for (dx, dy), p in corners], phase)
+    return Generator(f"{name}({a},{y})", kind, op, 2)
 
 
 def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
@@ -246,13 +239,11 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
         cols = [(x0 - 1 + j) % geo.cols for j in range(width + 3)]
         cells = [(a, y) for a in cols]
         removed = [f"P({a},{y})" for a, _ in cells]
-        added = [Generator(f"PentL({x0},{y})", "pentagon", _pentagon_left(geo, x0, y), 2)]
-        for j in range(width):
-            a = (x0 + j) % geo.cols
-            added.append(Generator(f"Par({a},{y})", "parallelogram",
-                                   _parallelogram(geo, a, y), 2))
-        c = (x0 + width + 1) % geo.cols
-        added.append(Generator(f"PentR({c},{y})", "pentagon", _pentagon_right(geo, c, y), 2))
+        added = [_cell(geo, "PentL", "pentagon", x0, y, _PENTAGON_L, 1)]
+        added += [_cell(geo, "Par", "parallelogram", (x0 + j) % geo.cols, y, _PARALLELOGRAM)
+                  for j in range(width)]
+        added.append(_cell(geo, "PentR", "pentagon", (x0 + width + 1) % geo.cols, y,
+                           _PENTAGON_R, 1))
     else:
         if multiplicity < 1 or 2 * multiplicity > geo.rows:
             raise DefectError("too many parallel twist lines for this lattice")
@@ -261,8 +252,7 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             for a in range(geo.cols):
                 cells.append((a, y))
                 removed.append(f"P({a},{y})")
-                added.append(Generator(f"Par({a},{y})", "parallelogram",
-                                       _parallelogram(geo, a, y), 2))
+                added.append(_cell(geo, "Par", "parallelogram", a, y, _PARALLELOGRAM))
     merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
               | {g.gid: 1 for g in added})
     return _surgery(model, "bombin-twist", [("cell",) + c for c in cells],
@@ -282,7 +272,9 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
     """Condense the order-two boson on a patch of the Z_4 toric code.
 
     The contractible 2x2-site patch takes the logical dimension from 16 to
-    8; a non-contractible ring of sites takes it to 4.
+    8; a non-contractible ring of sites takes it to 4.  A certificate with
+    b - a odd at some patch site is doubled first, so that
+    A^a B^b = Fds^a Bds^((b - a) / 2) holds at every site.
     """
     if model.family != "toric" or model.modulus != 4:
         raise UnsupportedModelError("the patch needs a Z_4 toric code")
@@ -298,24 +290,29 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
         sites = [(a, y) for a in range(geo.cols)]
         hops = [("h", a, y) for a in range(geo.cols)]
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
-    fish = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
-            for a, b in sites]
-    bds = [Generator(f"Bds({a},{b})", "defect-plaquette",
-                     plaquette_op(geo, N, a, b, power=2), 2) for a, b in sites]
-    added = fish + bds + [Generator(f"Cds({o},{a},{b})", "defect-short",
-                                    hop_op(geo, o, a, b), 2) for o, a, b in hops]
-    cert_b = ({g: 2 for g in model.gids("plaquette") if g not in removed}
-              | {g.gid: 1 for g in bds})
-    cert_af = ({g: 2 for g in model.gids("vertex") if g not in removed}
-               | {g.gid: 2 for g in fish} | {g.gid: 1 for g in bds})
-    return _surgery(model, "ds-patch", [("site",) + v for v in sites],
-                    removed, added, (cert_b, cert_af))
+    added = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
+             for a, b in sites]
+    added += [Generator(f"Bds({a},{b})", "defect-plaquette",
+                        plaquette_op(geo, N, a, b, power=2), 2) for a, b in sites]
+    added += [Generator(f"Cds({o},{a},{b})", "defect-short",
+                        hop_op(geo, N, o, a, b, power=2), 2) for o, a, b in hops]
+
+    def odd(cert):
+        return any((cert.get(f"B({a},{b})", 0) - cert.get(f"A({a},{b})", 0)) % 2
+                   for a, b in sites)
+
+    certs = [{g: 2 * e for g, e in c.items()} if odd(c) else c for c in model.constraints]
+    certs = _carry(model, certs, sites, lambda u, v, a, b: {
+        f"Fds({u},{v})": a, f"Bds({u},{v})": (b - a) // 2 % 2})
+    return _surgery(model, "ds-patch", [("site",) + v for v in sites], removed, added, certs)
 
 
 def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
     """Restore bare Z_4 toric-code stabilizers on a 2x2 patch of the DS model.
 
     Inverse surgery of the DS patch; the logical dimension drops from 4 to 2.
+    The DS vertex term is TCA*TCB and its plaquette term TCB^2, so a
+    certificate's A^a B^b becomes TCA^a TCB^(a + 2b).
     """
     if model.family != "doubled-semion":
         raise UnsupportedModelError("z4 patch needs a doubled-semion model")
@@ -323,24 +320,18 @@ def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
     if geo.cols < 4 or geo.rows < 4:
         raise GeometryError("z4 patch needs at least a 4x4 lattice")
     sites = _patch_sites(geo, x, y)
-    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
-    site_set = set(sites)
-    for a in range(geo.cols):
-        for b in range(geo.rows):
-            if geo.wrap(a, b) in site_set or geo.wrap(a + 1, b) in site_set:
-                removed.append(f"C(h,{a},{b})")
-            if geo.wrap(a, b) in site_set or geo.wrap(a, b + 1) in site_set:
-                removed.append(f"C(v,{a},{b})")
+    # the four hops at a site: C(h) at (a,b) and (a-1,b), C(v) at (a,b) and (a,b-1)
+    hops = dict.fromkeys(f"C({o},{u},{v})" for a, b in sites for o, (u, v) in (
+        ("h", (a, b)), ("h", geo.wrap(a - 1, b)), ("v", (a, b)), ("v", geo.wrap(a, b - 1))))
+    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites] + list(hops)
     added = []
     for a, b in sites:
         added.append(Generator(f"TCA({a},{b})", "vertex", star_op(geo, 4, a, b), 4))
         added.append(Generator(f"TCB({a},{b})", "plaquette", plaquette_op(geo, 4, a, b), 4))
-    cert1 = ({g: 1 for g in model.gids("vertex") if g not in removed}
-             | {g.gid: 1 for g in added})
-    cert2 = ({g: 1 for g in model.gids("plaquette") if g not in removed}
-             | {f"TCB({a},{b})": 2 for a, b in sites})
+    certs = _carry(model, model.constraints, sites, lambda u, v, a, b: {
+        f"TCA({u},{v})": a, f"TCB({u},{v})": a + 2 * b})
     return _surgery(model, "z4-patch-in-ds", [("site",) + v for v in sites],
-                    removed, added, (cert1, cert2))
+                    removed, added, certs)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ mutual commutation, C_e order 2, spin values i/-i/1, logical dimension 4):
 * plaquette term B_p = (toric plaquette)^2, order 2
   (``lattice.plaquette_op`` with power 2);
 * edge terms  C_e, order 2, one per edge: the boson hopping operators
-  (``hop_op``, also used by the doubled-semion patch in ``defects``)
+  (``lattice.hop_op`` with power 2, also used by the doubled-semion patch
+  in ``defects``)
 
       C_h(x,y) = Z^2 on h(x,y)  *  X^2 on v(x+1,y)
       C_v(x,y) = Z^2 on v(x,y)  *  X^2 on h(x,y+1)
@@ -23,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import GeometryError, PathError
-from .lattice import (Generator, LatticeGeometry, StabilizerModel, fish_op, plaquette_op,
-                      string_operator)
-from .pauli import PauliOp, from_terms, pauli_adjoint, pauli_mul
+from .lattice import (Generator, LatticeGeometry, StabilizerModel, fish_op, hop_op,
+                      plaquette_op, string_operator)
+from .pauli import PauliOp, pauli_adjoint, pauli_mul
 
 __all__ = [
     "StringOperator",
-    "hop_op",
     "build_doubled_semion",
     "extract_topological_spin",
     "logical_operators",
@@ -46,15 +46,6 @@ class StringOperator:
     op: PauliOp
 
 
-def hop_op(geo: LatticeGeometry, orient: str, x: int, y: int) -> PauliOp:
-    """The boson hop C_h(x,y) (orient "h") or C_v(x,y) (orient "v")."""
-    if orient == "h":
-        terms = [(geo.edge_index("h", x, y), 0, 2), (geo.edge_index("v", x + 1, y), 2, 0)]
-    else:
-        terms = [(geo.edge_index("v", x, y), 0, 2), (geo.edge_index("h", x, y + 1), 2, 0)]
-    return from_terms(4, geo.n_sites, terms)
-
-
 def ds_generators(geo: LatticeGeometry):
     """The four doubled-semion generator families on an edge-placement torus."""
     gens = []
@@ -63,8 +54,8 @@ def ds_generators(geo: LatticeGeometry):
             gens.append(Generator(f"A({x},{y})", "vertex", fish_op(geo, 4, x, y), 4))
             gens.append(Generator(f"B({x},{y})", "plaquette",
                                   plaquette_op(geo, 4, x, y, power=2), 2))
-            gens.append(Generator(f"C(h,{x},{y})", "edge", hop_op(geo, "h", x, y), 2))
-            gens.append(Generator(f"C(v,{x},{y})", "edge", hop_op(geo, "v", x, y), 2))
+            gens += [Generator(f"C({o},{x},{y})", "edge", hop_op(geo, 4, o, x, y, power=2), 2)
+                     for o in "hv"]
     return gens
 
 

@@ -10,12 +10,13 @@ Conventions (fixed here, validated only by commutation and order tests):
   and X^-1 on outgoing edges (h(x,y), v(x,y)); plaquette operator B(x,y) is
   Z along the counterclockwise boundary of the square whose south-west
   corner is (x,y).  Every A commutes with every B for any modulus.
-  ``star_op``, ``plaquette_op`` and the 6-edge ``fish_op`` = A(x,y)*B(x,y)
-  are the only builders of these terms; the doubled-semion model and every
-  defect surgery reuse them.
+  ``star_op``, ``plaquette_op``, the 6-edge ``fish_op`` = A(x,y)*B(x,y) and
+  the 2-edge ``hop_op`` are the only builders of these terms; the
+  doubled-semion model and every defect surgery reuse them.
 * Vertex placement: qubits sit on vertices; the cell with south-west corner
   (x,y) carries X on its SW/NE corners and Z on its SE/NW corners, one such
   generator per cell, two-colored dark/light by (x+y) mod 2 with (0,0) dark.
+  ``cell_op`` builds it and the Bombin twist's parallelograms and pentagons.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import engine
-from .errors import DefectError, GeometryError, PathError, UnsupportedModelError
+from .errors import GeometryError, PathError, UnsupportedModelError
 from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "star_op",
     "plaquette_op",
     "fish_op",
+    "hop_op",
+    "cell_op",
     "toric_generators",
     "build_toric_code",
     "build_bilayer_toric",
@@ -105,15 +108,6 @@ class LatticeGeometry:
         x, y = self.wrap(x, y)
         return y * self.cols + x
 
-    def cell_terms(self, x: int, y: int):
-        """(site, x-exp, z-exp) triples for the XZXZ cell at SW corner (x, y)."""
-        return [
-            (self.vertex_index(x, y), 1, 0),
-            (self.vertex_index(x + 1, y), 0, 1),
-            (self.vertex_index(x + 1, y + 1), 1, 0),
-            (self.vertex_index(x, y + 1), 0, 1),
-        ]
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -177,17 +171,6 @@ class StabilizerModel:
     def gids(self, kind_prefix: str = ""):
         return [g.gid for g in self.generators if g.kind.startswith(kind_prefix)]
 
-    def with_surgery(self, remove_ids, added, constraints, defect):
-        """Rewrite the generator list, replace the constraints and register
-        ``defect``; geometry is never mutated."""
-        removed = set(remove_ids)
-        missing = removed - {g.gid for g in self.generators}
-        if missing:
-            raise DefectError(f"cannot remove unknown generators {sorted(missing)}")
-        gens = tuple(g for g in self.generators if g.gid not in removed) + tuple(added)
-        return replace(self, generators=gens, constraints=tuple(constraints),
-                       defects=self.defects + (defect,))
-
 
 def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
     """Multiply out a trivial-constraint certificate in deterministic gid order.
@@ -216,6 +199,25 @@ def fish_op(geo: LatticeGeometry, modulus: int, x: int, y: int) -> PauliOp:
     """A(x, y) * B(x, y): the star and its north-east plaquette on 6 edges."""
     return from_terms(modulus, geo.n_sites,
                       geo.vertex_star(x, y) + geo.plaquette_boundary(x, y))
+
+
+def hop_op(geo: LatticeGeometry, modulus: int, orient: str, x: int, y: int,
+           power: int = 1) -> PauliOp:
+    """Z on h(x,y) * X^-1 on v(x+1,y) (orient "h") or Z on v(x,y) * X^-1 on
+    h(x,y+1) (orient "v"), raised to ``power``: the twist-line short string,
+    and on Z_4 at power 2 the doubled-semion boson hop C_h / C_v."""
+    far = ("v", x + 1, y) if orient == "h" else ("h", x, y + 1)
+    return from_terms(modulus, geo.n_sites, [(geo.edge_index(orient, x, y), 0, power),
+                                             (geo.edge_index(*far), -power, 0)])
+
+
+_CORNER = {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def cell_op(geo: LatticeGeometry, corners, phase: int = 0) -> PauliOp:
+    """The qubit word with X, Z or Y on each ``((x, y), pauli)`` vertex corner."""
+    return from_terms(2, geo.n_sites, [(geo.vertex_index(x, y), *_CORNER[p])
+                                       for (x, y), p in corners], phase=phase)
 
 
 def toric_generators(geo: LatticeGeometry, modulus: int, layer: int = 0, tag: str = ""):
@@ -280,11 +282,11 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
-    n = geo.n_sites
     gens = []
     for y in range(rows):
         for x in range(cols):
-            op = from_terms(2, n, geo.cell_terms(x, y))
+            op = cell_op(geo, [((x, y), "X"), ((x + 1, y), "Z"),
+                               ((x + 1, y + 1), "X"), ((x, y + 1), "Z")])
             color = "dark" if (x + y) % 2 == 0 else "light"
             gens.append(Generator(f"P({x},{y})", f"cell-{color}", op, 2))
     constraints = (

@@ -241,6 +241,12 @@ CONFIG_ERRORS = [
     ("model toric rows=4 cols=4 modulus=x\n",
      2, "config error: line 2: field 'modulus' must be an integer"),
     ("model toric rows=1 cols=4\n", 3, "model error: toric code needs rows, cols >= 2"),
+    ("model toric rows=64 cols=65\n",
+     2, "config error: line 2: field 'cols' must be an integer at most 64"),
+    ("model doubled-semion rows=100000 cols=4\n",
+     2, "config error: line 2: field 'rows' must be an integer at most 64"),
+    (TORIC + "channel rate=0.01 trials=1000001\n",
+     2, "config error: line 3: field 'trials' must be an integer at most 1000000"),
     ("model toric rows=6 cols=6\ndefect ising-twists k=x\n",
      2, "config error: line 3: field 'k' must be an integer"),
     ("model toric rows=4 cols=4 modulus=4\ndefect ds-patch contractible=maybe\n",

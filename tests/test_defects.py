@@ -1,5 +1,8 @@
 """Defect surgeries: dimensions, counts, certificates, syndrome transport."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from quditlab import engine
@@ -11,7 +14,7 @@ from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
                               evaluate_constraint, string_operator)
-from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site
+from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
 
 
 def _assert_commuting(model):
@@ -21,8 +24,8 @@ def _assert_commuting(model):
             assert commutation_exponent(ops[i], ops[j]) == 0
 
 
-def _assert_certificates(model, report):
-    for cert in report.constraints_after:
+def _assert_certificates(model):
+    for cert in model.constraints:
         assert evaluate_constraint(model, cert).is_identity(up_to_phase=True)
 
 
@@ -45,7 +48,7 @@ def test_dislocation_i():
     assert (rep.dim_before, rep.dim_after) == (4, 4)
     assert len(m.constraints) == 1  # single merged trivial constraint
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_dislocation_ii():
@@ -53,7 +56,7 @@ def test_dislocation_ii():
     m, rep = apply_dislocation(tc, "ii", 0, 2)
     assert len(rep.removed) == len(rep.added) == 12
     assert (rep.dim_before, rep.dim_after) == (4, 2)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_dislocation_needs_z2():
@@ -100,7 +103,7 @@ def test_multiple_ising_twists():
         m, rep = apply_multiple_ising_twists(tc, k)
         dims[k] = rep.dim_after
         if k:
-            _assert_certificates(m, rep)
+            _assert_certificates(m)
     assert dims[0] == 4          # identity transformation
     assert dims[1] == 4          # constraint merge only
     assert dims[2] == 2 * dims[0]  # dimension doubles
@@ -123,7 +126,7 @@ def test_bombin_twist_contractible_minimal():
     assert (rep.dim_before, rep.dim_after) == (4, 4)
     assert len(m.constraints) == 1
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
     # pentagons carry one Y (a site with both X and Z content)
     for g in rep.added:
         ys = sum(1 for x, z in zip(g.op.x_exp, g.op.z_exp) if x and z)
@@ -147,7 +150,7 @@ def test_bombin_twist_noncontractible_parities():
         m, rep = apply_bombin_twist(b, y0=1, contractible=False, multiplicity=mult)
         dims[mult] = rep.dim_after
         _assert_commuting(m)
-        _assert_certificates(m, rep)
+        _assert_certificates(m)
     assert dims[1] == 2   # one non-contractible twist halves the dimension
     assert dims[2] == 4   # two full twists cancel out
     assert dims[3] == 2   # odd counts drop to two again
@@ -180,7 +183,7 @@ def test_ds_patch_contractible():
     # the quartet relation keeps the contractible-patch dimension at 16
     assert (rep.dim_before, rep.dim_after) == (16, 16)
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_ds_patch_ring():
@@ -188,7 +191,7 @@ def test_ds_patch_ring():
     m, rep = apply_ds_patch(tc, y=1, contractible=False)
     assert rep.dim_after == 8  # one condensed-loop homology class absorbed
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_ds_patch_needs_z4():
@@ -219,7 +222,7 @@ def test_z4_patch_in_ds():
     assert len(rep.removed) == 8 + 12  # fish+plaquettes plus incident hops
     assert (rep.dim_before, rep.dim_after) == (4, 4)
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
     with pytest.raises(UnsupportedModelError):
         apply_z4_patch_in_ds(build_toric_code(4, 4, 4))
 
@@ -246,17 +249,17 @@ def test_bilayer_wormhole_i():
     m, rep = couple_bilayer(build_bilayer_toric(4, 4), "i")
     assert len(rep.removed) == 4 and len(rep.added) == 2
     assert (rep.dim_before, rep.dim_after) == (16, 16)
-    assert len(rep.constraints_after) == 2
+    assert len(m.constraints) == 2
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_bilayer_wormhole_ii():
     m, rep = couple_bilayer(build_bilayer_toric(4, 4), "ii")
     assert (rep.dim_before, rep.dim_after) == (16, 32)
-    assert len(rep.constraints_after) == 3
+    assert len(m.constraints) == 3
     _assert_commuting(m)
-    _assert_certificates(m, rep)
+    _assert_certificates(m)
 
 
 def test_bilayer_validation():
@@ -356,3 +359,132 @@ def test_bombin_shear_transport_swaps_colors():
     syn2 = engine.syndrome(m2, word)
     cells2 = sorted(syn2.kinds[g] for g in syn2.exponents)
     assert cells2 == ["cell-light", "cell-light"]  # restored after two crossings
+
+
+def test_ising_site_count_is_checked_before_distinctness():
+    with pytest.raises(DefectError, match=r"^k=3 twists need 3 sites, got 2$"):
+        apply_multiple_ising_twists(build_toric_code(6, 6, 2), 3, sites=[(0, 0), (2, 2)])
+
+
+# ----------------------------------------------------------------------
+# every surgery on a grid, pinned by one digest
+# ----------------------------------------------------------------------
+
+def _surgery_grid():
+    """(parent builder, surgery, kwargs) for every surgery kind on 4x4 to
+    8x8 lattices: anchors inside and past the lattice edge, contractible and
+    ring forms, Z_2, Z_3 and Z_4 where the kind allows."""
+    for L in (4, 6, 8):
+        far = (L - 1, L + 2)  # wraps to (L - 1, 2)
+        for N in (2, 3, 4):
+            tc = (build_toric_code, (L, L, N))
+            for x, y in ((1, 1), far):
+                yield tc, apply_kitaev_twist, dict(x0=x, y0=y, length=min(3, L - 1))
+            yield tc, apply_kitaev_twist, dict(x0=0, y0=L + 1, contractible=False)
+        z2 = (build_toric_code, (L, L, 2))
+        for (x, y), variant in itertools.product(((1, 1), far), ("i", "ii")):
+            yield z2, apply_dislocation, dict(variant=variant, x0=x, y0=y)
+        for k in range(4):
+            yield z2, apply_multiple_ising_twists, dict(k=k)
+        yield z2, apply_multiple_ising_twists, dict(k=2, sites=[(L, 1), (L + 2, L + 3)])
+        z4 = (build_toric_code, (L, L, 4))
+        for x, y in ((1, 1), far):
+            yield z4, apply_ds_patch, dict(x=x, y=y)
+            yield (build_doubled_semion, (L, L)), apply_z4_patch_in_ds, dict(x=x, y=y)
+        yield z4, apply_ds_patch, dict(y=L + 1, contractible=False)
+        bomb = (build_bombin_lattice, (L, L))
+        for width in range(2, L - 3):
+            for x, y in ((1, 1), far):
+                yield bomb, apply_bombin_twist, dict(x0=x, y0=y, width=width)
+        for mult in range(1, L // 2 + 1):
+            yield bomb, apply_bombin_twist, dict(y0=L - 1, contractible=False,
+                                                 multiplicity=mult)
+        for variant in ("i", "ii"):
+            for mouths in (((0, 0), (2, 2)), ((L - 1, 0), (L + 1, L + 3))):
+                yield (build_bilayer_toric, (L, L)), couple_bilayer, dict(
+                    wormhole=variant, mouths=mouths)
+
+
+# one SHA-256 over each grid surgery's new generators (id, kind, order,
+# word), report summary, removed ids, defect specs and certificates; the
+# certificates of a model are hashed as a sorted set of sorted items
+SURGERY_DIGEST_SHA256 = "40fb5086714db90d873e92baaa53b598c5fc493247d8eac2eb4fe1e1294f2941"
+
+
+def test_surgery_digest():
+    digest = hashlib.sha256()
+    parents = {}
+    for (build, args), surgery, kwargs in _surgery_grid():
+        parent = parents.setdefault((build, args), build(*args))
+        m, rep = surgery(parent, **kwargs)
+        digest.update(f"{build.__name__}{args} {surgery.__name__} {sorted(kwargs.items())}\n"
+                      f"{rep.summary()}\n{sorted(rep.removed)}\n{m.defects}\n".encode())
+        for g in m.generators:
+            digest.update(f"{g.gid} {g.kind} {g.order} {to_text(g.op)}\n".encode())
+        for cert in sorted(sorted(c.items()) for c in m.constraints):
+            digest.update(f"{cert}\n".encode())
+    assert digest.hexdigest() == SURGERY_DIGEST_SHA256
+
+
+# ----------------------------------------------------------------------
+# certificates of chained surgeries
+# ----------------------------------------------------------------------
+
+# parent -> {name: surgery of (model, slot)}; slot 0 and slot 1 anchor the
+# two surgeries of a chain on disjoint regions
+CHAINABLE = {
+    "toric-z2": (lambda: build_toric_code(6, 6, 2), {
+        "kitaev-twist": lambda m, s: apply_kitaev_twist(m, 1, 1 + 3 * s, 3),
+        "kitaev-ring": lambda m, s: apply_kitaev_twist(m, 0, 1 + 3 * s, contractible=False),
+        "dislocation-i": lambda m, s: apply_dislocation(m, "i", 1, 1 + 3 * s),
+        "dislocation-ii": lambda m, s: apply_dislocation(m, "ii", 0, 1 + 3 * s),
+        "ising-twists": lambda m, s: apply_multiple_ising_twists(
+            m, 2, [(0, 3 * s), (3, 3 * s)]),
+    }),
+    "toric-z3": (lambda: build_toric_code(6, 6, 3), {
+        "kitaev-twist": lambda m, s: apply_kitaev_twist(m, 1, 1 + 3 * s, 3),
+        "kitaev-ring": lambda m, s: apply_kitaev_twist(m, 0, 1 + 3 * s, contractible=False),
+    }),
+    "toric-z4": (lambda: build_toric_code(6, 6, 4), {
+        "kitaev-twist": lambda m, s: apply_kitaev_twist(m, 1, 1 + 3 * s, 3),
+        "kitaev-ring": lambda m, s: apply_kitaev_twist(m, 0, 1 + 3 * s, contractible=False),
+        "ds-patch": lambda m, s: apply_ds_patch(m, 1 + 3 * s, 1 + 3 * s),
+        "ds-ring": lambda m, s: apply_ds_patch(m, y=1 + 3 * s, contractible=False),
+    }),
+    "doubled-semion": (lambda: build_doubled_semion(8, 8), {
+        "z4-patch-in-ds": lambda m, s: apply_z4_patch_in_ds(m, 1 + 4 * s, 1 + 4 * s),
+    }),
+    "bombin": (lambda: build_bombin_lattice(8, 8), {
+        "bombin-twist": lambda m, s: apply_bombin_twist(m, 2, 1 + 4 * s),
+        "bombin-ring": lambda m, s: apply_bombin_twist(m, y0=1 + 4 * s, contractible=False),
+    }),
+}
+
+# trivial constraints of each single surgery
+SINGLE_COUNTS = {"kitaev-twist": 1, "kitaev-ring": 1, "dislocation-i": 1, "dislocation-ii": 1,
+                 "ising-twists": 1, "ds-patch": 2, "ds-ring": 2, "z4-patch-in-ds": 2,
+                 "bombin-twist": 1, "bombin-ring": 1}
+
+
+def test_single_surgery_certificate_counts():
+    for build, surgeries in CHAINABLE.values():
+        for name, surgery in surgeries.items():
+            m, _ = surgery(build(), 0)
+            assert len(m.constraints) == SINGLE_COUNTS[name], name
+            _assert_certificates(m)
+    for variant, count in (("i", 2), ("ii", 3)):
+        m, _ = couple_bilayer(build_bilayer_toric(6, 6), variant)
+        assert len(m.constraints) == count
+        _assert_certificates(m)
+
+
+@pytest.mark.parametrize("family, first, second", [
+    (family, a, b) for family, (_, surgeries) in CHAINABLE.items()
+    for a, b in itertools.product(surgeries, repeat=2)])
+def test_chained_surgery_certificates_are_identities(family, first, second):
+    build, surgeries = CHAINABLE[family]
+    m, _ = surgeries[first](build(), 0)
+    m, _ = surgeries[second](m, 1)
+    assert len(m.defects) == 2
+    for cert in m.constraints:
+        assert evaluate_constraint(m, cert).is_identity(up_to_phase=True), cert

@@ -15,8 +15,7 @@ from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              is_member, logical_dimension, subgroup_order,
                              syndrome, excitation_energy, assert_sign_consistent)
 from quditlab.errors import InvalidModelError
-from quditlab.lattice import (DefectSpec, Generator, StabilizerModel, build_toric_code,
-                              string_operator)
+from quditlab.lattice import Generator, StabilizerModel, build_toric_code, string_operator
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
                             pauli_mul, pauli_pow, single_site)
 from pauli_reference import from_dense
@@ -366,7 +365,7 @@ def test_replaced_model_computes_its_own_echelon():
     assert same.echelon is not m.echelon and same.echelon.index == m.echelon.index
     a0, a1 = (m.generator(gid) for gid in m.gids("vertex")[:2])
     rest = tuple(g for g in m.generators if g not in (a0, a1))
-    for cut in (m.with_surgery([a0.gid, a1.gid], (), (), DefectSpec("cut")),
+    for cut in (defects._surgery(m, "cut", (), [a0.gid, a1.gid], (), ())[0],
                 dataclasses.replace(m, generators=rest)):
         assert cut.echelon is not m.echelon
         assert logical_dimension(cut) == 8
