@@ -462,10 +462,16 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
             or len(doubles) % 2):
         raise fail
     trace0 = (("1",) if trail else ()) + tuple(dict.fromkeys(r for r, _, _ in plans)) + rule3
+    # the step-5b closer depends only on the A excitations left, which
+    # repeat across the candidates
+    fixers = {}
     cands = []
     for step2, closer in product(steps2, closers):
         partial = pauli_mul(step2, closer)
-        fixer, rule5 = _close_vertices(ds, _combine(ds, exps0, partial))
+        left = frozenset(g for g in _combine(ds, exps0, partial) if g.startswith("A("))
+        if left not in fixers:
+            fixers[left] = _close_vertices(ds, left)
+        fixer, rule5 = fixers[left]
         cands.append((pauli_mul(partial, fixer), trace0 + rule5))
     corr, trace = min(cands, key=lambda ct: _rank(ct[0], ds.logicals))
     if _combine(ds, exps0, corr):

@@ -16,21 +16,23 @@ reports).  Stars, plaquettes, fish, hops and vertex cells come from
 ``cell_op``:
 
 * Fish merge (Kitaev twist lines, dislocations, Ising insertions): per site
-  v the star and its north-east plaquette merge into a fish; along a twist
-  line consecutive sites are linked by 2-edge "short" hops
-  Z on h(v) * X^-1 on v(v+x1)  which condense the diagonal charge-flux
+  v the star and its north-east plaquette merge into a fish; every hop with
+  both end sites merged (``_inside_hops``) becomes a 2-edge "short" string
+  Z on h(v) * X^-1 on v(v+x1), which condenses the diagonal charge-flux
   composite.
 * Bombin twist line between vertex rows y0, y0+1: cells under the cut are
   sheared into parallelograms  X(a,y0) Z(a+1,y0) Z(a+1,y0+1) X(a+2,y0+1);
   the two ends close with mirror-image pentagons carrying Y at the
   trivalent vertex.
-* Doubled-semion patch: the four stars and their NE plaquettes in a 2x2
-  block are replaced by fish, squared plaquettes (``power=2``), and the
-  four boson hops around the block.  The product of those four hops is
-  identically A(center)^2 * B(SW)^2, so the surgery carries three
-  independent order-2 relations and the logical dimension is unchanged
-  for a contractible patch (16), halves for a non-contractible ring (8),
-  and is restored to 4 by the inverse surgery inside the doubled semion.
+* Doubled-semion patch on a region of sites: each star and its NE
+  plaquette are replaced by a fish and a squared plaquette (``power=2``),
+  and every boson hop with both end sites in the region joins them.  On
+  the 2x2 disk the product of the four hops is identically
+  A(center)^2 * B(SW)^2, so the logical dimension stays 16; a ring of
+  sites takes it to 8, and on the whole torus the patch terms are the
+  doubled-semion model's own words (dimension 4).  The inverse surgery
+  restores bare Z_4 stars and plaquettes on a region of the doubled
+  semion and drops every hop with an end site in it.
 """
 
 from __future__ import annotations
@@ -103,16 +105,26 @@ def _carry(model: StabilizerModel, certificates, sites, rule):
     return out
 
 
-def _fish_merge(model: StabilizerModel, kind: str, sites, hops):
+def _inside_hops(geo, sites):
+    """The hops (o, x, y) whose two end sites both lie in ``sites``: every
+    h hop, from (x, y) to (x+1, y), then every v hop, from (x, y) to
+    (x, y+1), each in the order of ``sites``."""
+    inside = set(sites)
+    return [(o, x, y) for o, dx, dy in (("h", 1, 0), ("v", 0, 1))
+            for x, y in sites if geo.wrap(x + dx, y + dy) in inside]
+
+
+def _fish_merge(model: StabilizerModel, kind: str, sites):
     """Merge the star A and north-east plaquette B at each of ``sites`` into
-    a fish F = A*B and link each of ``hops`` to its east neighbour by a short
-    string; the parent's certificates sum into one, whose star and plaquette
+    a fish F = A*B and link merged east neighbours by a short string; the
+    sites lie along one row or are pairwise apart, so every inside hop is an
+    h hop.  The parent's certificates sum into one, whose star and plaquette
     exponents agree at every site, so A^a B^a becomes F^a."""
     geo, N = model.geometry, model.modulus
     removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
     added = [Generator(f"F({x},{y})", "fish", fish_op(geo, N, x, y), N) for x, y in sites]
-    added += [Generator(f"S({x},{y})", "short-string", hop_op(geo, N, "h", x, y), N)
-              for x, y in hops]
+    added += [Generator(f"S({x},{y})", "short-string", hop_op(geo, N, o, x, y), N)
+              for o, x, y in _inside_hops(geo, sites)]
     total = Counter()
     for cert in model.constraints:
         total.update(cert)
@@ -127,17 +139,16 @@ def _fish_merge(model: StabilizerModel, kind: str, sites, hops):
 def _twist_line(model: StabilizerModel, kind: str, x0: int, y0: int, length: int,
                 contractible: bool):
     """Fish-merge ``length`` sites east from (x0, y0), or the whole row y0
-    for a non-contractible line, linking consecutive sites by short hops."""
+    for a non-contractible line."""
     if model.family != "toric" or model.geometry.placement != "edges":
         raise UnsupportedModelError("kitaev twist needs an edge-placement toric code")
     geo = model.geometry
     if not contractible:
-        sites = [(x, y0 % geo.rows) for x in range(geo.cols)]
-        return _fish_merge(model, kind, sites, sites)
+        return _fish_merge(model, kind, [(x, y0 % geo.rows) for x in range(geo.cols)])
     if length < 2 or length >= geo.cols:
         raise DefectError("contractible twist line needs 2 <= length < cols")
     sites = [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)]
-    return _fish_merge(model, kind, sites, sites[:-1])
+    return _fish_merge(model, kind, sites)
 
 
 def apply_kitaev_twist(model: StabilizerModel, x0: int = 0, y0: int = 0,
@@ -194,7 +205,7 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
     if k == 0:
         dim = engine.logical_dimension(model)
         return model, DefectReport((), (), dim, dim)
-    return _fish_merge(model, "ising-twists", sites, ())
+    return _fish_merge(model, "ising-twists", sites)
 
 
 # ----------------------------------------------------------------------
@@ -267,35 +278,21 @@ def _patch_sites(geo, x, y):
     return [geo.wrap(x, y), geo.wrap(x + 1, y), geo.wrap(x, y + 1), geo.wrap(x + 1, y + 1)]
 
 
-def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
-                   contractible: bool = True):
-    """Condense the order-two boson on a patch of the Z_4 toric code.
+def _ds_patch(model: StabilizerModel, sites):
+    """Condense the order-two boson on ``sites`` of a Z_4 toric code.
 
-    The contractible 2x2-site patch takes the logical dimension from 16 to
-    8; a non-contractible ring of sites takes it to 4.  A certificate with
-    b - a odd at some patch site is doubled first, so that
+    A certificate with b - a odd at some site is doubled first, so that
     A^a B^b = Fds^a Bds^((b - a) / 2) holds at every site.
     """
-    if model.family != "toric" or model.modulus != 4:
-        raise UnsupportedModelError("the patch needs a Z_4 toric code")
-    geo = model.geometry
-    x, y = geo.wrap(x, y)
-    N = 4
-    if contractible:
-        if geo.cols < 4 or geo.rows < 4:
-            raise GeometryError("contractible patch needs at least a 4x4 lattice")
-        sites = _patch_sites(geo, x, y)
-        hops = [("h", x, y), ("h", *geo.wrap(x, y + 1)), ("v", x, y), ("v", *geo.wrap(x + 1, y))]
-    else:
-        sites = [(a, y) for a in range(geo.cols)]
-        hops = [("h", a, y) for a in range(geo.cols)]
+    geo, N = model.geometry, 4
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
     added = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
              for a, b in sites]
     added += [Generator(f"Bds({a},{b})", "defect-plaquette",
                         plaquette_op(geo, N, a, b, power=2), 2) for a, b in sites]
     added += [Generator(f"Cds({o},{a},{b})", "defect-short",
-                        hop_op(geo, N, o, a, b, power=2), 2) for o, a, b in hops]
+                        hop_op(geo, N, o, a, b, power=2), 2)
+              for o, a, b in _inside_hops(geo, sites)]
 
     def odd(cert):
         return any((cert.get(f"B({a},{b})", 0) - cert.get(f"A({a},{b})", 0)) % 2
@@ -307,19 +304,34 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
     return _surgery(model, "ds-patch", [("site",) + v for v in sites], removed, added, certs)
 
 
-def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
-    """Restore bare Z_4 toric-code stabilizers on a 2x2 patch of the DS model.
+def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
+                   contractible: bool = True):
+    """Condense the order-two boson on a patch of the Z_4 toric code.
 
-    Inverse surgery of the DS patch; the logical dimension drops from 4 to 2.
+    The contractible patch is the 2x2 disk of sites from (x, y); the logical
+    dimension stays 16.  The non-contractible patch is the ring of sites in
+    row y; it takes the dimension to 8.  The published values differ (see
+    the README paragraph on the red acceptance criterion).
+    """
+    if model.family != "toric" or model.modulus != 4:
+        raise UnsupportedModelError("the patch needs a Z_4 toric code")
+    geo = model.geometry
+    x, y = geo.wrap(x, y)
+    if not contractible:
+        return _ds_patch(model, [(a, y) for a in range(geo.cols)])
+    if geo.cols < 4 or geo.rows < 4:
+        raise GeometryError("contractible patch needs at least a 4x4 lattice")
+    return _ds_patch(model, _patch_sites(geo, x, y))
+
+
+def _z4_patch(model: StabilizerModel, sites):
+    """Restore bare Z_4 toric-code stabilizers on ``sites`` of a
+    doubled-semion model, dropping the four hops at each site.
+
     The DS vertex term is TCA*TCB and its plaquette term TCB^2, so a
     certificate's A^a B^b becomes TCA^a TCB^(a + 2b).
     """
-    if model.family != "doubled-semion":
-        raise UnsupportedModelError("z4 patch needs a doubled-semion model")
     geo = model.geometry
-    if geo.cols < 4 or geo.rows < 4:
-        raise GeometryError("z4 patch needs at least a 4x4 lattice")
-    sites = _patch_sites(geo, x, y)
     # the four hops at a site: C(h) at (a,b) and (a-1,b), C(v) at (a,b) and (a,b-1)
     hops = dict.fromkeys(f"C({o},{u},{v})" for a, b in sites for o, (u, v) in (
         ("h", (a, b)), ("h", geo.wrap(a - 1, b)), ("v", (a, b)), ("v", geo.wrap(a, b - 1))))
@@ -332,6 +344,22 @@ def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
         f"TCA({u},{v})": a, f"TCB({u},{v})": a + 2 * b})
     return _surgery(model, "z4-patch-in-ds", [("site",) + v for v in sites],
                     removed, added, certs)
+
+
+def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
+    """Restore bare Z_4 toric-code stabilizers on the 2x2 disk of sites
+    from (x, y) in the DS model.
+
+    Inverse surgery of the DS patch; the logical dimension stays 4.  The
+    published value differs (see the README paragraph on the red acceptance
+    criterion).
+    """
+    if model.family != "doubled-semion":
+        raise UnsupportedModelError("z4 patch needs a doubled-semion model")
+    geo = model.geometry
+    if geo.cols < 4 or geo.rows < 4:
+        raise GeometryError("z4 patch needs at least a 4x4 lattice")
+    return _z4_patch(model, _patch_sites(geo, x, y))
 
 
 # ----------------------------------------------------------------------

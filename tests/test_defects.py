@@ -2,15 +2,16 @@
 
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
 from quditlab import engine
-from quditlab.defects import (apply_bombin_twist, apply_dislocation,
+from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_dislocation,
                               apply_ds_patch, apply_kitaev_twist,
                               apply_multiple_ising_twists,
                               apply_z4_patch_in_ds, couple_bilayer)
-from quditlab.dsemion import build_doubled_semion
+from quditlab.dsemion import build_doubled_semion, ds_generators
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
                               evaluate_constraint, string_operator)
@@ -239,6 +240,56 @@ def test_z4_patch_confined_vs_free_strings():
     e3 = from_terms(4, n, [(geo.edge_index("h", x, 1), 0, 1) for x in (1, 2, 3)])
     e4 = from_terms(4, n, [(geo.edge_index("h", x, 1), 0, 1) for x in (1, 2, 3, 4)])
     assert engine.excitation_energy(ds, e4) > engine.excitation_energy(ds, e3)
+
+
+# ----------------------------------------------------------------------
+# condensation surgeries on any region of sites
+# ----------------------------------------------------------------------
+
+L6 = [(x, y) for y in range(6) for x in range(6)]
+DISK2 = [(x, y) for y in (1, 2) for x in (1, 2)]
+
+# region on 6x6 -> (dimension after the DS patch in the Z_4 toric code,
+# after the Z_4 patch in the doubled semion); None where not tabulated
+REGION_DIMENSIONS = {
+    "2x2 disk": (DISK2, 16, 4),
+    "3x3 disk": ([(x, y) for y in (1, 2, 3) for x in (1, 2, 3)], 16, 4),
+    "one-row ring": ([(x, 1) for x in range(6)], 8, 8),
+    "two-row ring": ([(x, y) for y in (1, 2) for x in range(6)], 8, 8),
+    "rings at y = 1 and y = 4": ([(x, y) for y in (1, 4) for x in range(6)], 16, 16),
+    "one row plus one column": ([(x, y) for x, y in L6 if x == 1 or y == 1], 4, None),
+    "torus minus a 2x2 disk": ([v for v in L6 if v not in DISK2], 4, 16),
+    "whole torus": (L6, 4, 16),
+    "single site": ([(1, 1)], None, 4),
+}
+
+
+@pytest.mark.parametrize("region", REGION_DIMENSIONS)
+def test_patch_dimension_on_regions(region):
+    """Logical dimensions of both condensation surgeries on a 6x6 region.
+
+    Read categorically (Lan-Wang-Wen, arXiv:1408.6514), with W the
+    tunnelling matrix of the gapped wall between the two phases:
+    16 = the Z_4 toric anyons, where the doubled semion (DS) fills at most a disk;
+    4 = the DS anyons, where the Z_4 phase is at most a disk;
+    8 = Tr(W W^T), where one pair of parallel walls cuts the torus;
+    16 = Tr((W W^T)^2), where two pairs do.
+    """
+    sites, ds_dim, z4_dim = REGION_DIMENSIONS[region]
+    for parent, core, before, after in ((build_toric_code(6, 6, 4), _ds_patch, 16, ds_dim),
+                                        (build_doubled_semion(6, 6), _z4_patch, 4, z4_dim)):
+        if after is not None:
+            m, rep = core(parent, sites)
+            assert (rep.dim_before, rep.dim_after) == (before, after), core.__name__
+            _assert_certificates(m)
+
+
+def test_ds_patch_on_the_whole_torus_is_the_doubled_semion():
+    # the same words as the doubled-semion builder, whose ids and order differ
+    m, rep = _ds_patch(build_toric_code(6, 6, 4), L6)
+    assert len(m.generators) == len(rep.added) == 144
+    words = Counter(to_text(g.op) for g in m.generators)
+    assert words == Counter(to_text(g.op) for g in ds_generators(m.geometry))
 
 
 # ----------------------------------------------------------------------
