@@ -332,7 +332,7 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
                          f"failures={res.failures} failure-rate={res.failure_rate:.6f} "
                          f"ci95={lo:.6f},{hi:.6f}")
             counts = " ".join(f"{k}={v}" for k, v in sorted(res.class_counts.items()))
-            lines.append(f"mc-classes {counts}")
+            lines.append(f"mc-classes {counts}".rstrip())
         elif name == "spin":
             if m.family != "doubled-semion":
                 raise ConfigError("output spin needs the doubled-semion model")

@@ -350,16 +350,23 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
 # doubled-semion five-step decoder
 # ----------------------------------------------------------------------
 
+def _add(ds, exps, *more):
+    """The sum of syndrome exponent maps, mod each generator's order, zeros
+    dropped: syndromes add, so this is the syndrome of the words' product."""
+    out = dict(exps)
+    for syn_exponents in more:
+        for gid, e in syn_exponents.items():
+            v = (out.get(gid, 0) + e) % ds.generator(gid).order
+            if v:
+                out[gid] = v
+            else:
+                out.pop(gid, None)
+    return out
+
+
 def _combine(ds, syn_exponents, corr):
     """Exponents of error * corr given the error's syndrome exponents."""
-    out = dict(syn_exponents)
-    for gid, e in engine.syndrome(ds, corr).exponents.items():
-        v = (out.get(gid, 0) + e) % ds.generator(gid).order
-        if v:
-            out[gid] = v
-        else:
-            out.pop(gid, None)
-    return out
+    return _add(ds, syn_exponents, engine.syndrome(ds, corr).exponents)
 
 
 def _trail_edges(ds, exps):
@@ -452,11 +459,15 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
             (site, s, 0) if rule == "2a" else (site, 0, s)
             for (rule, site, _), s in zip(plans, reversed(powers))]))
     fail = InconsistentSyndromeError("no rule assignment clears the syndrome")
-    exps = _combine(ds, exps0, steps2[0])
+    # a candidate's syndrome is the sum of its step-2 word's and its closer's,
+    # each taken once
+    syns2 = [engine.syndrome(ds, w).exponents for w in steps2]
+    exps = _add(ds, exps0, syns2[0])
     if any(g.startswith("C(") for g in exps):
         raise fail
     closers, rule3 = _close_plaquettes(ds, exps)
-    exps3 = _combine(ds, exps, closers[0])
+    syns3 = [engine.syndrome(ds, w).exponents for w in closers]
+    exps3 = _add(ds, exps, syns3[0])
     doubles = [e for g, e in exps3.items() if g.startswith("A(")]
     if (any(g.startswith("B(") for g in exps3) or any(e != 2 for e in doubles)
             or len(doubles) % 2):
@@ -466,9 +477,9 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     # repeat across the candidates
     fixers = {}
     cands = []
-    for step2, closer in product(steps2, closers):
+    for (step2, syn2), (closer, syn3) in product(zip(steps2, syns2), zip(closers, syns3)):
         partial = pauli_mul(step2, closer)
-        left = frozenset(g for g in _combine(ds, exps0, partial) if g.startswith("A("))
+        left = frozenset(g for g in _add(ds, exps0, syn2, syn3) if g.startswith("A("))
         if left not in fixers:
             fixers[left] = _close_vertices(ds, left)
         fixer, rule5 = fixers[left]
@@ -581,6 +592,22 @@ def brute_force_decode(model, syn, max_weight: int = 2) -> Correction:
 # Monte Carlo harness
 # ----------------------------------------------------------------------
 
+def _error_label(model, decoder, names, hits):
+    """The class label of one trial's error, given by its hits (see
+    ``monte_carlo_trial``): decode its syndrome, then name the residual."""
+    N, n = model.modulus, model.n_sites
+    # X^x then Z^z on one site is the normal form, so no phase arises
+    err = from_terms(N, n, [(i >> 1, 0, e) if i & 1 else (i >> 1, e, 0) for i, e in hits])
+    try:
+        corr = decoder(model, engine.syndrome(model, err))
+    except InconsistentSyndromeError:
+        return "gave-up"
+    residual = pauli_mul(err, corr.op)
+    if engine.syndrome(model, residual):
+        return "syndrome"
+    return names.get(_class_tuple(residual, model.logicals), "unknown")
+
+
 def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
                       seed: int) -> MonteCarloResult:
     """i.i.d. per-site X/Z error injection, decode, classify the residual.
@@ -589,53 +616,38 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
     2n draws in site order, X before Z: draw i is a uniform for site i // 2
     (X when i is even, Z when odd) and, on a hit, the exponent in [1, N)
     drawn before the next uniform, the call sequence of a per-site loop.
-    An error-free trial costs one empty comprehension and never decodes.
+    An error-free trial costs one empty comprehension and one integer
+    increment, and never decodes.
 
-    Decoders are pure functions of the syndrome, so each distinct syndrome
-    is decoded once per call: a dict local to the call maps its exponents to
-    the correction.  The residual, its syndrome and its class still follow
-    every trial's error.  A decoder that gives up
-    (``InconsistentSyndromeError``) fails the trial under the class
-    ``gave-up``; the memo keeps the give-up too.
+    A trial's hits, the (draw, exponent) pairs, are its error, and decoders
+    are pure functions of the syndrome, so each distinct error is labelled
+    once per call: a dict local to the call maps the hits to the class
+    label.  The error word, its syndrome, the decode, the residual and its
+    class run once per distinct error, not once per noisy trial.  A decoder
+    that gives up (``InconsistentSyndromeError``) fails the trial under the
+    class ``gave-up``, which the memo keeps like any other label.
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError("error_rate must lie in [0, 1]")
     rng = random.Random(seed)
     rand, randrange = rng.random, rng.randrange
-    n = model.n_sites
     N = model.modulus
-    draws = range(2 * n)
-    failures = 0
+    draws = range(2 * model.n_sites)
+    clean = 0
     class_counts = {}
     names = _class_names(model, model.logicals)
-    corrections = {}  # syndrome exponents -> Correction, None if it gave up
+    labels = {}  # a trial's hits -> its class label
     for _ in range(trials):
         hits = [(i, randrange(1, N)) for i in draws if rand() < error_rate]
         if not hits:
-            class_counts["1"] = class_counts.get("1", 0) + 1
+            clean += 1
             continue
-        # X^x then Z^z on one site is the normal form, so no phase arises
-        err = from_terms(N, n, [(i >> 1, 0, e) if i & 1 else (i >> 1, e, 0)
-                                for i, e in hits])
-        syn = engine.syndrome(model, err)
-        key = tuple(syn.exponents.items())
-        if key in corrections:
-            corr = corrections[key]
-        else:
-            try:
-                corr = decoder(model, syn)
-            except InconsistentSyndromeError:
-                corr = None
-            corrections[key] = corr
-        if corr is None:
-            label = "gave-up"
-        else:
-            residual = pauli_mul(err, corr.op)
-            if engine.syndrome(model, residual):
-                label = "syndrome"
-            else:
-                label = names.get(_class_tuple(residual, model.logicals), "unknown")
+        key = tuple(hits)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = _error_label(model, decoder, names, hits)
         class_counts[label] = class_counts.get(label, 0) + 1
-        if label != "1":
-            failures += 1
+    failures = trials - clean - class_counts.get("1", 0)
+    if clean:
+        class_counts["1"] = class_counts.get("1", 0) + clean
     return MonteCarloResult(error_rate, trials, failures, seed, class_counts)

@@ -13,11 +13,13 @@ holds such rows, and dense matrices enter through ``from_dense``.  One
 elimination, ``echelon``, returns the index together with its per-column
 pivots.  Each model caches its echelon once (``StabilizerModel.echelon``):
 ``logical_dimension`` reads the index from it and ``is_member`` reduces the
-word's row against the stored pivots, with no second elimination.  Each
-model also carries a site -> generator incidence index
-(``StabilizerModel.incidence``): the commutation check visits the generator
-pairs that share a site, and a syndrome or a membership pre-check visits
-the generators incident to the word's support, O(weight x degree).
+word's row against the stored pivots, with no second elimination; the
+dimension itself is cached per model too
+(``StabilizerModel.logical_dimension``).  Each model also carries a site ->
+generator incidence index (``StabilizerModel.incidence``): the commutation
+check visits the generator pairs that share a site, and a syndrome or a
+membership pre-check visits the generators incident to the word's support,
+O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction and a brute-force check asserts so on
@@ -250,7 +252,18 @@ def _noncommuting(model, op: PauliOp) -> dict:
 
 
 def logical_dimension(model) -> int:
-    """N^sites / |stabilizer group|; requires pairwise-commuting generators."""
+    """N^sites / |stabilizer group|; requires pairwise-commuting generators.
+
+    Read from the model's cache (``StabilizerModel.logical_dimension``), so
+    each model runs the commutation check and reads its index once; a model
+    whose generators do not commute raises ``InvalidModelError`` on every
+    call.
+    """
+    return model.logical_dimension
+
+
+def _logical_dimension(model) -> int:
+    """The uncached ``logical_dimension``."""
     pair = _first_noncommuting_pair(model)
     if pair:
         i, j = pair

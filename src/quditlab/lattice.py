@@ -165,6 +165,13 @@ class StabilizerModel:
                                                self.modulus, self.n_sites)
         return engine.echelon(gens.rows, gens.modulus, gens.columns)
 
+    @cached_property
+    def logical_dimension(self) -> int:
+        """``engine.logical_dimension``, computed once per model on first
+        use; a model whose generators do not commute raises
+        ``InvalidModelError`` on every access and caches nothing."""
+        return engine._logical_dimension(self)
+
     def generator(self, gid: str) -> Generator:
         return self._by_gid[gid]
 

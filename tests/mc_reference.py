@@ -17,26 +17,33 @@ from quditlab.errors import InconsistentSyndromeError
 from quditlab.pauli import PauliOp, pauli_mul
 
 
+def trial_errors(model, error_rate, trials, seed):
+    """Each trial's error as its (site, x, z) terms, in trial order."""
+    rng = random.Random(seed)
+    N = model.modulus
+    for _ in range(trials):
+        terms = []
+        for site in range(model.n_sites):
+            x = rng.randrange(1, N) if rng.random() < error_rate else 0
+            z = rng.randrange(1, N) if rng.random() < error_rate else 0
+            if x or z:
+                terms.append((site, x, z))
+        yield tuple(terms)
+
+
 def monte_carlo_trial(model, decoder, error_rate, trials, seed):
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError("error_rate must lie in [0, 1]")
-    rng = random.Random(seed)
     n = model.n_sites
     N = model.modulus
     failures = 0
     class_counts = {}
     names = _class_names(model, model.logicals)
-    for _ in range(trials):
-        terms = []
-        for site in range(n):
-            x = rng.randrange(1, N) if rng.random() < error_rate else 0
-            z = rng.randrange(1, N) if rng.random() < error_rate else 0
-            if x or z:
-                terms.append((site, x, z))
+    for terms in trial_errors(model, error_rate, trials, seed):
         if not terms:
             class_counts["1"] = class_counts.get("1", 0) + 1
             continue
-        err = PauliOp(N, n, tuple(terms))
+        err = PauliOp(N, n, terms)
         try:
             corr = decoder(model, engine.syndrome(model, err))
         except InconsistentSyndromeError:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditlab import engine
 from quditlab.cli import (CONDENSE_MAX_N, CONFIG_HEADER, EXIT_CONFIG, EXIT_MODEL, _parser,
                           build_model, main, parse_config, run)
 from quditlab.errors import ConfigError
@@ -437,6 +438,29 @@ def test_mc_on_doubled_semion_counts_decoder_give_ups(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-2].startswith("mc rate=0.01 trials=2000 seed=5 failures=3 ")
     assert out[-1] == "mc-classes 1=1997 X1^1*X2^1=1 Z1^1*Z2^1=2"
+
+
+def test_mc_with_zero_trials_ends_its_lines_cleanly():
+    report = run(_cfg("model toric rows=2 cols=2\nchannel rate=0.1 trials=0\n"
+                      "seed 1\noutput mc\n"))
+    assert report.splitlines()[-1] == "mc-classes"
+    assert not any(line.endswith(" ") for line in report.splitlines())
+
+
+def test_run_checks_commutation_once_per_model(monkeypatch):
+    # the surgery's before and after models, and the dimension line reads
+    # the after model's cached dimension
+    calls = []
+    check = engine._first_noncommuting_pair
+
+    def counted(model):
+        calls.append(model)
+        return check(model)
+
+    monkeypatch.setattr(engine, "_first_noncommuting_pair", counted)
+    report = run(parse_config((CONFIGS / "twist_i.cfg").read_text()))
+    assert "dimension 4" in report
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 # shipped configs whose model is bombin or bilayer or carries a defect

@@ -561,10 +561,18 @@ def test_mc_toric_config_class_counts():
 # the Monte Carlo harness against the plain per-site loop
 # ----------------------------------------------------------------------
 
-# small lattices repeat syndromes within a run, so the memo is exercised; the
-# doubled semion runs on 2x2 because at rate 0.3 a 4x4 trial can take seconds
+def _give_up_on_plaquettes(model, syn):
+    if syn.violated_plaquettes:
+        raise InconsistentSyndromeError("gives up on every plaquette violation")
+    return decode_toric(model, syn)
+
+
+# small lattices repeat errors within a run, so the memo is exercised; the
+# doubled semion runs on 2x2 because at rate 0.3 a 4x4 trial can take seconds;
+# the partial decoder leaves both ``gave-up`` and class labels in the memo
 MC_MODELS = {
     "toric-z2": (lambda: build_toric_code(4, 4, 2), decode_toric),
+    "toric-z2-partial": (lambda: build_toric_code(4, 4, 2), _give_up_on_plaquettes),
     "toric-z3": (lambda: build_toric_code(2, 2, 3), decode_toric),
     "toric-z4": (lambda: build_toric_code(3, 3, 4), decode_toric),
     "doubled-semion": (lambda: build_doubled_semion(2, 2), decode_doubled_semion),
@@ -597,3 +605,37 @@ def test_monte_carlo_counts_give_ups():
     res = monte_carlo_trial(tc, _give_up, 0.02, 40, seed=7)
     assert res == mc_reference.monte_carlo_trial(tc, _give_up, 0.02, 40, seed=7)
     assert res.class_counts["gave-up"] == res.failures > 0
+
+
+def test_monte_carlo_labels_each_distinct_error_once(monkeypatch):
+    # mc_toric at seed 42: the per-site draw loop of the reference gives 587
+    # noisy trials holding 79 distinct errors; the decoder runs once per
+    # distinct error, and so do the error's and the residual's syndromes
+    cfg = parse_config((CONFIGS / "mc_toric.cfg").read_text())
+    tc = build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
+    noisy = [e for e in mc_reference.trial_errors(tc, cfg.rate, cfg.trials, cfg.seed) if e]
+    assert (cfg.seed, len(noisy), len(set(noisy))) == (42, 587, 79)
+    calls = []
+    syndromes = []
+    syndrome = engine.syndrome
+
+    def counted(model, syn):
+        calls.append(syn)
+        return decode_toric(model, syn)
+
+    def counted_syndrome(model, error):
+        syndromes.append(error)
+        return syndrome(model, error)
+
+    monkeypatch.setattr(engine, "syndrome", counted_syndrome)
+    res = monte_carlo_trial(tc, counted, cfg.rate, cfg.trials, cfg.seed)
+    assert len(calls) == 79 and len(syndromes) == 2 * 79
+    assert res.class_counts == {"1": 9998, "Z2^1": 2}
+
+
+def test_monte_carlo_partial_give_up_keeps_both_labels():
+    tc = _mc_model("toric-z2-partial")
+    res = monte_carlo_trial(tc, _give_up_on_plaquettes, 0.02, 200, seed=3)
+    assert res == mc_reference.monte_carlo_trial(tc, _give_up_on_plaquettes, 0.02, 200, seed=3)
+    assert res.class_counts["gave-up"] > 0
+    assert set(res.class_counts) - {"gave-up", "1"}
