@@ -7,6 +7,10 @@ explicit seed and reproduces bit-for-bit.  Soundness (the correction clears
 the syndrome) is checked by the caller-facing helpers and asserted
 exhaustively in the tests; residual logical classes are identified through
 commutation exponents against the model's canonical logical strings.
+
+Each rule is stated once: ``_staircases`` gives every torus path,
+``_pairing_table`` is the one parity check, ``_add`` the one syndrome sum
+and ``_rank`` the one order; step 2 reads its sites off the model.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ class MonteCarloResult:
     def failure_rate(self) -> float:
         return self.failures / self.trials if self.trials else 0.0
 
-    def wilson_interval(self, z: float = 1.96):
+    def wilson_interval(self):
+        """The 95 % Wilson score interval of the failure rate."""
+        z = 1.96
         if not self.trials:
             return (0.0, 0.0)
         n = self.trials
@@ -84,8 +90,9 @@ def _rank(word, logicals):
     return word.weight(), _class_tuple(word, logicals), sort_key(word)
 
 
-def _class_names(model, logicals):
-    """Map class tuple -> shortest product name over the logical generators."""
+def _class_names(model):
+    """Map class tuple -> shortest product name over the model's logicals."""
+    logicals = model.logicals
     n = model.modulus
     combos = [((), identity(model.modulus, model.n_sites))]
     names = {_class_tuple(combos[0][1], logicals): "1"}
@@ -108,7 +115,7 @@ def _class_names(model, logicals):
 def classify_residual(model, residual: PauliOp) -> str:
     """Name the logical class of a syndrome-free residual operator."""
     t = _class_tuple(residual, model.logicals)
-    names = _class_names(model, model.logicals)
+    names = _class_names(model)
     if t not in names:
         raise InconsistentSyndromeError("residual carries syndrome; not a logical class")
     return names[t]
@@ -132,21 +139,30 @@ def _torus_dist(geo, a, b):
     return min(dx, geo.cols - dx) + min(dy, geo.rows - dy)
 
 
+def _staircases(geo, a, b):
+    """The shortest staircase paths from a to b: for each shortest direction
+    of the x leg and of the y leg, forward first, the path that takes the x
+    leg first, then the one that takes the y leg first."""
+    cols, rows = geo.cols, geo.rows
+    dx, dy = (b[0] - a[0]) % cols, (b[1] - a[1]) % rows
+    for sx, nx in ((1, dx), (-1, cols - dx)):
+        for sy, ny in ((1, dy), (-1, rows - dy)):
+            if 2 * nx > cols or 2 * ny > rows:
+                continue
+            xleg, yleg = [(sx, 0)] * nx, [(0, sy)] * ny
+            for steps in (xleg + yleg, yleg + xleg):
+                x, y = a
+                path = [a]
+                for ux, uy in steps:
+                    x, y = (x + ux) % cols, (y + uy) % rows
+                    path.append((x, y))
+                yield path
+
+
 def _torus_path(geo, a, b):
-    """Deterministic staircase path from a to b: x leg first, then y leg."""
-    path = [a]
-    x, y = a
-    dx = (b[0] - x) % geo.cols
-    step = 1 if dx <= geo.cols - dx else -1
-    for _ in range(min(dx, geo.cols - dx)):
-        x = (x + step) % geo.cols
-        path.append((x, y))
-    dy = (b[1] - y) % geo.rows
-    step = 1 if dy <= geo.rows - dy else -1
-    for _ in range(min(dy, geo.rows - dy)):
-        y = (y + step) % geo.rows
-        path.append((x, y))
-    return path
+    """The deterministic staircase path from a to b: the first of
+    ``_staircases``, x leg first, forward on a tie."""
+    return next(_staircases(geo, a, b))
 
 
 def _pairing_table(geo, positions):
@@ -208,36 +224,8 @@ def _min_cost_pairings(geo, positions):
 
 
 def _geodesic_paths(geo, a, b):
-    """Shortest staircase paths a -> b, covering both legs' wrap ties."""
-    def leg_steps(delta, size):
-        fwd = delta % size
-        back = size - fwd if fwd else 0
-        if fwd == 0:
-            return [()]
-        opts = []
-        if fwd <= back:
-            opts.append((1,) * fwd)
-        if back <= fwd:
-            opts.append((-1,) * back)
-        return opts
-
-    paths = set()
-    for xs in leg_steps(b[0] - a[0], geo.cols):
-        for ys in leg_steps(b[1] - a[1], geo.rows):
-            for order in ("xy", "yx"):
-                x, y = a
-                path = [a]
-                seq = ([("x", s) for s in xs] + [("y", s) for s in ys]
-                       if order == "xy" else
-                       [("y", s) for s in ys] + [("x", s) for s in xs])
-                for axis, s in seq:
-                    if axis == "x":
-                        x = (x + s) % geo.cols
-                    else:
-                        y = (y + s) % geo.rows
-                    path.append((x, y))
-                paths.add(tuple(path))
-    return sorted(paths)
+    """Every ``_staircases`` path from a to b, each once, sorted."""
+    return sorted({tuple(path) for path in _staircases(geo, a, b)})
 
 
 def _gid_coords(gid):
@@ -289,12 +277,11 @@ def _family_candidates(model, positions, stype):
             words.setdefault(w.terms, w)
     out = sorted(words.values(), key=sort_key)
     if len(out) > 64:
-        # keep only one representative per logical class to bound the joint search
+        # keep one representative per (weight, logical class), the first two
+        # fields of _rank, to bound the joint search
         reps = {}
         for w in out:
-            key = (w.weight(), _class_tuple(w, model.logicals))
-            if key not in reps:
-                reps[key] = w
+            reps.setdefault(_rank(w, model.logicals)[:2], w)
         out = [reps[k] for k in sorted(reps)]
     return out
 
@@ -309,7 +296,8 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     For larger moduli the charges are folded into a reference location along
     shortest paths (sound, deterministic): a unit string's end charges are
     fixed by ``lattice.STRINGS``, so no merge takes a syndrome.  A violated
-    generator of any other kind raises ``InconsistentSyndromeError``.
+    generator of any other kind, a Z2 family of odd size or Z_N charges that
+    do not cancel raise ``InconsistentSyndromeError``.
     """
     geo = model.geometry
     n = model.modulus
@@ -319,8 +307,6 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     if n == 2:
         vert = [p for p, q in _violations(model, syn, "vertex")]
         plaq = [p for p, q in _violations(model, syn, "plaquette")]
-        if len(vert) % 2 or len(plaq) % 2:
-            raise InconsistentSyndromeError("odd violation parity")
         words = product(_family_candidates(model, vert, "e"),
                         _family_candidates(model, plaq, "m"))
         return Correction(min((pauli_mul(zw, xw) for zw, xw in words),
@@ -364,26 +350,44 @@ def _add(ds, exps, *more):
     return out
 
 
-def _combine(ds, syn_exponents, corr):
-    """Exponents of error * corr given the error's syndrome exponents."""
-    return _add(ds, syn_exponents, engine.syndrome(ds, corr).exponents)
-
-
 def _trail_edges(ds, exps):
-    """Violated C generators as (orient, x, y) of their Z^2 edge, row-major."""
+    """Violated C generators as (orient, x, y, generator) of their Z^2 edge,
+    row-major."""
     edges = []
     for gid in exps:
-        if ds.generator(gid).kind == "edge":
+        g = ds.generator(gid)
+        if g.kind == "edge":
             o, xs, ys = gid[2:-1].split(",")
-            edges.append((o, int(xs), int(ys)))
+            edges.append((o, int(xs), int(ys), g))
     return sorted(edges, key=lambda t: (t[2], t[1], t[0]))
+
+
+def _step2_plans(ds, exps0, trail):
+    """Step 2's (rule, site, first power) per trail edge, read off its C
+    generator, Z^2 on the edge and X^2 on its hop partner: rule 2a undoes
+    X on the edge when a plaquette on the edge is excited, its power
+    suggested by the hint vertex's exponent; rule 2b otherwise undoes Z on
+    the hop partner."""
+    geo = ds.geometry
+    plans = []
+    for o, x, y, g in trail:
+        edge = next(s for s, _, z in g.op.terms if z)
+        partner = next(s for s, xe, _ in g.op.terms if xe)
+        if any(ds.generators[j].kind == "plaquette" and ds.generators[j].gid in exps0
+               for j, _, _ in ds.incidence[edge]):
+            hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
+                        else f"A({(x - 1) % geo.cols},{y})")
+            hint = exps0.get(hint_gid, 1) % 4
+            hint = hint if hint in (1, 3) else 1
+            plans.append(("2a", edge, (-hint) % 4))
+        else:
+            plans.append(("2b", partner, 3))
+    return plans
 
 
 def _close_plaquettes(ds, exps):
     """Step 3: close residual plaquette excitations with semion strings."""
     pos = sorted(_gid_coords(g) for g in exps if g.startswith("B("))
-    if len(pos) % 2:
-        raise InconsistentSyndromeError("odd number of plaquette excitations")
     words = [identity(4, ds.n_sites)]
     for path in _pair_paths(ds.geometry, pos):
         segs = []
@@ -424,32 +428,11 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     A excitations cannot pair.  No candidate is rejected; the correction is
     their minimum in the order of ``_rank``.
     """
-    geo = ds.geometry
     exps0 = dict(syn.exponents)
     trail = _trail_edges(ds, exps0)
     if len(trail) > 12:
         raise InconsistentSyndromeError("edge-excitation trail too long to trace")
-
-    # which interpretation per trail edge: X on the edge itself when a
-    # flanking plaquette is excited, else Z on the hop partner edge
-    def flanking_plaquettes(o, x, y):
-        if o == "h":
-            return [f"B({x},{y})", f"B({x},{(y - 1) % geo.rows})"]
-        return [f"B({x},{y})", f"B({(x - 1) % geo.cols},{y})"]
-
-    plans = []
-    for o, x, y in trail:
-        if any(b in exps0 for b in flanking_plaquettes(o, x, y)):
-            # endpoint vertex exponent suggests the power
-            hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
-                        else f"A({(x - 1) % geo.cols},{y})")
-            hint = exps0.get(hint_gid, 1) % 4
-            hint = hint if hint in (1, 3) else 1
-            plans.append(("2a", geo.edge_index(o, x, y), (-hint) % 4))
-        elif o == "h":
-            plans.append(("2b", geo.edge_index("v", x + 1, y), 3))
-        else:
-            plans.append(("2b", geo.edge_index("h", x, y + 1), 3))
+    plans = _step2_plans(ds, exps0, trail)
 
     # one step-2 word per power assignment, plan 0 varying fastest: each plan
     # tries its first power, then the negated one
@@ -485,7 +468,7 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
         fixer, rule5 = fixers[left]
         cands.append((pauli_mul(partial, fixer), trace0 + rule5))
     corr, trace = min(cands, key=lambda ct: _rank(ct[0], ds.logicals))
-    if _combine(ds, exps0, corr):
+    if _add(ds, exps0, engine.syndrome(ds, corr).exponents):
         raise fail
     return Correction(corr, trace)
 
@@ -635,7 +618,7 @@ def monte_carlo_trial(model, decoder, error_rate: float, trials: int,
     draws = range(2 * model.n_sites)
     clean = 0
     class_counts = {}
-    names = _class_names(model, model.logicals)
+    names = _class_names(model)
     labels = {}  # a trial's hits -> its class label
     for _ in range(trials):
         hits = [(i, randrange(1, N)) for i in draws if rand() < error_rate]

@@ -79,18 +79,19 @@ def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:
     return replace(model, logicals=logicals)
 
 
-def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str, reach: int = 3) -> int:
+def extract_topological_spin(ds: StabilizerModel, plaquette, anyon: str) -> int:
     """Topological spin from the ordered triple product of strings meeting a plaquette.
 
-    Three strings of the same type approach the plaquette from the left,
-    from below, and from the right; exchanging the product order costs
-    exactly theta(a).  Returns k with theta = i^k.
+    Three strings of the same type, each 3 steps long (fewer on a torus
+    with fewer than 4 columns or rows), approach the plaquette from the
+    left, from below, and from the right; exchanging the product order
+    costs exactly theta(a).  Returns k with theta = i^k.
     """
     geo = ds.geometry
     if not (2 < geo.cols and 2 < geo.rows):
         raise GeometryError("spin extraction needs room for three incoming paths")
     px, py = plaquette
-    reach = min(reach, geo.cols - 1, geo.rows - 1)
+    reach = min(3, geo.cols - 1, geo.rows - 1)
     left = [((px - d) % geo.cols, py) for d in range(reach, 0, -1)] + [(px, py)]
     below = [(px, (py - d) % geo.rows) for d in range(reach, 0, -1)] + [(px, py)]
     right = [((px + d) % geo.cols, py) for d in range(reach, 0, -1)] + [(px, py)]

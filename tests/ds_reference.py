@@ -7,13 +7,39 @@ tested in turn: no C left after step 2, no B left after step 3, a step-5b
 fixer that exists (``_close_vertices`` raises otherwise) and that clears the
 rest.  The pairs that pass compete on (weight, logical class, exponents).
 The step-5b helper is kept here as it was, with its own give-up.
+
+The step-2 rules are written out on the lattice, the step-3 closers are
+built here, and every syndrome is that of the error times the whole
+candidate word so far, so none of these is shared with the decoder.
 """
 
-from quditlab.decoders import (Correction, _class_tuple, _close_plaquettes, _combine,
-                               _gid_coords, _pair_paths, _trail_edges)
+from quditlab import engine
+from quditlab.decoders import Correction, _class_tuple, _gid_coords, _pair_paths, _trail_edges
 from quditlab.errors import InconsistentSyndromeError
 from quditlab.lattice import string_operator
-from quditlab.pauli import identity, pauli_mul, pauli_prod, single_site, sort_key
+from quditlab.pauli import (identity, pauli_adjoint, pauli_mul, pauli_prod, single_site,
+                            sort_key)
+
+
+def _syndrome_after(ds, exps0, word):
+    """The syndrome exponents of error * ``word``, given the error's."""
+    out = dict(exps0)
+    for gid, e in engine.syndrome(ds, word).exponents.items():
+        out[gid] = (out.get(gid, 0) + e) % ds.generator(gid).order
+    return {gid: e for gid, e in out.items() if e}
+
+
+def _close_plaquettes(ds, exps):
+    """Step 3: s, s-dagger, sbar or sbar-dagger along each pairing path of
+    the plaquette excitations, every combination."""
+    pos = sorted(_gid_coords(g) for g in exps if g.startswith("B("))
+    words = [identity(4, ds.n_sites)]
+    for path in _pair_paths(ds.geometry, pos):
+        s = string_operator(ds, "s", path)
+        sbar = string_operator(ds, "sbar", path)
+        segs = [s, pauli_adjoint(s), sbar, pauli_adjoint(sbar)]
+        words = [pauli_mul(w, seg) for w in words for seg in segs]
+    return words, ("3",) if pos else ()
 
 
 def _close_vertices(ds, exps):
@@ -47,22 +73,18 @@ def _step2_candidates(plans, k, sites):
             yield pauli_mul(word, rest), (rule,) + rules
 
 
-def decode_doubled_semion(ds, syn):
+def step2_plans(ds, exps0, trail):
+    """(rule, site, first power) per trail edge: X on the edge itself when a
+    flanking plaquette is excited, else Z on the hop partner edge."""
     geo = ds.geometry
-    exps0 = dict(syn.exponents)
-    trail = _trail_edges(ds, exps0)
-    if len(trail) > 12:
-        raise InconsistentSyndromeError("edge-excitation trail too long to trace")
 
-    # which interpretation per trail edge: X on the edge itself when a
-    # flanking plaquette is excited, else Z on the hop partner edge
     def flanking_plaquettes(o, x, y):
         if o == "h":
             return [f"B({x},{y})", f"B({x},{(y - 1) % geo.rows})"]
         return [f"B({x},{y})", f"B({(x - 1) % geo.cols},{y})"]
 
     plans = []
-    for o, x, y in trail:
+    for o, x, y, _ in trail:
         if any(b in exps0 for b in flanking_plaquettes(o, x, y)):
             # endpoint vertex exponent suggests the power
             hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
@@ -74,16 +96,25 @@ def decode_doubled_semion(ds, syn):
             plans.append(("2b", geo.edge_index("v", x + 1, y), 3))
         else:
             plans.append(("2b", geo.edge_index("h", x, y + 1), 3))
+    return plans
+
+
+def decode_doubled_semion(ds, syn):
+    exps0 = dict(syn.exponents)
+    trail = _trail_edges(ds, exps0)
+    if len(trail) > 12:
+        raise InconsistentSyndromeError("edge-excitation trail too long to trace")
+    plans = step2_plans(ds, exps0, trail)
 
     cleared = []
     for step2, rules in _step2_candidates(plans, 0, ds.n_sites):
-        exps = _combine(ds, exps0, step2)
+        exps = _syndrome_after(ds, exps0, step2)
         if any(g.startswith("C(") for g in exps):
             continue
         trace = (("1",) if trail else ()) + tuple(dict.fromkeys(rules))
         closers, rule3 = _close_plaquettes(ds, exps)
         for closer in closers:
-            exps3 = _combine(ds, exps, closer)
+            exps3 = _syndrome_after(ds, exps0, pauli_mul(step2, closer))
             if any(g.startswith("B(") for g in exps3):
                 continue
             t3 = trace + rule3
@@ -93,9 +124,10 @@ def decode_doubled_semion(ds, syn):
                 fixer, rule5 = _close_vertices(ds, exps3)
             except InconsistentSyndromeError:
                 continue
-            if _combine(ds, exps3, fixer):
+            word = pauli_prod(4, ds.n_sites, [step2, closer, fixer])
+            if _syndrome_after(ds, exps0, word):
                 continue
-            cleared.append((pauli_prod(4, ds.n_sites, [step2, closer, fixer]), t3 + rule5))
+            cleared.append((word, t3 + rule5))
     if not cleared:
         raise InconsistentSyndromeError("no rule assignment clears the syndrome")
     corr, trace = min(cleared, key=lambda ct: (

@@ -38,7 +38,7 @@ def monte_carlo_trial(model, decoder, error_rate, trials, seed):
     N = model.modulus
     failures = 0
     class_counts = {}
-    names = _class_names(model, model.logicals)
+    names = _class_names(model)
     for terms in trial_errors(model, error_rate, trials, seed):
         if not terms:
             class_counts["1"] = class_counts.get("1", 0) + 1

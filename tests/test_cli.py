@@ -297,6 +297,14 @@ CONFIG_ERRORS = [
      2, "config error: theory 'z0' is too small: z<N> needs N >= 2"),
     (TORIC + "output condense theory=z4 algebra=1+zz\n",
      2, "config error: algebra summand 'zz' is not a label of z_4"),
+    ("model toric rows=2 cols=2 modulus=9\nerror 0|0:1,0\noutput decode\n",
+     2, "config error: no decoder handles modulus 9: decode and mc need a toric "
+        "modulus at most 8"),
+    ("model toric rows=2 cols=2 modulus=64\nchannel rate=0.1 trials=10\nseed 1\noutput mc\n",
+     2, "config error: no decoder handles modulus 64: decode and mc need a toric "
+        "modulus at most 8"),
+    ("model toric rows=2 cols=2 modulus=100\nerror 0|0:1,0\noutput dimension\n"
+     "output syndrome\n", 0, ""),
 ]
 
 
@@ -373,7 +381,7 @@ INSERTS = ("model bilayer rows=2 cols=4", "model toric rows=2 cols=2 modulus=4",
            "output generators", "output condense theory=ising algebra=1", "# comment", "")
 VALUES = {
     "rows": ("2", "3", "1", "0", "-2", "x"), "cols": ("2", "3", "1", "0", "-2", "x"),
-    "modulus": ("2", "3", "4", "1", "0", "x"),
+    "modulus": ("2", "3", "4", "1", "0", "x", "64"),
     "mouths": ("0,0,4,0", "-1,0,2,2", "4,4,6,6", "1,1,3,3", "0,0,0,0", "0,0,2", "a,b,c,d"),
     "rate": ("0", "0.001", "0.01", "-0.5", "2", "nan", "abc"),
     "trials": ("0", "1", "10", "-1", "x"),
@@ -425,6 +433,17 @@ def test_mutated_configs_end_in_an_exit_code(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["run", "--config", str(cfg)])
     assert code in (0, 2, 3, 4)
+
+
+def test_only_decode_and_mc_refuse_a_modulus_above_the_cap(tmp_path, capsys):
+    cfg = tmp_path / "z100.cfg"
+    cfg.write_text(f"{CONFIG_HEADER}\nmodel toric rows=2 cols=2 modulus=100\n"
+                   "error 0|0:1,0\nchannel rate=0.1 trials=10\nseed 1\n")
+    for command, code in (("decode", 2), ("mc", 2), ("dim", 0), ("build", 0), ("syndrome", 0)):
+        assert main([command, "--config", str(cfg)]) == code, command
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: no decoder handles modulus 100: decode and mc need a toric "
+        "modulus at most 8"] * 2
 
 
 def test_mc_on_doubled_semion_counts_decoder_give_ups(tmp_path, capsys):

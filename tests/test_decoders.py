@@ -1,5 +1,6 @@
 """Decoders: soundness, oracle agreement, the five-step trace, Monte Carlo."""
 
+import ast
 import functools
 import gc
 import hashlib
@@ -17,18 +18,20 @@ from quditlab import engine
 from quditlab.cli import build_model, parse_config
 from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
                                _class_names, _class_tuple, _family_candidates,
-                               _min_cost_pairings, _torus_path,
-                               brute_force_decode, classify_residual,
+                               _geodesic_paths, _min_cost_pairings, _step2_plans,
+                               _torus_path, _trail_edges, brute_force_decode,
+                               classify_residual,
                                decode_doubled_semion, decode_outcome, decode_toric,
                                monte_carlo_trial)
 from quditlab.dsemion import build_doubled_semion
 from quditlab.engine import Syndrome
 from quditlab.errors import DecodeNotFoundError, InconsistentSyndromeError, QuditLabError
-from quditlab.lattice import build_toric_code, string_operator
+from quditlab.lattice import LatticeGeometry, build_toric_code, string_operator
 from quditlab.pauli import (from_terms, from_text, identity, pauli_mul, single_site,
                             to_text)
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+TESTS = pathlib.Path(__file__).resolve().parent
+CONFIGS = TESTS.parent / "configs"
 
 
 def test_empty_syndrome_decodes_to_identity():
@@ -287,6 +290,36 @@ def test_family_candidates_match_enumeration(family, stype):
             == ref.family_candidates(model, positions, stype))
 
 
+@pytest.mark.parametrize("cols, rows", [(2, 2), (3, 5), (4, 4), (2, 9), (6, 7)])
+def test_staircase_paths_match_one_turn_search(cols, rows):
+    geo = LatticeGeometry(rows, cols, "edges")
+    nodes = [(x, y) for y in range(rows) for x in range(cols)]
+    for a in nodes:
+        for b in nodes:
+            assert _geodesic_paths(geo, a, b) == ref.geodesic_paths(geo, a, b), (a, b)
+            assert tuple(_torus_path(geo, a, b)) == ref.torus_path(geo, a, b), (a, b)
+
+
+# the helpers the reference oracles may take from the decoders: none of them
+# holds the staircase rule, the parity check, the syndrome sum, the step-2
+# lattice rules or the step-3 closers, which each reference states itself
+REFERENCE_IMPORTS = {"Correction", "MonteCarloResult", "_class_names", "_class_tuple",
+                     "_gid_coords", "_pair_paths", "_torus_dist", "_trail_edges"}
+
+
+@pytest.mark.parametrize("name", ["ds_reference", "mc_reference", "pairing_reference"])
+def test_references_import_only_allowed_decoder_helpers(name):
+    imported = set()
+    for node in ast.walk(ast.parse((TESTS / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "quditlab.decoders":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself, by ``import`` or ``from quditlab import``
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            imported |= {prefix + alias.name for alias in node.names} & {"quditlab.decoders"}
+    assert imported <= REFERENCE_IMPORTS, sorted(imported - REFERENCE_IMPORTS)
+
+
 # ----------------------------------------------------------------------
 # pinned decoder output
 # ----------------------------------------------------------------------
@@ -480,6 +513,25 @@ def _ds_outcome(decoder, ds, syn):
         return type(exc), str(exc)
 
 
+# step 2 reads each trail edge's plaquettes and sites off the model; the
+# reference writes them out on the lattice.  Every edge, alone or with one
+# excited plaquette, under each hint the vertex exponents can give
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (3, 4), (4, 5), (5, 6)])
+def test_step2_plans_match_the_lattice_rules(rows, cols):
+    ds = build_doubled_semion(rows, cols)
+    for edge in ds.gids("edge"):
+        for plaquette in [None] + ds.gids("plaquette"):
+            for hint in (None, 2, 3):
+                exps0 = {edge: 1}
+                if plaquette:
+                    exps0[plaquette] = 1
+                if hint:
+                    exps0.update(dict.fromkeys(ds.gids("vertex"), hint))
+                trail = _trail_edges(ds, exps0)
+                assert (_step2_plans(ds, exps0, trail)
+                        == ds_reference.step2_plans(ds, exps0, trail)), exps0
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(L=st.sampled_from((2, 3, 4)), rate=st.sampled_from((0.01, 0.02, 0.05, 0.1)),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -536,7 +588,7 @@ def test_decode_digest():
     h = hashlib.sha256()
     for model, decoder, errors in _digest_models(random.Random(2027)):
         # the class table once per model: classify_residual rebuilds it per call
-        names = _class_names(model, model.logicals)
+        names = _class_names(model)
         for err in errors:
             try:
                 corr = decoder(model, engine.syndrome(model, err))

@@ -100,10 +100,11 @@ def test_topological_spins():
 
 
 def test_spin_path_independence():
-    ds = build_doubled_semion(8, 8)
-    for plaquette in ((4, 4), (2, 3), (5, 6)):
-        for reach in (2, 3):
-            assert extract_topological_spin(ds, plaquette, "s", reach) == 1
+    # strings of 3 steps on the 8x8, of 2 steps on a torus of 3 rows or columns
+    for rows, cols in ((8, 8), (3, 8), (8, 3)):
+        ds = build_doubled_semion(rows, cols)
+        for x, y in ((4, 4), (2, 3), (5, 6)):
+            assert extract_topological_spin(ds, (x % cols, y % rows), "s") == 1
 
 
 def test_logical_operators():
