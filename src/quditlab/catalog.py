@@ -9,6 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,21 +175,20 @@ class AnyonTheory:
         return self
 
 
-def _group_theory(name, moduli, label_of, twist_of, label_order) -> AnyonTheory:
-    """Pointed theory from an abelian group given as a tuple of moduli; its
-    labels in ``label_order``."""
-    import itertools
-    elems = list(itertools.product(*[range(m) for m in moduli]))
-    labels = tuple(label_order)
+def _pointed(name, moduli, labels, twist_of) -> AnyonTheory:
+    """Pointed theory of the abelian group Z_m1 x Z_m2 x ... of ``moduli``:
+    ``labels`` names its elements in ``itertools.product`` order, and
+    ``twist_of`` gives the twist of an element in turns."""
+    elems = list(itertools.product(*map(range, moduli)))
+    label = dict(zip(elems, labels))
     fusion = {}
     for ea in elems:
         for eb in elems:
             ec = tuple((x + y) % m for x, y, m in zip(ea, eb, moduli))
-            fusion[(label_of(ea), label_of(eb))] = {label_of(ec): 1}
-    twist = {label_of(e): Fraction(twist_of(e)) % 1 for e in elems}
-    dim = {l: ONE for l in labels}
-    total = _sqrt_qdim(len(elems))
-    return AnyonTheory(name, labels, fusion, twist, dim, total)
+            fusion[(label[ea], label[eb])] = {label[ec]: 1}
+    twist = {label[e]: Fraction(twist_of(e)) % 1 for e in elems}
+    return AnyonTheory(name, tuple(labels), fusion, twist, dict.fromkeys(labels, ONE),
+                       _sqrt_qdim(len(elems)))
 
 
 def _zn_label(p, q):
@@ -202,37 +202,24 @@ def _zn_label(p, q):
     return out
 
 
-def _zn_order(n):
-    return ["1"] + [_zn_label(p, q) for q in range(n) for p in range(n) if (p, q) != (0, 0)]
-
-
 def builtin_theory(name: str, n: int = None) -> AnyonTheory:
     """The catalogued theories: toric, z_n(N), semion, doubled_semion, ising,
     ising_like_twist."""
     if name == "toric":
-        t = builtin_theory("z_n", 2)
-        return AnyonTheory("toric", t.labels, t.fusion, t.twist, t.dim, t.total_dim)
+        return _pointed("toric", (2, 2), ("1", "e", "m", "em"),
+                        lambda e: Fraction(e[0] * e[1], 2))
     if name == "z_n":
         if n is None or n < 2:
             raise UnsupportedModelError("z_n needs a modulus N >= 2")
-        return _group_theory(
-            f"z_{n}", (n, n), lambda e: _zn_label(*e),
-            lambda e: Fraction(e[0] * e[1], n), _zn_order(n))
+        # an element is (flux q, charge p), so product order is display order
+        return _pointed(f"z_{n}", (n, n),
+                        [_zn_label(p, q) for q, p in itertools.product(range(n), repeat=2)],
+                        lambda e: Fraction(e[0] * e[1], n))
     if name == "semion":
-        return _group_theory("semion", (2,),
-                             lambda e: "s" if e[0] else "1",
-                             lambda e: Fraction(1, 4) if e[0] else Fraction(0),
-                             ["1", "s"])
+        return _pointed("semion", (2,), ("1", "s"), lambda e: Fraction(e[0], 4))
     if name == "doubled_semion":
-        def lab(e):
-            return {(0, 0): "1", (1, 0): "s", (0, 1): "sbar", (1, 1): "ssbar"}[e]
-
-        def tw(e):
-            return {(0, 0): 0, (1, 0): Fraction(1, 4),
-                    (0, 1): Fraction(3, 4), (1, 1): 0}[e]
-
-        return _group_theory("doubled_semion", (2, 2), lab, tw,
-                             ["1", "s", "sbar", "ssbar"])
+        return _pointed("doubled_semion", (2, 2), ("1", "s", "sbar", "ssbar"),
+                        lambda e: Fraction(e[1] ** 2 - e[0] ** 2, 4))
     if name == "ising":
         labels = ("1", "sigma", "psi")
         f = {}
@@ -256,12 +243,8 @@ def builtin_theory(name: str, n: int = None) -> AnyonTheory:
         return AnyonTheory("ising", labels, f, twist, dim, QDim(2), s)
     if name == "ising_like_twist":
         labels = ("1", "e", "m", "eps", "sig+", "sig-")
-        pt = {"1": (0, 0), "e": (1, 0), "m": (0, 1), "eps": (1, 1)}
-        inv = {v: k for k, v in pt.items()}
-        f = {}
-        for a, ea in pt.items():
-            for b, eb in pt.items():
-                f[(a, b)] = {inv[((ea[0] + eb[0]) % 2, (ea[1] + eb[1]) % 2)]: 1}
+        abelian = _pointed("", (2, 2), labels[:4], lambda e: Fraction(e[0] * e[1], 2))
+        f = dict(abelian.fusion)
         for s in ("sig+", "sig-"):
             other = "sig-" if s == "sig+" else "sig+"
             f[(s, s)] = {"1": 1, "eps": 1}
@@ -271,10 +254,9 @@ def builtin_theory(name: str, n: int = None) -> AnyonTheory:
                 out = {other: 1} if flip else {s: 1}
                 f[(s, a)] = dict(out)
                 f[(a, s)] = dict(out)
-        twist = {"1": Fraction(0), "e": Fraction(0), "m": Fraction(0),
-                 "eps": Fraction(1, 2), "sig+": Fraction(1, 4), "sig-": Fraction(3, 4)}
+        twist = {**abelian.twist, "sig+": Fraction(1, 4), "sig-": Fraction(3, 4)}
         root2 = QDim(0, 1)
-        dim = {"1": ONE, "e": ONE, "m": ONE, "eps": ONE, "sig+": root2, "sig-": root2}
+        dim = {**abelian.dim, "sig+": root2, "sig-": root2}
         return AnyonTheory("ising_like_twist", labels, f, twist, dim, QDim(0, 2))
     raise UnsupportedModelError(f"unknown builtin theory {name!r}")
 
@@ -370,7 +352,6 @@ def product_theory(t1: AnyonTheory, t2: AnyonTheory) -> AnyonTheory:
 def is_isomorphic(t1: AnyonTheory, t2: AnyonTheory) -> bool:
     """Exhaustive search for a unit-preserving bijection matching fusion,
     twists and dimensions."""
-    import itertools
     if len(t1.labels) != len(t2.labels):
         return False
     others1 = [l for l in t1.labels if l != t1.unit]

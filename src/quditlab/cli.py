@@ -27,7 +27,8 @@ from fractions import Fraction
 from . import condense, decoders, defects, dsemion, engine, lattice
 from .catalog import builtin_theory, modular_data, turn_to_str
 from .errors import (ConfigError, DecodeNotFoundError,
-                     InconsistentSyndromeError, ParseError, QuditLabError)
+                     InconsistentSyndromeError, ParseError, QuditLabError,
+                     UnsupportedModelError)
 from .pauli import from_text, to_text
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -371,9 +372,10 @@ def _theory_by_name(name: str):
             raise ConfigError(f"theory {name!r} is too large: z<N> needs "
                               f"N <= {CONDENSE_MAX_N}")
         return builtin_theory("z_n", n)
-    if name in ("toric", "semion", "doubled_semion", "ising", "ising_like_twist"):
+    try:
         return builtin_theory(name)
-    raise ConfigError(f"unknown theory {name!r}")
+    except UnsupportedModelError:
+        raise ConfigError(f"unknown theory {name!r}")
 
 
 def _condense_lines(theory, algebra_text):
@@ -387,14 +389,14 @@ def _condense_lines(theory, algebra_text):
         kind, where, witness = report.first_failure()
         lines.append(f"condense-invalid {kind} at {where} witness={witness}")
         return lines
-    alg = condense._algebra(theory, summands)
+    alg = condense.condensable_algebra(theory, summands)
     if alg.boundary_tag:
         lines.append(f"condense-boundary {alg.boundary_tag}")
-    mods = condense.right_modules(theory, alg)
+    mods = condense.right_modules(alg)
     for mod in sorted(mods, key=lambda mm: mm.summands):
         status = "local" if mod.local else "confined"
         lines.append(f"module {mod.label()} {status}")
-    new = condense.condensed_theory(theory, alg)
+    new = condense.condensed_theory(alg)
     lines.append("condensed-labels " + " ".join(new.labels))
     lines.append("condensed-twists " + " ".join(
         f"{l}:{turn_to_str(new.twist[l])}" for l in new.labels))

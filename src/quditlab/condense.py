@@ -7,6 +7,8 @@ fusion orbits (cosets): a module is local (deconfined) exactly when its
 summands braid trivially with the whole algebra; local modules form the
 condensed theory, with twists inherited from any summand (well-definedness
 is asserted, never assumed) and quantum dimensions divided by dim A.
+``condensable_algebra`` builds an algebra from its theory and summands;
+everything after it reads the theory from the algebra (``algebra.parent``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "ModuleObject",
     "ValidationReport",
     "validate_condensable",
+    "condensable_algebra",
     "enumerate_condensable",
     "right_modules",
     "local_modules",
@@ -84,6 +87,8 @@ def _require_abelian(theory):
 def validate_condensable(theory: AnyonTheory, summands) -> ValidationReport:
     """Check unit membership, fusion/dual closure, bosonity, mutual monodromy."""
     _require_abelian(theory)
+    for a in summands:
+        theory._check(a)
     failures = []
     summands = sorted(set(summands), key=theory.labels.index)
     if theory.unit not in summands:
@@ -106,7 +111,9 @@ def validate_condensable(theory: AnyonTheory, summands) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-def _algebra(theory, summands) -> CondensableAlgebra:
+def condensable_algebra(theory: AnyonTheory, summands) -> CondensableAlgebra:
+    """The algebra of ``summands`` in ``theory``, labels in theory order;
+    raises QuditLabError unless ``validate_condensable`` passes."""
     report = validate_condensable(theory, summands)
     if not report.valid:
         raise QuditLabError(f"not a condensable algebra: {report.first_failure()}")
@@ -140,62 +147,59 @@ def enumerate_condensable(theory: AnyonTheory):
         candidates.add(closure([b1]))
         for b2 in bosons:
             candidates.add(closure([b1, b2]))
-    out = []
-    for summands in sorted(candidates):
-        if validate_condensable(theory, summands).valid:
-            out.append(_algebra(theory, summands))
-    out.sort(key=lambda alg: (len(alg.summands), alg.summands))
-    return out
+    valid = [s for s in candidates if validate_condensable(theory, s).valid]
+    return [condensable_algebra(theory, s)
+            for s in sorted(valid, key=lambda s: (len(s), s))]
 
 
-def _orbit(theory, algebra, x):
-    return tuple(sorted({_fuse_one(theory, x, a) for a in algebra.summands},
-                        key=theory.labels.index))
+def bulk_to_boundary(algebra: CondensableAlgebra, x: str) -> ModuleObject:
+    """The module x (x) A: image of a bulk label on the condensation wall.
 
-
-def _is_local(theory, algebra, orbit):
-    return all(monodromy(theory, m, a) % 1 == 0
-               for m in orbit for a in algebra.summands)
-
-
-def _module(theory, algebra, orbit) -> ModuleObject:
+    Its summands are the fusion orbit of x, it is local when they braid
+    trivially with every summand of A, and its dimension is over dim A.
+    """
+    theory = algebra.parent
+    theory._check(x)
+    orbit = tuple(sorted({_fuse_one(theory, x, a) for a in algebra.summands},
+                         key=theory.labels.index))
+    local = all(monodromy(theory, m, a) % 1 == 0
+                for m in orbit for a in algebra.summands)
     total = QDim()
     for m in orbit:
         total = total + theory.dim[m]
-    return ModuleObject(orbit, _is_local(theory, algebra, orbit),
-                        total / algebra.dim)
+    return ModuleObject(orbit, local, total / algebra.dim)
 
 
-def right_modules(theory: AnyonTheory, algebra: CondensableAlgebra):
-    """Fusion orbits of all labels under the algebra; each is one simple module."""
-    seen = set()
-    modules = []
-    for x in theory.labels:
-        orbit = _orbit(theory, algebra, x)
-        if orbit in seen:
-            continue
-        seen.add(orbit)
-        modules.append(_module(theory, algebra, orbit))
+def right_modules(algebra: CondensableAlgebra):
+    """The distinct ``bulk_to_boundary`` images of all labels, in order of
+    first appearance; each is one simple module.  The images partition the
+    labels, so each is taken once, from its first label."""
+    modules, seen = [], set()
+    for x in algebra.parent.labels:
+        if x not in seen:
+            modules.append(bulk_to_boundary(algebra, x))
+            seen.update(modules[-1].summands)
     return modules
 
 
-def local_modules(theory: AnyonTheory, algebra: CondensableAlgebra):
-    return [m for m in right_modules(theory, algebra) if m.local]
+def local_modules(algebra: CondensableAlgebra):
+    return [m for m in right_modules(algebra) if m.local]
 
 
-def condensed_theory(theory: AnyonTheory, algebra: CondensableAlgebra) -> AnyonTheory:
+def condensed_theory(algebra: CondensableAlgebra) -> AnyonTheory:
     """The theory of local modules: orbit fusion, inherited twists, scaled dims."""
-    locals_ = local_modules(theory, algebra)
+    theory = algebra.parent
+    locals_ = local_modules(algebra)
     labels = tuple(mod.label() for mod in locals_)
-    by_orbit = {mod.summands: mod.label() for mod in locals_}
+    # the orbits partition the labels, so a label names the one module it lies in
+    module_of = {s: mod.label() for mod in locals_ for s in mod.summands}
     fusion = {}
     for m1 in locals_:
         for m2 in locals_:
             c = _fuse_one(theory, m1.summands[0], m2.summands[0])
-            target = _orbit(theory, algebra, c)
-            if target not in by_orbit:
+            if c not in module_of:
                 raise QuditLabError("local modules are not closed under fusion")
-            fusion[(m1.label(), m2.label())] = {by_orbit[target]: 1}
+            fusion[(m1.label(), m2.label())] = {module_of[c]: 1}
     twist = {}
     for mod in locals_:
         values = {theory.twist[s] % 1 for s in mod.summands}
@@ -209,13 +213,6 @@ def condensed_theory(theory: AnyonTheory, algebra: CondensableAlgebra) -> AnyonT
     total = _sqrt_qdim(len(locals_))
     name = f"{theory.name}/({algebra.label()})"
     return AnyonTheory(name, labels, fusion, twist, dim, total).validate()
-
-
-def bulk_to_boundary(theory: AnyonTheory, algebra: CondensableAlgebra,
-                     x: str) -> ModuleObject:
-    """The module x (x) A: image of a bulk label on the condensation wall."""
-    theory._check(x)
-    return _module(theory, algebra, _orbit(theory, algebra, x))
 
 
 DEFECT_LINE_TABLE = {

@@ -133,22 +133,29 @@ def decode_outcome(model, error: PauliOp, correction: Correction) -> DecodeOutco
 # toric pairing decoder
 # ----------------------------------------------------------------------
 
+def _legs(size, d):
+    """The shortest ways round a cycle of ``size`` to cover the displacement
+    d, as (direction, steps), forward first: two only on a half-way tie."""
+    d %= size
+    if 2 * d < size:
+        return ((1, d),)
+    if 2 * d > size:
+        return ((-1, size - d),)
+    return ((1, d), (-1, d))
+
+
 def _torus_dist(geo, a, b):
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    return min(dx, geo.cols - dx) + min(dy, geo.rows - dy)
+    return (_legs(geo.cols, b[0] - a[0])[0][1]
+            + _legs(geo.rows, b[1] - a[1])[0][1])
 
 
 def _staircases(geo, a, b):
-    """The shortest staircase paths from a to b: for each shortest direction
-    of the x leg and of the y leg, forward first, the path that takes the x
-    leg first, then the one that takes the y leg first."""
+    """The shortest staircase paths from a to b: for each of the ``_legs``
+    of x and of y, the path that takes the x leg first, then the one that
+    takes the y leg first."""
     cols, rows = geo.cols, geo.rows
-    dx, dy = (b[0] - a[0]) % cols, (b[1] - a[1]) % rows
-    for sx, nx in ((1, dx), (-1, cols - dx)):
-        for sy, ny in ((1, dy), (-1, rows - dy)):
-            if 2 * nx > cols or 2 * ny > rows:
-                continue
+    for sx, nx in _legs(cols, b[0] - a[0]):
+        for sy, ny in _legs(rows, b[1] - a[1]):
             xleg, yleg = [(sx, 0)] * nx, [(0, sy)] * ny
             for steps in (xleg + yleg, yleg + xleg):
                 x, y = a

@@ -262,14 +262,11 @@ def pauli_pow(p: PauliOp, k: int) -> PauliOp:
 
 
 def pauli_adjoint(p: PauliOp) -> PauliOp:
-    """Hermitian adjoint: inverts exponents and conjugates the phase.
+    """Hermitian adjoint, p^-1 for a unitary Pauli word.
 
     (X^x Z^z)^dagger = Z^-z X^-x = omega^{xz} X^-x Z^-z.
     """
-    n = p.modulus
-    cross = sum(x * z for _, x, z in p.terms)
-    return _word(n, p.sites, tuple((s, -x % n, -z % n) for s, x, z in p.terms),
-                 -p.phase_exp + 2 * cross)
+    return pauli_pow(p, -1)
 
 
 def commutation_exponent(p: PauliOp, q: PauliOp) -> int:

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from quditlab import engine
 from quditlab.catalog import QDim, builtin_theory, is_isomorphic, modular_data, s_unitary
-from quditlab.condense import _algebra, condensed_theory, local_modules, right_modules
+from quditlab.condense import (condensable_algebra, condensed_theory, local_modules,
+                               right_modules)
 from quditlab.decoders import (BruteForceOracle, classify_residual,
                                decode_doubled_semion, decode_toric,
                                monte_carlo_trial)
@@ -112,16 +113,16 @@ def test_criterion_2_topological_spins():
 def test_criterion_3_condensation():
     start = time.monotonic()
     z4 = builtin_theory("z_n", 4)
-    alg = _algebra(z4, ["1", "e2m2"])
-    mods = [m for m in right_modules(z4, alg) if "1" not in m.summands]
+    alg = condensable_algebra(z4, ["1", "e2m2"])
+    mods = [m for m in right_modules(alg) if "1" not in m.summands]
     assert len(mods) == 7
     assert sorted(m.summands for m in mods) == [
         ("e", "e3m2"), ("e2", "m2"), ("e2m", "m3"), ("e3", "em2"),
         ("e3m", "em3"), ("em", "e3m3"), ("m", "e2m3")]
-    locs = [m for m in local_modules(z4, alg) if "1" not in m.summands]
+    locs = [m for m in local_modules(alg) if "1" not in m.summands]
     assert sorted(m.summands for m in locs) == [
         ("e2", "m2"), ("e3m", "em3"), ("em", "e3m3")]
-    condensed = condensed_theory(z4, alg)
+    condensed = condensed_theory(alg)
     assert is_isomorphic(condensed, builtin_theory("doubled_semion"))
     dt = time.monotonic() - start
     assert dt < 1.0

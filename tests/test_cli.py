@@ -1,5 +1,6 @@
 """Config parsing, report generation, shipped examples, golden files."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -297,6 +298,10 @@ CONFIG_ERRORS = [
      2, "config error: theory 'z0' is too small: z<N> needs N >= 2"),
     (TORIC + "output condense theory=z4 algebra=1+zz\n",
      2, "config error: algebra summand 'zz' is not a label of z_4"),
+    (TORIC + "output condense theory=frob algebra=1\n",
+     2, "config error: unknown theory 'frob'"),
+    (TORIC + "output condense theory=z_n algebra=1\n",
+     2, "config error: unknown theory 'z_n'"),
     ("model toric rows=2 cols=2 modulus=9\nerror 0|0:1,0\noutput decode\n",
      2, "config error: no decoder handles modulus 9: decode and mc need a toric "
         "modulus at most 8"),
@@ -533,6 +538,14 @@ def test_shipped_condense_config():
     assert "module e+e3m2 confined" in report
     assert "module em+e3m3 local" in report
     assert "condensed-labels 1+e2m2 e2+m2 em+e3m3 e3m+em3" in report
+
+
+def test_cli_reads_only_public_condense_names():
+    tree = ast.parse((ROOT / "src" / "quditlab" / "cli.py").read_text())
+    private = sorted(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                     and isinstance(node.value, ast.Name) and node.value.id == "condense")
+    assert private == []
 
 
 def test_string_directive_drives_decode():

@@ -1,15 +1,17 @@
 """Condensation: algebra validation, module orbits, locality, condensed theory."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from quditlab.catalog import QDim, builtin_theory, is_isomorphic, monodromy
-from quditlab.condense import (_algebra, bulk_to_boundary,
+from quditlab.cli import main
+from quditlab.condense import (bulk_to_boundary, condensable_algebra,
                                condensed_theory, defect_line_image,
                                enumerate_condensable, local_modules,
                                right_modules, validate_condensable)
-from quditlab.errors import UnsupportedModelError
+from quditlab.errors import QuditLabError, UnsupportedModelError
 
 Z2 = builtin_theory("z_n", 2)
 Z4 = builtin_theory("z_n", 4)
@@ -29,6 +31,13 @@ def test_validate_rejects_non_closed():
     assert report.valid
     report = validate_condensable(Z4, ["1", "e"])   # not a boson
     assert not report.valid
+
+
+def test_unknown_summand_is_a_typed_error():
+    with pytest.raises(QuditLabError, match="unknown label 'x' in theory z_4"):
+        validate_condensable(Z4, ["1", "x"])
+    with pytest.raises(QuditLabError, match="unknown label 'x' in theory z_4"):
+        condensable_algebra(Z4, ["1", "x"])
 
 
 def test_validate_needs_abelian():
@@ -55,8 +64,8 @@ def test_enumerate_z4_contains_paper_algebra():
 
 
 def test_seven_right_modules():
-    alg = _algebra(Z4, ["1", "e2m2"])
-    mods = right_modules(Z4, alg)
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
+    mods = right_modules(alg)
     nontrivial = sorted(m.summands for m in mods if "1" not in m.summands)
     assert nontrivial == [
         ("e", "e3m2"), ("e2", "m2"), ("e2m", "m3"), ("e3", "em2"),
@@ -68,17 +77,17 @@ def test_seven_right_modules():
 
 
 def test_three_local_modules():
-    alg = _algebra(Z4, ["1", "e2m2"])
-    locs = local_modules(Z4, alg)
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
+    locs = local_modules(alg)
     nontrivial = sorted(m.summands for m in locs if "1" not in m.summands)
     assert nontrivial == [("e2", "m2"), ("e3m", "em3"), ("em", "e3m3")]
     assert len(locs) == 4
 
 
 def test_confined_labels_match_monodromy_failures():
-    alg = _algebra(Z4, ["1", "e2m2"])
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
     confined = set()
-    for mod in right_modules(Z4, alg):
+    for mod in right_modules(alg):
         if not mod.local:
             confined.update(mod.summands)
     assert confined == {"e", "e3m2", "m", "e2m3", "e3", "em2", "m3", "e2m"}
@@ -87,8 +96,8 @@ def test_confined_labels_match_monodromy_failures():
 
 
 def test_condensed_theory_is_doubled_semion():
-    alg = _algebra(Z4, ["1", "e2m2"])
-    d = condensed_theory(Z4, alg)
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
+    d = condensed_theory(alg)
     assert len(d.labels) == 4
     assert is_isomorphic(d, builtin_theory("doubled_semion"))
     # modularity at the numerical level: sum of squared dims = (D_C / dim A)^2
@@ -100,32 +109,32 @@ def test_condensed_theory_is_doubled_semion():
 
 
 def test_boson_preservation():
-    alg = _algebra(Z4, ["1", "e2m2"])
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
     for a in alg.summands:
         assert Z4.twist[a] == 0
 
 
 def test_condense_by_trivial_algebra_is_identity():
-    alg = _algebra(Z4, ["1"])
-    d = condensed_theory(Z4, alg)
+    alg = condensable_algebra(Z4, ["1"])
+    d = condensed_theory(alg)
     assert is_isomorphic(d, Z4)
 
 
 def test_condense_z2_to_trivial():
-    alg = _algebra(Z2, ["1", "e"])
-    d = condensed_theory(Z2, alg)
+    alg = condensable_algebra(Z2, ["1", "e"])
+    d = condensed_theory(alg)
     assert d.labels == ("1+e",)
     assert d.total_dim == QDim(1)
 
 
 def test_bulk_to_boundary_rows():
-    alg = _algebra(Z4, ["1", "e2m2"])
-    assert bulk_to_boundary(Z4, alg, "e").summands == ("e", "e3m2")
-    assert bulk_to_boundary(Z4, alg, "1").summands == alg.summands
-    assert bulk_to_boundary(Z4, alg, "e2m2").summands == ("1", "e2m2")
-    assert bulk_to_boundary(Z4, alg, "m2").summands == ("e2", "m2")
-    assert not bulk_to_boundary(Z4, alg, "e").local
-    assert bulk_to_boundary(Z4, alg, "em").local
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
+    assert bulk_to_boundary(alg, "e").summands == ("e", "e3m2")
+    assert bulk_to_boundary(alg, "1").summands == alg.summands
+    assert bulk_to_boundary(alg, "e2m2").summands == ("1", "e2m2")
+    assert bulk_to_boundary(alg, "m2").summands == ("e2", "m2")
+    assert not bulk_to_boundary(alg, "e").local
+    assert bulk_to_boundary(alg, "em").local
 
 
 def test_defect_line_image():
@@ -145,8 +154,40 @@ def test_defect_line_image():
 
 
 def test_orbits_partition_labels():
-    alg = _algebra(Z4, ["1", "e2m2"])
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
     seen = []
-    for mod in right_modules(Z4, alg):
+    for mod in right_modules(alg):
         seen.extend(mod.summands)
     assert sorted(seen) == sorted(Z4.labels)
+
+
+# CLI name -> theory of every catalogued theory up to z6 (a z<N> condensation
+# costs N^6, see cli.CONDENSE_MAX_N); the pointed ones are condensed by each
+# of their algebras
+ANYON_THEORIES = {
+    "toric": builtin_theory("toric"),
+    "semion": builtin_theory("semion"),
+    "doubled-semion": builtin_theory("doubled_semion"),
+    "ising": builtin_theory("ising"),
+    "ising_like_twist": builtin_theory("ising_like_twist"),
+    **{f"z{n}": builtin_theory("z_n", n) for n in range(2, 7)},
+}
+
+# SHA-256 over the stdout of ``catalog`` for every theory above, then of
+# ``condense`` for every ``enumerate_condensable`` algebra of the pointed
+# ones; a change that alters an anyon report on purpose re-pins it and says so
+ANYON_DIGEST_SHA256 = "ca5f6e1b1dec591eb128cbb7afa61e0b7d4ca4a9cd8c2b70eb49516a1119d728"
+
+
+def test_anyon_layer_digest(capsys):
+    digest = hashlib.sha256()
+    runs = [["catalog", name] for name in ANYON_THEORIES]
+    runs += [["condense", name, alg.label()]
+             for name, theory in ANYON_THEORIES.items() if theory.is_abelian()
+             for alg in enumerate_condensable(theory)]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        digest.update(" ".join(argv + ["0\n"]).encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert len(runs) == 10 + 31
+    assert digest.hexdigest() == ANYON_DIGEST_SHA256
