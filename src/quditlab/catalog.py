@@ -2,9 +2,14 @@
 
 All quantities are exact: topological spins are Fractions of a full turn
 (theta = exp(2*pi*i*turn), so 1/16 distinguishes the Ising spin from every
-power of i), quantum dimensions are numbers p + q*sqrt(2) with Fraction
-coefficients, and S-matrix entries are (magnitude, turn) pairs.  No floats
-anywhere.
+power of i), quantum dimensions are numbers (p + q*sqrt(2))/d held as three
+integers in lowest terms (``QDim``; its coefficients read as Fractions), and
+S-matrix entries are (magnitude, turn) pairs.  No floats anywhere.
+
+Each derived quantity is computed once: a theory works out its duals, its
+abelian flag and its twists over one common denominator (from which
+monodromies are formed on integers) on first use and keeps them, and
+``modular_data`` divides once per distinct pair of dimensions.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import QuditLabError, UnsupportedModelError
@@ -33,60 +39,115 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QDim:
-    """Exact number a + b*sqrt(2); enough for every theory in the catalog."""
+    """Exact number a + b*sqrt(2); enough for every theory in the catalog.
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    Held as integers (p + q*sqrt(2))/d in lowest terms (d > 0, gcd(p, q, d)
+    = 1), so arithmetic builds no Fraction; ``a`` and ``b`` read the two
+    coefficients as Fractions.  ``QDim(a, b)`` takes ints or Fractions.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    __slots__ = ("_p", "_q", "_d")
+
+    def __init__(self, a=0, b=0):
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        # each coefficient is in lowest terms, so gcd(p, q, d) is already 1
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     def __add__(self, other):
-        other = _as_qdim(other)
-        return QDim(self.a + other.a, self.b + other.b)
+        if other.__class__ is not QDim:
+            other = _as_qdim(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._p + other._p, self._q + other._q, d1)
+        return _reduced(self._p * d2 + other._p * d1, self._q * d2 + other._q * d1,
+                        d1 * d2)
 
     def __sub__(self, other):
-        other = _as_qdim(other)
-        return QDim(self.a - other.a, self.b - other.b)
+        return self + -_as_qdim(other)
 
     def __mul__(self, other):
-        other = _as_qdim(other)
-        return QDim(self.a * other.a + 2 * self.b * other.b,
-                    self.a * other.b + self.b * other.a)
+        if other.__class__ is not QDim:
+            other = _as_qdim(other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self._d * other._d)
 
     def __neg__(self):
-        return QDim(-self.a, -self.b)
+        return _reduced(-self._p, -self._q, self._d)
 
     def __truediv__(self, other):
-        other = _as_qdim(other)
-        norm = other.a * other.a - 2 * other.b * other.b
+        # (p1 + q1 r)/d1 * d2/(p2 + q2 r) = (p1 + q1 r)(p2 - q2 r) d2 / (d1 (p2^2 - 2 q2^2))
+        if other.__class__ is not QDim:
+            other = _as_qdim(other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        norm = p2 * p2 - 2 * q2 * q2
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        conj = QDim(other.a, -other.b)
-        num = self * conj
-        return QDim(num.a / norm, num.b / norm)
+        return _reduced((p1 * p2 - 2 * q1 * q2) * other._d, (q1 * p2 - p1 * q2) * other._d,
+                        self._d * norm)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._p == other._p and self._q == other._q and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._p, self._q, self._d))
+
+    def __repr__(self):
+        return f"QDim(a={self.a!r}, b={self.b!r})"
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return "2^{1/2}" if self.b == 1 else f"{self.b}*2^{{1/2}}"
-        return f"{self.a}+{self.b}*2^{{1/2}}"
+        a, b = _ratio_str(self._p, self._d), _ratio_str(self._q, self._d)
+        if self._q == 0:
+            return a
+        if self._p == 0:
+            return "2^{1/2}" if b == "1" else f"{b}*2^{{1/2}}"
+        return f"{a}+{b}*2^{{1/2}}"
+
+
+def _reduced(p, q, d) -> QDim:
+    """(p + q*sqrt(2))/d in lowest terms with d > 0; d must be nonzero."""
+    g = math.gcd(p, q, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    out = object.__new__(QDim)
+    out._p, out._q, out._d = p, q, d
+    return out
+
+
+def _ratio_str(n, d) -> str:
+    """n/d as ``str(Fraction(n, d))`` prints it."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _as_qdim(x) -> QDim:
     if isinstance(x, QDim):
         return x
-    return QDim(Fraction(x))
+    return QDim(x)
 
 
-ONE = QDim(Fraction(1))
+ONE = QDim(1)
 
 
 def _sqrt_qdim(n: int) -> QDim:
@@ -128,16 +189,45 @@ class AnyonTheory:
 
     def dual(self, a: str) -> str:
         self._check(a)
-        for b in self.labels:
-            if self.fusion[(a, b)].get(self.unit, 0) == 1:
-                return b
-        raise QuditLabError(f"label {a} has no dual")
+        if a not in self._duals:
+            raise QuditLabError(f"label {a} has no dual")
+        return self._duals[a]
 
     def is_abelian(self) -> bool:
+        return self._abelian
+
+    # Derived tables, each worked out on first use and kept: a theory's
+    # fields are never changed after it is built.
+
+    @cached_property
+    def _label_set(self) -> frozenset:
+        return frozenset(self.labels)
+
+    @cached_property
+    def _duals(self) -> dict:
+        """label -> its first dual in label order, for labels that have one."""
+        duals = {}
+        for a in self.labels:
+            for b in self.labels:
+                if self.fusion[(a, b)].get(self.unit, 0) == 1:
+                    duals[a] = b
+                    break
+        return duals
+
+    @cached_property
+    def _abelian(self) -> bool:
         return all(sum(out.values()) == 1 for out in self.fusion.values())
 
+    @cached_property
+    def _spins(self):
+        """(den, numerators, turns): each twist as numerators[a]/den over one
+        common denominator, and a memo of the Fraction turns k/den."""
+        den = math.lcm(*(t.denominator for t in self.twist.values()))
+        numerators = {a: t.numerator * (den // t.denominator) for a, t in self.twist.items()}
+        return den, numerators, {}
+
     def _check(self, a):
-        if a not in self.labels:
+        if a not in self._label_set:
             raise QuditLabError(f"unknown label {a!r} in theory {self.name}")
 
     def validate(self):
@@ -179,16 +269,18 @@ def _pointed(name, moduli, labels, twist_of) -> AnyonTheory:
     """Pointed theory of the abelian group Z_m1 x Z_m2 x ... of ``moduli``:
     ``labels`` names its elements in ``itertools.product`` order, and
     ``twist_of`` gives the twist of an element in turns."""
-    elems = list(itertools.product(*map(range, moduli)))
-    label = dict(zip(elems, labels))
-    fusion = {}
-    for ea in elems:
-        for eb in elems:
-            ec = tuple((x + y) % m for x, y, m in zip(ea, eb, moduli))
-            fusion[(label[ea], label[eb])] = {label[ec]: 1}
-    twist = {label[e]: Fraction(twist_of(e)) % 1 for e in elems}
+    # sums[i][j] = position of element i + element j, built one factor at a
+    # time: appending Z_m as the fastest coordinate sends (i, x) to i*m + x
+    sums = [[0]]
+    for m in moduli:
+        cyclic = [[(x + y) % m for y in range(m)] for x in range(m)]
+        sums = [[s * m + c for s in row for c in add_x] for row in sums for add_x in cyclic]
+    fusion = {(la, lb): {labels[k]: 1}
+              for la, row in zip(labels, sums) for lb, k in zip(labels, row)}
+    elems = itertools.product(*map(range, moduli))
+    twist = {a: Fraction(twist_of(e)) % 1 for a, e in zip(labels, elems)}
     return AnyonTheory(name, tuple(labels), fusion, twist, dict.fromkeys(labels, ONE),
-                       _sqrt_qdim(len(elems)))
+                       _sqrt_qdim(len(labels)))
 
 
 def _zn_label(p, q):
@@ -279,14 +371,19 @@ def monodromy(theory: AnyonTheory, a: str, b: str) -> Fraction:
         raise UnsupportedModelError(
             f"monodromy formula needs single-channel fusion; {a} x {b} is not")
     (c,) = out
-    return (theory.twist[c] - theory.twist[a] - theory.twist[b]) % 1
+    den, num, turns = theory._spins
+    k = (num[c] - num[a] - num[b]) % den
+    if k not in turns:
+        turns[k] = Fraction(k, den)
+    return turns[k]
 
 
 def modular_data(theory: AnyonTheory):
     """(S, T): T as the tuple of twist turns, S as (magnitude, turn) entries.
 
-    For abelian theories S_ab = monodromy(a,b) d_a d_b / D; non-abelian
-    theories must carry stored S data.
+    For abelian theories S_ab = monodromy(a,b) d_a d_b / D, with one
+    division per distinct (d_a, d_b), so a pointed theory takes one;
+    non-abelian theories must carry stored S data.
     """
     t_diag = tuple(theory.twist[a] for a in theory.labels)
     if theory.s_matrix is not None:
@@ -294,12 +391,14 @@ def modular_data(theory: AnyonTheory):
     if not theory.is_abelian():
         raise UnsupportedModelError(
             f"no stored S matrix and {theory.name} is not abelian")
-    s = []
+    s, magnitudes = [], {}
     for a in theory.labels:
         row = []
         for b in theory.labels:
-            mag = theory.dim[a] * theory.dim[b] / theory.total_dim
-            row.append((mag, monodromy(theory, a, b)))
+            dims = (theory.dim[a], theory.dim[b])
+            if dims not in magnitudes:
+                magnitudes[dims] = dims[0] * dims[1] / theory.total_dim
+            row.append((magnitudes[dims], monodromy(theory, a, b)))
         s.append(tuple(row))
     return tuple(s), t_diag
 
@@ -350,40 +449,55 @@ def product_theory(t1: AnyonTheory, t2: AnyonTheory) -> AnyonTheory:
 
 
 def is_isomorphic(t1: AnyonTheory, t2: AnyonTheory) -> bool:
-    """Exhaustive search for a unit-preserving bijection matching fusion,
-    twists and dimensions."""
+    """Whether a unit-preserving bijection matches fusion, twists and
+    dimensions.
+
+    The bijection is built label by label in ``t1`` order, with backtracking:
+    a label only goes to a free label of equal twist and dimension, and a
+    branch is cut as soon as the fusion of two mapped labels disagrees on
+    the outcomes mapped so far.  Once every label is mapped, that check on
+    every pair is the full one.
+    """
     if len(t1.labels) != len(t2.labels):
         return False
-    others1 = [l for l in t1.labels if l != t1.unit]
-    others2 = [l for l in t2.labels if l != t2.unit]
-    for perm in itertools.permutations(others2):
-        phi = {t1.unit: t2.unit}
-        phi.update(dict(zip(others1, perm)))
-        if any(t1.twist[a] != t2.twist[phi[a]] for a in t1.labels):
-            continue
-        if any(t1.dim[a] != t2.dim[phi[a]] for a in t1.labels):
-            continue
-        ok = True
-        for a in t1.labels:
-            for b in t1.labels:
-                image = {phi[c]: m for c, m in t1.fusion[(a, b)].items()}
-                if image != t2.fusion[(phi[a], phi[b])]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    phi, inverse = {}, {}
+
+    def agrees(a, x):
+        for p, q in ((a, x), (x, a)):
+            out1, out2 = t1.fusion[(p, q)], t2.fusion[(phi[p], phi[q])]
+            if len(out1) != len(out2) or (
+                    {phi[c]: m for c, m in out1.items() if c in phi}
+                    != {c: m for c, m in out2.items() if c in inverse}):
+                return False
+        return True
+
+    def extend(i):
+        if i == len(t1.labels):
+            return all(agrees(a, b) for a in t1.labels for b in t1.labels)
+        a = t1.labels[i]
+        for b in (t2.unit,) if i == 0 else t2.labels:
+            if b in inverse or t1.twist[a] != t2.twist[b] or t1.dim[a] != t2.dim[b]:
+                continue
+            phi[a], inverse[b] = b, a
+            if all(agrees(a, x) for x in phi) and extend(i + 1):
+                return True
+            del phi[a], inverse[b]
+        return False
+
+    return extend(0)
+
+
+# turns k/d in lowest terms, keyed by (k, d)
+_NAMED_TURNS = {(0, 1): "1", (1, 4): "i", (1, 2): "-1", (3, 4): "-i"}
 
 
 def turn_to_str(turn: Fraction) -> str:
-    turn = Fraction(turn) % 1
-    named = {Fraction(0): "1", Fraction(1, 4): "i",
-             Fraction(1, 2): "-1", Fraction(3, 4): "-i"}
-    if turn in named:
-        return named[turn]
-    return f"e^{{2*pi*i*{turn.numerator}/{turn.denominator}}}"
+    if not isinstance(turn, Fraction):
+        turn = Fraction(turn)
+    # n/d in lowest terms, so (n mod d)/d is too: the turn mod 1
+    d = turn.denominator
+    k = turn.numerator % d
+    return _NAMED_TURNS.get((k, d)) or f"e^{{2*pi*i*{k}/{d}}}"
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,8 @@ from fractions import Fraction
 from . import condense, decoders, defects, dsemion, engine, lattice
 from .catalog import builtin_theory, modular_data, turn_to_str
 from .errors import (ConfigError, DecodeNotFoundError,
-                     InconsistentSyndromeError, ParseError, QuditLabError,
-                     UnsupportedModelError)
+                     InconsistentSyndromeError, NotCondensableError, ParseError,
+                     QuditLabError, UnsupportedModelError)
 from .pauli import from_text, to_text
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -149,7 +149,7 @@ OUTPUT_FIELDS = {
 DECODE_MAX_MODULUS = 8
 
 # condense checks every triple of labels, so its cost grows as N^6 on Z_N (z8
-# about 1 s, z20 about 3 min); a catalog dump takes z20 20 s, z40 over 2 min
+# about 0.6 s, z20 about 3 min); a catalog dump takes z20 about 1 s, z40 23 s
 CONDENSE_MAX_N = 8
 
 
@@ -383,13 +383,13 @@ def _condense_lines(theory, algebra_text):
     unknown = [a for a in summands if a not in theory.labels]
     if unknown:
         raise ConfigError(f"algebra summand {unknown[0]!r} is not a label of {theory.name}")
-    report = condense.validate_condensable(theory, summands)
     lines = [f"condense theory={theory.name} algebra={algebra_text}"]
-    if not report.valid:
-        kind, where, witness = report.first_failure()
+    try:
+        alg = condense.condensable_algebra(theory, summands)
+    except NotCondensableError as exc:
+        kind, where, witness = exc.report.first_failure()
         lines.append(f"condense-invalid {kind} at {where} witness={witness}")
         return lines
-    alg = condense.condensable_algebra(theory, summands)
     if alg.boundary_tag:
         lines.append(f"condense-boundary {alg.boundary_tag}")
     mods = condense.right_modules(alg)

@@ -7,15 +7,18 @@ fusion orbits (cosets): a module is local (deconfined) exactly when its
 summands braid trivially with the whole algebra; local modules form the
 condensed theory, with twists inherited from any summand (well-definedness
 is asserted, never assumed) and quantum dimensions divided by dim A.
-``condensable_algebra`` builds an algebra from its theory and summands;
-everything after it reads the theory from the algebra (``algebra.parent``).
+Building a ``CondensableAlgebra`` validates it, once, whichever way it is
+built; everything after it reads the theory from the algebra
+(``algebra.parent``), and each algebra computes its right modules once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 from .catalog import AnyonTheory, QDim, _sqrt_qdim, monodromy
-from .errors import QuditLabError, UnsupportedModelError
+from .errors import NotCondensableError, QuditLabError, UnsupportedModelError
 
 __all__ = [
     "CondensableAlgebra",
@@ -34,18 +37,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CondensableAlgebra:
-    """A boson subalgebra 1 + a + b + ... of an abelian theory."""
+    """A boson subalgebra 1 + a + b + ... of an abelian theory.
+
+    Building one runs ``validate_condensable`` and raises
+    ``NotCondensableError`` (a ``QuditLabError``) unless it passes; the
+    summands are then kept once each, in theory label order, and
+    ``boundary_tag``, when not given, names the toric boundary the algebra
+    gives, if any.
+    """
 
     parent: AnyonTheory
-    summands: tuple  # sorted labels, unit included
+    summands: tuple
     boundary_tag: str = ""
 
-    @property
+    def __post_init__(self):
+        theory = self.parent
+        report = validate_condensable(theory, self.summands)
+        if not report.valid:
+            raise NotCondensableError(report)
+        ordered = tuple(sorted(set(self.summands), key=theory.labels.index))
+        object.__setattr__(self, "summands", ordered)
+        if not self.boundary_tag and theory.name in ("toric", "z_2") and len(ordered) == 2:
+            tag = {"m": "smooth boundary", "e": "rough boundary"}.get(ordered[1], "")
+            object.__setattr__(self, "boundary_tag", tag)
+
+    @cached_property
     def dim(self) -> QDim:
         total = QDim()
         for a in self.summands:
             total = total + self.parent.dim[a]
         return total
+
+    @cached_property
+    def _modules(self) -> tuple:
+        """The distinct ``bulk_to_boundary`` images of all labels, in order of
+        first appearance.  The images partition the labels, so each is taken
+        once, from its first label."""
+        modules, seen = [], set()
+        for x in self.parent.labels:
+            if x not in seen:
+                modules.append(bulk_to_boundary(self, x))
+                seen.update(modules[-1].summands)
+        return tuple(modules)
 
     def label(self) -> str:
         return "+".join(self.summands)
@@ -105,23 +138,16 @@ def validate_condensable(theory: AnyonTheory, summands) -> ValidationReport:
             failures.append(("not-a-boson", a, theory.twist[a]))
     for a in summands:
         for b in summands:
-            if monodromy(theory, a, b) % 1 != 0:
-                failures.append(("nontrivial-monodromy", (a, b),
-                                 monodromy(theory, a, b)))
+            turn = monodromy(theory, a, b)
+            if turn != 0:
+                failures.append(("nontrivial-monodromy", (a, b), turn))
     return ValidationReport(not failures, tuple(failures))
 
 
 def condensable_algebra(theory: AnyonTheory, summands) -> CondensableAlgebra:
     """The algebra of ``summands`` in ``theory``, labels in theory order;
-    raises QuditLabError unless ``validate_condensable`` passes."""
-    report = validate_condensable(theory, summands)
-    if not report.valid:
-        raise QuditLabError(f"not a condensable algebra: {report.first_failure()}")
-    ordered = tuple(sorted(set(summands), key=theory.labels.index))
-    tag = ""
-    if theory.name in ("toric", "z_2") and len(ordered) == 2:
-        tag = {"m": "smooth boundary", "e": "rough boundary"}.get(ordered[1], "")
-    return CondensableAlgebra(theory, ordered, tag)
+    raises ``NotCondensableError`` unless ``validate_condensable`` passes."""
+    return CondensableAlgebra(theory, tuple(summands))
 
 
 def enumerate_condensable(theory: AnyonTheory):
@@ -147,9 +173,13 @@ def enumerate_condensable(theory: AnyonTheory):
         candidates.add(closure([b1]))
         for b2 in bosons:
             candidates.add(closure([b1, b2]))
-    valid = [s for s in candidates if validate_condensable(theory, s).valid]
-    return [condensable_algebra(theory, s)
-            for s in sorted(valid, key=lambda s: (len(s), s))]
+    algebras = []
+    for s in sorted(candidates, key=lambda s: (len(s), s)):
+        try:
+            algebras.append(CondensableAlgebra(theory, s))
+        except NotCondensableError:
+            pass
+    return algebras
 
 
 def bulk_to_boundary(algebra: CondensableAlgebra, x: str) -> ModuleObject:
@@ -162,7 +192,7 @@ def bulk_to_boundary(algebra: CondensableAlgebra, x: str) -> ModuleObject:
     theory._check(x)
     orbit = tuple(sorted({_fuse_one(theory, x, a) for a in algebra.summands},
                          key=theory.labels.index))
-    local = all(monodromy(theory, m, a) % 1 == 0
+    local = all(monodromy(theory, m, a) == 0
                 for m in orbit for a in algebra.summands)
     total = QDim()
     for m in orbit:
@@ -172,18 +202,13 @@ def bulk_to_boundary(algebra: CondensableAlgebra, x: str) -> ModuleObject:
 
 def right_modules(algebra: CondensableAlgebra):
     """The distinct ``bulk_to_boundary`` images of all labels, in order of
-    first appearance; each is one simple module.  The images partition the
-    labels, so each is taken once, from its first label."""
-    modules, seen = [], set()
-    for x in algebra.parent.labels:
-        if x not in seen:
-            modules.append(bulk_to_boundary(algebra, x))
-            seen.update(modules[-1].summands)
-    return modules
+    first appearance; each is one simple module.  The algebra computes them
+    once, and every call reads that list."""
+    return list(algebra._modules)
 
 
 def local_modules(algebra: CondensableAlgebra):
-    return [m for m in right_modules(algebra) if m.local]
+    return [m for m in algebra._modules if m.local]
 
 
 def condensed_theory(algebra: CondensableAlgebra) -> AnyonTheory:

@@ -25,6 +25,14 @@ class UnsupportedModelError(QuditLabError):
     """Operation applied to a model of the wrong provenance or modulus."""
 
 
+class NotCondensableError(QuditLabError):
+    """Summands fail a condensable-algebra check; ``report`` lists each failure."""
+
+    def __init__(self, report):
+        super().__init__(f"not a condensable algebra: {report.first_failure()}")
+        self.report = report
+
+
 class InvalidModelError(QuditLabError):
     """Generator set violates a model invariant (e.g. non-commuting)."""
 

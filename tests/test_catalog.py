@@ -1,10 +1,15 @@
 """Anyon-theory tables: fusion, twists, modular data, Majorana braiding."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditlab.catalog import (MajoranaWord, QDim, builtin_theory, fuse,
+import qdim_reference as qdim_ref
+from quditlab.catalog import (AnyonTheory, MajoranaWord, QDim, _pointed, builtin_theory, fuse,
                               is_isomorphic, majorana_braid, modular_data,
                               monodromy, product_theory, s_unitary,
                               turn_to_str, twist_value)
@@ -187,3 +192,116 @@ def test_majorana_pair_charge_flips_under_double_exchange():
     pair = MajoranaWord.from_factors(4, [0, 1])
     braided = majorana_braid(majorana_braid(pair, 1), 1)
     assert braided.factors == (0, 1) and braided.sign == -pair.sign
+
+
+# coefficients of a + b*sqrt(2): small Fractions and plain ints
+COEFFS = st.one_of(st.integers(-20, 20),
+                   st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _same(got, want):
+    assert type(got.a) is Fraction and type(got.b) is Fraction
+    assert (got.a, got.b) == (want.a, want.b)
+    assert str(got) == str(want)
+    assert got.is_zero() == want.is_zero()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(COEFFS, COEFFS, COEFFS, COEFFS, st.integers(-6, 6))
+def test_qdim_matches_fraction_reference(a1, b1, a2, b2, k):
+    x, y = QDim(a1, b1), QDim(a2, b2)
+    rx, ry = qdim_ref.QDim(a1, b1), qdim_ref.QDim(a2, b2)
+    _same(x, rx)
+    _same(y, ry)
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(x * y, rx * ry)
+    _same(-x, -rx)
+    _same(x + k, rx + k)
+    _same(x - k, rx - k)
+    _same(x * k, rx * k)
+    for num, den, rnum, rden in ((x, y, rx, ry), (x, k, rx, k)):
+        if (rden.is_zero() if isinstance(rden, qdim_ref.QDim) else rden == 0):
+            with pytest.raises(ZeroDivisionError):
+                num / den
+            with pytest.raises(ZeroDivisionError):
+                rnum / rden
+        else:
+            _same(num / den, rnum / rden)
+            assert num / den * den == num
+            assert hash(num / den * den) == hash(num)
+    assert (x == y) == (rx == ry)
+    assert (x != y) == (rx != ry)
+    assert (x == a1) == (rx == a1)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x == QDim(Fraction(a1), Fraction(b1)) and hash(x) == hash(QDim(Fraction(a1), Fraction(b1)))
+
+
+def test_qdim_arithmetic_builds_no_fraction(monkeypatch):
+    x, y = QDim(Fraction(3, 4), Fraction(-1, 6)), QDim(2, 5)
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = [x + y, x - y, x * y, x / y, -x, x + 3, x * 2, y / 7]
+    facts = [x == y, x != y, hash(x), x.is_zero()] + [str(r) for r in results]
+    assert facts and made == []
+    coefficient = x.a  # reading a coefficient is what builds a Fraction
+    assert len(made) == 1 and coefficient == Fraction(3, 4)
+
+
+def test_modular_data_of_a_pointed_theory_divides_once(monkeypatch):
+    divisions = []
+    real_div = QDim.__truediv__
+
+    def counting_div(self, other):
+        divisions.append(other)
+        return real_div(self, other)
+
+    monkeypatch.setattr(QDim, "__truediv__", counting_div)
+    z8 = builtin_theory("z_n", 8)
+    s, _ = modular_data(z8)
+    assert len(divisions) == 1
+    assert {mag for row in s for mag, _ in row} == {QDim(Fraction(1, 8))}
+
+
+def _relabelled(theory, seed):
+    """``theory`` under shuffled label names and a shuffled label order (unit first)."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(len(theory.labels))]
+    rng.shuffle(names)
+    new = dict(zip(theory.labels, names))
+    others = [new[a] for a in theory.labels[1:]]
+    rng.shuffle(others)
+    fusion = {(new[a], new[b]): {new[c]: m for c, m in out.items()}
+              for (a, b), out in theory.fusion.items()}
+    return AnyonTheory("relabelled", (new[theory.unit], *others), fusion,
+                       {new[a]: t for a, t in theory.twist.items()},
+                       {new[a]: d for a, d in theory.dim.items()}, theory.total_dim)
+
+
+def test_is_isomorphic_answers_sixteen_labels_quickly():
+    z4 = builtin_theory("z_n", 4)
+    toric = builtin_theory("toric")
+    start = time.perf_counter()
+    assert not is_isomorphic(z4, product_theory(toric, toric))
+    assert is_isomorphic(z4, _relabelled(z4, 1))
+    assert is_isomorphic(_relabelled(z4, 2), z4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_isomorphic_prunes_on_fusion():
+    # Z_4 and Z_2 x Z_2 with the same twist and dimension multiset: only the
+    # fusion tells them apart
+    cyclic = _pointed("z4-group", (4,), ("1", "a", "a2", "a3"),
+                      lambda e: Fraction(1, 2) if e == (2,) else 0)
+    klein = builtin_theory("toric")
+    assert sorted(cyclic.twist.values()) == sorted(klein.twist.values())
+    assert not is_isomorphic(cyclic, klein)
+    assert not is_isomorphic(klein, cyclic)
+    assert is_isomorphic(cyclic, _relabelled(cyclic, 3))

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditlab import engine
-from quditlab.cli import (CONDENSE_MAX_N, CONFIG_HEADER, EXIT_CONFIG, EXIT_MODEL, _parser,
-                          build_model, main, parse_config, run)
+from quditlab.catalog import builtin_theory
+from quditlab.cli import (CONDENSE_MAX_N, CONFIG_HEADER, EXIT_CONFIG, EXIT_MODEL,
+                          REPORT_HEADER, _parser, build_model, main, parse_config, run)
 from quditlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -531,6 +532,16 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "dimension 4" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "quditlab", "catalog", "z8"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == [REPORT_HEADER, "theory z_8", "labels " + " ".join(
+        builtin_theory("z_n", 8).labels)]
+    assert sum(line.startswith("S ") for line in lines) == 64
 
 
 def test_shipped_condense_config():

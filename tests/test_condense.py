@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from quditlab import condense
 from quditlab.catalog import QDim, builtin_theory, is_isomorphic, monodromy
 from quditlab.cli import main
-from quditlab.condense import (bulk_to_boundary, condensable_algebra,
+from quditlab.condense import (CondensableAlgebra, bulk_to_boundary, condensable_algebra,
                                condensed_theory, defect_line_image,
                                enumerate_condensable, local_modules,
                                right_modules, validate_condensable)
-from quditlab.errors import QuditLabError, UnsupportedModelError
+from quditlab.errors import NotCondensableError, QuditLabError, UnsupportedModelError
 
 Z2 = builtin_theory("z_n", 2)
 Z4 = builtin_theory("z_n", 4)
@@ -43,6 +44,56 @@ def test_unknown_summand_is_a_typed_error():
 def test_validate_needs_abelian():
     with pytest.raises(UnsupportedModelError):
         validate_condensable(builtin_theory("ising"), ["1", "psi"])
+
+
+def test_every_construction_path_validates():
+    # e is no boson and {1, e} no subgroup: building the algebra directly
+    # must refuse it as condensable_algebra does
+    for build in (lambda: CondensableAlgebra(Z4, ("1", "e")),
+                  lambda: condensable_algebra(Z4, ["1", "e"])):
+        with pytest.raises(NotCondensableError, match="not a condensable algebra") as info:
+            build()
+        assert isinstance(info.value, QuditLabError)
+        assert info.value.report == validate_condensable(Z4, ["1", "e"])
+    direct = CondensableAlgebra(Z4, ("e2m2", "1", "e2m2"))
+    assert direct == condensable_algebra(Z4, ["1", "e2m2"])
+    assert direct.summands == ("1", "e2m2")
+    assert CondensableAlgebra(Z2, ("1", "m")).boundary_tag == "smooth boundary"
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(condense, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(condense, name, counted)
+    return calls
+
+
+def test_condense_run_validates_once_and_builds_modules_once(monkeypatch, capsys):
+    validations = _counting(monkeypatch, "validate_condensable")
+    images = _counting(monkeypatch, "bulk_to_boundary")
+    assert main(["condense", "z4", "1+e2m2"]) == 0
+    assert "condensed-labels 1+e2m2 e2+m2 em+e3m3 e3m+em3" in capsys.readouterr().out
+    assert len(validations) == 1
+    assert len(images) == 8  # one per right module: computed once, then read
+    alg = condensable_algebra(Z4, ["1", "e2m2"])
+    del validations[:], images[:]
+    assert len(right_modules(alg)) == 8 and len(local_modules(alg)) == 4
+    condensed_theory(alg)
+    assert right_modules(alg) == right_modules(alg)
+    assert len(validations) == 0 and len(images) == 8
+
+
+def test_enumerate_validates_each_candidate_once(monkeypatch):
+    validations = _counting(monkeypatch, "validate_condensable")
+    algs = enumerate_condensable(Z4)
+    checked = [tuple(args[1]) for args in validations]
+    assert len(checked) == len(set(checked))
+    assert {a.summands for a in algs} <= set(checked)
 
 
 def test_enumerate_z2():
@@ -191,3 +242,22 @@ def test_anyon_layer_digest(capsys):
         digest.update(capsys.readouterr().out.encode())
     assert len(runs) == 10 + 31
     assert digest.hexdigest() == ANYON_DIGEST_SHA256
+
+
+# SHA-256 over the stdout of ``catalog`` of z7 and z8, then of ``condense``
+# for each of the 13 ``enumerate_condensable`` algebras of z8, the largest
+# theory the CLI takes (``cli.CONDENSE_MAX_N``); same rule as above
+Z8_DIGEST_SHA256 = "63c23ab2d81cfe1802545d96b95fc13948f32b7668df1d7365d81836f784bc02"
+
+
+def test_anyon_layer_z8_digest(capsys):
+    digest = hashlib.sha256()
+    runs = [["catalog", "z7"], ["catalog", "z8"]]
+    runs += [["condense", "z8", alg.label()]
+             for alg in enumerate_condensable(builtin_theory("z_n", 8))]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        digest.update(" ".join(argv + ["0\n"]).encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert len(runs) == 2 + 13
+    assert digest.hexdigest() == Z8_DIGEST_SHA256
