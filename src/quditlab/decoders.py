@@ -474,7 +474,10 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
             fixers[left] = _close_vertices(ds, left)
         fixer, rule5 = fixers[left]
         cands.append((pauli_mul(partial, fixer), trace0 + rule5))
-    corr, trace = min(cands, key=lambda ct: _rank(ct[0], ds.logicals))
+    # _rank orders by weight first, so only the lightest candidates are ranked
+    w = min(c.weight() for c, _ in cands)
+    corr, trace = min((ct for ct in cands if ct[0].weight() == w),
+                      key=lambda ct: _rank(ct[0], ds.logicals))
     if _add(ds, exps0, engine.syndrome(ds, corr).exponents):
         raise fail
     return Correction(corr, trace)

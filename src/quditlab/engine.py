@@ -11,10 +11,14 @@ Every routine works on nonzero support only.  A row is the sparse
 column 2s and its z exponent in column 2s + 1 (``_row``); ``GeneratorMatrix``
 holds such rows, and dense matrices enter through ``from_dense``.  One
 elimination, ``echelon``, returns the index together with its per-column
-pivots.  Each model caches its echelon once (``StabilizerModel.echelon``):
-``logical_dimension`` reads the index from it and ``is_member`` reduces the
-word's row against the stored pivots, with no second elimination; the
-dimension itself is cached per model too
+pivots.  For even N it holds each row whose entries all equal N/2 (every
+Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset over GF(2)
+and reduces it by XOR; three column rules, keyed by d = gcd(pivot entry, N),
+decide a column that holds both kinds (see ``echelon``).  Each model
+caches its echelon once (``StabilizerModel.echelon``): ``logical_dimension``
+reads the index from it and ``is_member`` reduces the word's row against
+the stored pivots, with no second elimination; the dimension itself is
+cached per model too
 (``StabilizerModel.logical_dimension``).  Each model also carries a site ->
 generator incidence index (``StabilizerModel.incidence``): the commutation
 check visits the generator pairs that share a site, and a syndrome or a
@@ -22,16 +26,17 @@ membership pre-check visits the generators incident to the word's support,
 O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
-sign-consistent by construction and a brute-force check asserts so on
-small instances.
+sign-consistent by construction, and a brute-force check in the tests
+(``tests/sign_reference.py``) asserts so on small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InvalidModelError, ShapeError
-from .pauli import PauliOp, identity, pauli_mul
+from .pauli import PauliOp
 
 __all__ = [
     "GeneratorMatrix",
@@ -93,13 +98,6 @@ class GeneratorMatrix:
                                   for r in rows), columns)
 
 
-def _egcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    d, s, t = _egcd(b, a % b)
-    return d, t, s - (a // b) * t
-
-
 @dataclass(frozen=True)
 class Echelon:
     """The index [Z^columns : L] of a row lattice L and its pivots.
@@ -142,6 +140,16 @@ class Echelon:
         return True
 
 
+def _columns(col: int, b: int) -> list:
+    """The columns col + i of the set bits i of b, ascending."""
+    out = []
+    while b:
+        low = b & -b
+        out.append(col + low.bit_length() - 1)
+        b ^= low
+    return out
+
+
 def echelon(rows, modulus, columns) -> Echelon:
     """Eliminate sparse ``rows`` together with N Z^columns.
 
@@ -155,13 +163,40 @@ def echelon(rows, modulus, columns) -> Echelon:
     the Smith normal form of the stacked matrix [rows; N I] (cross-checked
     in the tests).  The cost follows the nonzeros the elimination touches,
     not rows x columns.
+
+    For even N a row whose entries all equal h = N/2 (every Z_2 row, the
+    doubled semion's order-2 B_p^2 and C_e rows, the d = 2 annihilators on
+    Z_4) is h times a GF(2) vector, held as an ``int`` bitset relative to
+    its leading column and reduced by XOR, since h * x mod N depends only
+    on x mod 2.  A column holding both kinds first gcd-combines its dict
+    rows into one pivot P with d = gcd(P[col], N), then:
+
+    * d = 1: every bitset b takes b ^= odd(P), the bitset of P's odd
+      entries (h b - h a P with a P[col] = 1 mod N, a odd);
+    * d = h: the first bitset b0 becomes the pivot, P + h b0 moves on and
+      every other bitset takes b ^= b0;
+    * 1 < d < h (N = 8, 12), read before combining as gcd(N, entries):
+      the bitsets turn back into dict rows and the gcd step runs on all of
+      them.
+
+    A column of bitsets alone pivots on its first and XORs it into the
+    rest.  Pivots are always dicts, so ``Echelon.contains`` reads one form;
+    each call computes (d, a) once per distinct pivot entry (``residues``).
     """
     N = modulus
-    buckets = {}
+    h = N // 2 if N % 2 == 0 else 0
+    buckets = {}  # leading column -> dict rows
+    bitsets = {}  # leading column -> bitsets, bit i for column + i
+    residues = {}  # P[col] -> (gcd(P[col], N), a) with a * P[col] = gcd mod N
 
     def push(row):
-        if row:
-            buckets.setdefault(min(row), []).append(row)
+        if not row:
+            return
+        col = min(row)
+        if row[col] == h and all(v == h for v in row.values()):
+            bitsets.setdefault(col, []).append(sum(1 << (c - col) for c in row))
+        else:
+            buckets.setdefault(col, []).append(row)
 
     for r in rows:
         push(r)
@@ -169,33 +204,66 @@ def echelon(rows, modulus, columns) -> Echelon:
     pivots = {}
     for col in range(columns):
         nz = buckets.pop(col, None)
-        if not nz:
+        bs = bitsets.pop(col, ()) if bitsets else ()
+        if nz:
+            if bs and gcd(N, *(r[col] for r in nz)) not in (1, h):
+                # 1 < d < h: the bitsets become dict rows
+                nz += [dict.fromkeys(_columns(col, b), h) for b in bs]
+                bs = ()
+            # gcd-combine until a single nonzero entry remains in this column
+            while len(nz) > 1:
+                nz.sort(key=lambda r: r[col])
+                base = nz[0]
+                out = [base]
+                for r in nz[1:]:
+                    q = r[col] // base[col]
+                    new = dict(r)
+                    for c, v in base.items():
+                        e = (new.get(c, 0) - q * v) % N
+                        if e:
+                            new[c] = e
+                        else:
+                            new.pop(c, None)
+                    if col in new:
+                        out.append(new)
+                    else:
+                        push(new)
+                nz = out
+            pivot = nz[0]
+            v = pivot[col]
+            da = residues.get(v)
+            if da is None:
+                d = gcd(v, N)
+                da = residues[v] = (d, pow(v // d, -1, N // d))
+            d, a = da
+            if bs and d == 1:
+                mask = sum(1 << (c - col) for c, v in pivot.items() if v & 1)
+            elif bs:
+                # d == h: the first bitset pivots and P + h b0 moves on
+                moved = dict(pivot)
+                for c in _columns(col, bs[0]):
+                    e = (moved.get(c, 0) + h) % N
+                    if e:
+                        moved[c] = e
+                    else:
+                        del moved[c]
+                push(moved)
+                nz = None
+        elif not bs:
             index *= N
             continue
-        # gcd-combine rows until a single nonzero entry remains in this column
-        while len(nz) > 1:
-            nz.sort(key=lambda r: r[col])
-            base = nz[0]
-            out = [base]
-            for r in nz[1:]:
-                q = r[col] // base[col]
-                new = dict(r)
-                for c, v in base.items():
-                    e = (new.get(c, 0) - q * v) % N
-                    if e:
-                        new[c] = e
-                    else:
-                        new.pop(c, None)
-                if col in new:
-                    out.append(new)
-                else:
-                    push(new)
-            nz = out
-        pivot = nz[0]
-        d, a, _ = _egcd(pivot[col], N)
+        if not nz:
+            # the first bitset pivots; its annihilator 2 h b0 is zero
+            mask, bs = bs[0], bs[1:]
+            pivot, d, a = dict.fromkeys(_columns(col, mask), h), h, 1
+        for b in bs:
+            b ^= mask
+            if b:
+                low = (b & -b).bit_length() - 1
+                bitsets.setdefault(col + low, []).append(b >> low)
         index *= d
         pivots[col] = (pivot, d, a)
-        if d > 1:
+        if nz and d > 1:
             push({c: e for c, v in pivot.items() if (e := (N // d) * v % N)})
     return Echelon(N, index, pivots)
 
@@ -367,29 +435,4 @@ def brute_force_subgroup_order(gens: GeneratorMatrix) -> int:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen)
-
-
-def assert_sign_consistent(model, bound: int = 200000):
-    """Brute-force check: no generated word equals a nontrivial phase times identity.
-
-    Only usable on models whose full group closure is enumerable (tests).
-    """
-    start = identity(model.modulus, model.n_sites)
-    seen = {start.terms: start.phase_exp}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for g in model.generators:
-            nxt = pauli_mul(cur, g.op)
-            key = nxt.terms
-            if key not in seen:
-                if len(seen) > bound:
-                    raise AssertionError("closure exceeds enumeration bound")
-                seen[key] = nxt.phase_exp
-                frontier.append(nxt)
-            elif seen[key] != nxt.phase_exp:
-                raise InvalidModelError(
-                    "stabilizer group contains a nontrivial phase times a "
-                    "repeated word (sign inconsistency)")
     return len(seen)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 
@@ -13,12 +14,13 @@ from quditlab import defects, engine, lattice
 from quditlab.dsemion import build_doubled_semion, logical_operators
 from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              is_member, logical_dimension, subgroup_order,
-                             syndrome, excitation_energy, assert_sign_consistent)
+                             syndrome, excitation_energy)
 from quditlab.errors import InvalidModelError
 from quditlab.lattice import Generator, StabilizerModel, build_toric_code, string_operator
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
                             pauli_mul, pauli_pow, single_site)
 from pauli_reference import from_dense
+from sign_reference import assert_sign_consistent
 from snf_reference import subgroup_order_snf
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -146,6 +148,7 @@ def test_excitation_energy_string_independence():
 
 def test_sign_consistency_of_builtin_models():
     assert_sign_consistent(build_toric_code(2, 2, 2))
+
 
 def test_fast_order_path_matches_snf_reference():
     rng = random.Random(77)
@@ -380,6 +383,84 @@ def test_annihilator_when_the_bezout_coefficient_shares_a_factor():
     gen = Generator("g", "vertex", from_terms(10, 4, [(0, 6, 1)]), 10)
     model = StabilizerModel(lattice.LatticeGeometry(2, 2, "vertices"), 10, (gen,))
     assert is_member(model, single_site(10, 4, 0, z=5))
+
+
+# ----------------------------------------------------------------------
+# order-2 rows held as GF(2) bitsets, and the three column rules
+# ----------------------------------------------------------------------
+
+@st.composite
+def half_biased_matrices(draw):
+    """Matrices over even N whose closure is enumerable: rows of N/2
+    entries only (the bitset rows), such rows with one entry redrawn, and
+    rows of entries biased toward 1, N/2 and the other zero divisors."""
+    N = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    cols = draw(st.integers(1, {2: 10, 4: 5, 6: 4, 8: 3, 12: 3}[N]))
+    h = N // 2
+    half = st.sampled_from([0, h])
+    entry = st.sampled_from([0, 1, h] + [e for e in range(2, N) if math.gcd(e, N) > 1]) \
+        | st.integers(0, N - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["half", "one redrawn", "biased"]))
+        row = list(draw(st.tuples(*[entry if kind == "biased" else half] * cols)))
+        if kind == "one redrawn":
+            row[draw(st.integers(0, cols - 1))] = draw(entry)
+        rows.append(row)
+    return GeneratorMatrix.from_dense(N, rows, cols)
+
+
+def _assert_echelon_matches_closure(gm):
+    N, cols = gm.modulus, gm.columns
+    dense = [tuple(r.get(c, 0) for c in range(cols)) for r in gm.rows]
+    closure = _bfs_rows(dense, N, cols)
+    assert subgroup_order(gm) == subgroup_order_snf(gm) == len(closure)
+    ech = engine.echelon(gm.rows, N, cols)
+    for vec in itertools.product(range(N), repeat=cols):
+        assert ech.contains({c: e for c, e in enumerate(vec) if e}) == (vec in closure)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(half_biased_matrices())
+def test_bitset_rows_match_snf_and_closure(gm):
+    # each column rule fires on about one draw in ten, hence more draws
+    _assert_echelon_matches_closure(gm)
+
+
+def test_unit_pivot_xors_its_odd_entries_into_bitsets():
+    # N = 4: (2, 2) = 2 (1, 1) is a bitset; the unit pivot (1, 2) has odd(P)
+    # = {0}, so the bitset becomes 2 (0, 1) and pivots column 1
+    gm = GeneratorMatrix.from_dense(4, ((1, 2), (2, 2)), 2)
+    assert engine.echelon(gm.rows, 4, 2).pivots == {0: ({0: 1, 1: 2}, 1, 1),
+                                                    1: ({1: 2}, 2, 1)}
+    _assert_echelon_matches_closure(gm)
+
+
+def test_half_pivot_hands_the_column_to_the_first_bitset():
+    # N = 4: the dict pivot (2, 1) has gcd 2 = N/2, so the bitset (2, 0)
+    # pivots and (2, 1) + (2, 0) = (0, 1) moves on
+    gm = GeneratorMatrix.from_dense(4, ((2, 1), (2, 0)), 2)
+    assert engine.echelon(gm.rows, 4, 2).pivots == {0: ({0: 2}, 2, 1),
+                                                    1: ({1: 1}, 1, 1)}
+    _assert_echelon_matches_closure(gm)
+
+
+def test_smaller_zero_divisor_turns_bitsets_back_into_rows():
+    # N = 8: the dict pivot (2, 1) has gcd 2 < 4, so the bitset (4, 0) joins
+    # the gcd step; (4, 0) - 2 (2, 1) = (0, 6) and the annihilator
+    # 4 (2, 1) = (0, 4), a bitset, meet in column 1 with gcd 2 again
+    gm = GeneratorMatrix.from_dense(8, ((2, 1), (4, 0)), 2)
+    ech = engine.echelon(gm.rows, 8, 2)
+    assert ech.pivots == {0: ({0: 2, 1: 1}, 2, 1), 1: ({1: 2}, 2, 1)}
+    assert ech.index == 4
+    _assert_echelon_matches_closure(gm)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_doubled_semion_index_matches_snf(L):
+    ds = build_doubled_semion(L, L)
+    gm = GeneratorMatrix.from_ops([g.op for g in ds.generators])
+    assert subgroup_order(gm) == subgroup_order_snf(gm)
 
 
 def test_noncommuting_error_names_first_pair():
