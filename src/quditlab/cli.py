@@ -89,7 +89,7 @@ def _one_of(*options):
 FIELDS = {
     **dict.fromkeys(("modulus", "seed", "x", "y", "width", "length", "multiplicity", "k"),
                     (int, "an integer")),
-    # a 64x64 build plus its dimension takes 0.2 s (Z_2 toric) to 2.7 s (doubled
+    # a 64x64 build plus its dimension takes 0.17 s (Z_2 toric) to 1.1 s (doubled
     # semion), 10^6 mc trials 3.9 s on one 2-vCPU host; no cap bounds one decode
     **dict.fromkeys(("rows", "cols"), _at_most(64)),
     "trials": _at_most(1_000_000),

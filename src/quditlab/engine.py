@@ -14,16 +14,20 @@ elimination, ``echelon``, returns the index together with its per-column
 pivots.  For even N it holds each row whose entries all equal N/2 (every
 Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset over GF(2)
 and reduces it by XOR; three column rules, keyed by d = gcd(pivot entry, N),
-decide a column that holds both kinds (see ``echelon``).  Each model
-caches its echelon once (``StabilizerModel.echelon``): ``logical_dimension``
-reads the index from it and ``is_member`` reduces the word's row against
-the stored pivots, with no second elimination; the dimension itself is
-cached per model too
-(``StabilizerModel.logical_dimension``).  Each model also carries a site ->
-generator incidence index (``StabilizerModel.incidence``): the commutation
-check visits the generator pairs that share a site, and a syndrome or a
-membership pre-check visits the generators incident to the word's support,
-O(weight x degree).
+decide a column that holds both kinds (see ``echelon``).  Pivots stay raw
+(``Echelon.raw``): a bitset pivot remains an ``int``, and
+``Echelon.contains`` reduces against either form; the all-dict view
+``Echelon.pivots`` is built only when read, and no routine here reads it,
+so an index costs no pivot conversion.  Each model caches its echelon
+once (``StabilizerModel.echelon``): ``logical_dimension`` reads the index
+from it and ``is_member`` reduces the word's row against the stored
+pivots, with no second elimination; the dimension itself is cached per
+model too (``StabilizerModel.logical_dimension``).  Each model also
+carries a site -> generator incidence index (``StabilizerModel.incidence``,
+which also checks that every generator lives on the model's register):
+the commutation check visits the generator pairs that share a site, and a
+syndrome or a membership pre-check visits the generators incident to the
+word's support, O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction, and a brute-force check in the tests
@@ -33,6 +37,8 @@ sign-consistent by construction, and a brute-force check in the tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from math import gcd
 
 from .errors import InvalidModelError, ShapeError
@@ -80,11 +86,13 @@ class GeneratorMatrix:
 
     @classmethod
     def from_ops(cls, ops, modulus: int = None, sites: int = None) -> "GeneratorMatrix":
+        """The rows of ``ops``; an explicit ``modulus`` or ``sites`` must
+        match every op's register (ShapeError otherwise)."""
         ops = list(ops)
         if ops:
-            modulus = ops[0].modulus
-            sites = ops[0].sites
-        if modulus is None or sites is None:
+            modulus = ops[0].modulus if modulus is None else modulus
+            sites = ops[0].sites if sites is None else sites
+        elif modulus is None or sites is None:
             raise ShapeError("empty generator list needs explicit modulus and sites")
         for op in ops:
             if op.modulus != modulus or op.sites != sites:
@@ -102,14 +110,24 @@ class GeneratorMatrix:
 class Echelon:
     """The index [Z^columns : L] of a row lattice L and its pivots.
 
-    ``pivots`` maps each pivot column c to (row, d, a): the pivot row, whose
-    first nonzero column is c, d = gcd(row[c], N) and a with
-    a * row[c] = d mod N.
+    ``raw`` maps each pivot column c to (pivot, d, a) in the form the
+    elimination produced it: the pivot is a dict row whose first nonzero
+    column is c, or an ``int`` bitset b (bit i for column c + i) standing
+    for the row h * b, h = N/2; d = gcd(pivot[c], N) and a * pivot[c] = d
+    mod N (d = h and a = 1 for a bitset).
     """
 
     modulus: int
     index: int
-    pivots: dict
+    raw: dict
+
+    @cached_property
+    def pivots(self) -> dict:
+        """``raw`` with every pivot as a dict row ``{column: exponent}``,
+        built on first read; no routine here reads it."""
+        h = self.modulus // 2
+        return {col: (dict.fromkeys(_columns(col, p), h) if isinstance(p, int) else p, d, a)
+                for col, (p, d, a) in self.raw.items()}
 
     def contains(self, row: dict) -> bool:
         """True iff the sparse row lies in L, by reduction against the pivots.
@@ -119,19 +137,40 @@ class Echelon:
         leaves a vector of L that starts later (Howell form; Storjohann and
         Mulders, "Fast algorithms for linear algebra modulo N", 1998).  So
         a leading entry with no pivot, or not divisible by d_c, means "not
-        in L".
+        in L".  A row whose entries all equal h = N/2 is reduced as a
+        bitset, by XOR against bitset pivots, until it meets a dict pivot;
+        a dict row subtracts q * h on a bitset pivot's set columns.
         """
         N = self.modulus
+        h = N // 2 if N % 2 == 0 else 0
+        raw = self.raw
+        if h and set(row.values()) == {h}:
+            b = 0
+            for c in row:
+                b |= 1 << c
+            while b:
+                col = (b & -b).bit_length() - 1
+                if col not in raw:
+                    return False
+                pivot = raw[col][0]
+                if not isinstance(pivot, int):
+                    row = dict.fromkeys(_columns(0, b), h)
+                    break
+                b ^= pivot << col
+            else:
+                return True
         row = dict(row)
         while row:
             col = min(row)
-            if col not in self.pivots:
+            if col not in raw:
                 return False
-            pivot, d, a = self.pivots[col]
+            pivot, d, a = raw[col]
             if row[col] % d:
                 return False
             q = a * (row[col] // d)
-            for c, v in pivot.items():
+            terms = (zip(_columns(col, pivot), repeat(h)) if isinstance(pivot, int)
+                     else pivot.items())
+            for c, v in terms:
                 e = (row.get(c, 0) - q * v) % N
                 if e:
                     row[c] = e
@@ -180,21 +219,26 @@ def echelon(rows, modulus, columns) -> Echelon:
       them.
 
     A column of bitsets alone pivots on its first and XORs it into the
-    rest.  Pivots are always dicts, so ``Echelon.contains`` reads one form;
-    each call computes (d, a) once per distinct pivot entry (``residues``).
+    rest.  Every pivot stays in the form it was made in, a bitset pivot as
+    its ``int`` (``Echelon.raw``); each call computes (d, a) once per
+    distinct pivot entry (``residues``).
     """
     N = modulus
     h = N // 2 if N % 2 == 0 else 0
     buckets = {}  # leading column -> dict rows
     bitsets = {}  # leading column -> bitsets, bit i for column + i
     residues = {}  # P[col] -> (gcd(P[col], N), a) with a * P[col] = gcd mod N
+    halves = {h}
 
     def push(row):
         if not row:
             return
         col = min(row)
-        if row[col] == h and all(v == h for v in row.values()):
-            bitsets.setdefault(col, []).append(sum(1 << (c - col) for c in row))
+        if row[col] == h and set(row.values()) == halves:
+            b = 0
+            for c in row:
+                b |= 1 << (c - col)
+            bitsets.setdefault(col, []).append(b)
         else:
             buckets.setdefault(col, []).append(row)
 
@@ -255,7 +299,7 @@ def echelon(rows, modulus, columns) -> Echelon:
         if not nz:
             # the first bitset pivots; its annihilator 2 h b0 is zero
             mask, bs = bs[0], bs[1:]
-            pivot, d, a = dict.fromkeys(_columns(col, mask), h), h, 1
+            pivot, d, a = mask, h, 1
         for b in bs:
             b ^= mask
             if b:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import engine
-from .errors import GeometryError, PathError, UnsupportedModelError
+from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
 from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
 
 __all__ = [
@@ -63,12 +63,12 @@ class LatticeGeometry:
         if self.placement not in ("edges", "vertices"):
             raise GeometryError(f"unknown placement {self.placement!r}")
 
-    @property
+    @cached_property
     def sites_per_layer(self) -> int:
         per_cell = 2 if self.placement == "edges" else 1
         return per_cell * self.rows * self.cols
 
-    @property
+    @cached_property
     def n_sites(self) -> int:
         return self.layers * self.sites_per_layer
 
@@ -77,28 +77,34 @@ class LatticeGeometry:
 
     # --- edge placement -------------------------------------------------
     def edge_index(self, orient: str, x: int, y: int, layer: int = 0) -> int:
+        return self._cell(x, y, layer) + (orient != "h")
+
+    def _cell(self, x: int, y: int, layer: int) -> int:
+        """The site of h(x, y) in ``layer``; v(x, y) is the next one."""
         if self.placement != "edges":
             raise GeometryError("edge_index needs edge placement")
-        x, y = self.wrap(x, y)
-        base = 2 * (y * self.cols + x) + (0 if orient == "h" else 1)
-        return layer * self.sites_per_layer + base
+        return layer * self.sites_per_layer + 2 * (y % self.rows * self.cols + x % self.cols)
 
     def vertex_star(self, x: int, y: int, layer: int = 0):
-        """(site, x-exp, z-exp) triples of the vertex operator at (x, y)."""
+        """(site, x-exp, z-exp) triples of the vertex operator at (x, y):
+        h(x-1, y), v(x, y-1), h(x, y) and v(x, y)."""
+        here = self._cell(x, y, layer)
         return [
-            (self.edge_index("h", x - 1, y, layer), 1, 0),
-            (self.edge_index("v", x, y - 1, layer), 1, 0),
-            (self.edge_index("h", x, y, layer), -1, 0),
-            (self.edge_index("v", x, y, layer), -1, 0),
+            (self._cell(x - 1, y, layer), 1, 0),
+            (self._cell(x, y - 1, layer) + 1, 1, 0),
+            (here, -1, 0),
+            (here + 1, -1, 0),
         ]
 
     def plaquette_boundary(self, x: int, y: int, layer: int = 0):
-        """(site, x-exp, z-exp) triples of the plaquette operator with SW corner (x, y)."""
+        """(site, x-exp, z-exp) triples of the plaquette operator with SW
+        corner (x, y): h(x, y), v(x+1, y), h(x, y+1) and v(x, y)."""
+        here = self._cell(x, y, layer)
         return [
-            (self.edge_index("h", x, y, layer), 0, 1),
-            (self.edge_index("v", x + 1, y, layer), 0, 1),
-            (self.edge_index("h", x, y + 1, layer), 0, -1),
-            (self.edge_index("v", x, y, layer), 0, -1),
+            (here, 0, 1),
+            (self._cell(x + 1, y, layer) + 1, 0, 1),
+            (self._cell(x, y + 1, layer), 0, -1),
+            (here + 1, 0, -1),
         ]
 
     # --- vertex placement -----------------------------------------------
@@ -149,9 +155,19 @@ class StabilizerModel:
     @cached_property
     def incidence(self) -> dict:
         """site -> [(generator position, x, z), ...] over every generator's
-        support, positions ascending; built once per model."""
+        support, positions ascending; built once per model.
+
+        Raises ShapeError, naming both registers, for a generator on another
+        register, so the commutation check, a syndrome and a membership
+        test never compare words of different registers.
+        """
         inc = {}
+        N, n = self.modulus, self.n_sites
         for j, g in enumerate(self.generators):
+            if g.op.modulus != N or g.op.sites != n:
+                raise ShapeError(
+                    f"generator {g.gid} acts on a {g.op.sites}-site Z_{g.op.modulus} "
+                    f"register, the model on a {n}-site Z_{N} register")
             for s, x, z in g.op.terms:
                 inc.setdefault(s, []).append((j, x, z))
         return inc

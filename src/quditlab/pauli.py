@@ -69,22 +69,11 @@ class PauliOp:
     phase_exp: int = 0
 
     def __post_init__(self):
-        n = self.modulus
-        if n < 2:
-            raise ShapeError(f"modulus must be >= 2, got {n}")
-        terms = []
-        for s, x, z in self.terms:
-            x %= n
-            z %= n
-            if x or z:
-                terms.append((s, x, z))
-        terms.sort()
-        if terms and not (0 <= terms[0][0] and terms[-1][0] < self.sites):
-            raise ShapeError(f"word acts outside its {self.sites}-site register")
+        terms = _normal_form(self.modulus, self.sites, self.terms)
         if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
             raise ShapeError("word repeats a site")
         object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "phase_exp", self.phase_exp % (2 * n))
+        object.__setattr__(self, "phase_exp", self.phase_exp % (2 * self.modulus))
 
     @property
     def x_exp(self) -> tuple:
@@ -140,6 +129,24 @@ class PauliOp:
         return k
 
 
+def _normal_form(modulus: int, sites: int, terms) -> list:
+    """The (site, x, z) triples with exponents reduced mod N, zero sites
+    dropped, sorted; ShapeError for a modulus below 2 or a nonzero site
+    outside ``[0, sites)``.  Repeated sites are left to the caller."""
+    if modulus < 2:
+        raise ShapeError(f"modulus must be >= 2, got {modulus}")
+    out = []
+    for s, x, z in terms:
+        x %= modulus
+        z %= modulus
+        if x or z:
+            out.append((s, x, z))
+    out.sort()
+    if out and not (0 <= out[0][0] and out[-1][0] < sites):
+        raise ShapeError(f"word acts outside its {sites}-site register")
+    return out
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -179,17 +186,20 @@ def from_terms(modulus: int, sites: int, terms, phase: int = 0) -> PauliOp:
     """Build a word from (site, x, z) triples; repeated sites multiply left to right.
 
     Appending X^x Z^z on a site moves the word's Z^z' there past X^x, which
-    costs omega^{z' x}, i.e. tau^{2 z' x}.
+    costs omega^{z' x}, i.e. tau^{2 z' x}.  The merged sites take the
+    constructor's normal form and checks (``_normal_form``) and the word is
+    built from them directly, so it is normalized once.
     """
-    acc = {}
-    for site, x, z in terms:
-        prev = acc.get(site)
+    acc = {}  # site -> (site, x, z) merged so far
+    for t in terms:
+        s = t[0]
+        prev = acc.get(s)
         if prev is None:
-            acc[site] = (x, z)
+            acc[s] = t
         else:
-            phase += 2 * prev[1] * x
-            acc[site] = (prev[0] + x, prev[1] + z)
-    return PauliOp(modulus, sites, tuple((s, x, z) for s, (x, z) in acc.items()), phase)
+            phase += 2 * prev[2] * t[1]
+            acc[s] = (s, prev[1] + t[1], prev[2] + t[2])
+    return _word(modulus, sites, tuple(_normal_form(modulus, sites, acc.values())), phase)
 
 
 def pauli_mul(p: PauliOp, q: PauliOp) -> PauliOp:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from quditlab.dsemion import build_doubled_semion, logical_operators
 from quditlab.engine import (GeneratorMatrix, brute_force_subgroup_order,
                              is_member, logical_dimension, subgroup_order,
                              syndrome, excitation_energy)
-from quditlab.errors import InvalidModelError
+from quditlab.errors import InvalidModelError, ShapeError
 from quditlab.lattice import Generator, StabilizerModel, build_toric_code, string_operator
 from quditlab.pauli import (PauliOp, commutation_exponent, from_terms, identity,
                             pauli_mul, pauli_pow, single_site)
@@ -418,6 +419,8 @@ def _assert_echelon_matches_closure(gm):
     ech = engine.echelon(gm.rows, N, cols)
     for vec in itertools.product(range(N), repeat=cols):
         assert ech.contains({c: e for c, e in enumerate(vec) if e}) == (vec in closure)
+    # contains reduced against the raw pivots: the dict view was never built
+    assert "pivots" not in vars(ech)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -510,3 +513,104 @@ def test_from_terms_matches_mul_fold(N, data):
     terms = data.draw(st.lists(st.tuples(st.integers(0, sites - 1), exp, exp), max_size=8))
     phase = data.draw(st.integers(-4 * N, 4 * N))
     assert from_terms(N, sites, terms, phase) == _fold_terms(N, sites, terms, phase)
+
+
+# ----------------------------------------------------------------------
+# raw pivots: an index never builds the dict view
+# ----------------------------------------------------------------------
+
+# sha256 (first 16 hex digits) of the pivots, as sorted (column, sorted row
+# items, d, a) tuples, that the elimination returned when every pivot was
+# stored as a dict row
+EAGER_PIVOTS = {
+    "Z2": (lambda: build_toric_code(4, 4, 2), "479514d0c63f4435"),
+    "Z3": (lambda: build_toric_code(3, 3, 3), "83df09a860291c0e"),
+    "Z4": (lambda: build_toric_code(4, 4, 4), "f482c1fbe3dfa3fc"),
+    "Z6": (lambda: build_toric_code(3, 3, 6), "2899dc0ee3cbb4e3"),
+    "Z8": (lambda: build_toric_code(3, 3, 8), "f0af3cace4978629"),
+    "Z12": (lambda: build_toric_code(2, 2, 12), "8b049365be5787af"),
+    "dsemion3": (lambda: build_doubled_semion(3, 3), "3dc65c13c6dbc923"),
+    "dsemion": (lambda: build_doubled_semion(4, 4), "19971699d70dc3b0"),
+    "bombin": (lambda: lattice.build_bombin_lattice(4, 4), "a28a14b190cd7cd9"),
+}
+
+
+def _pivot_digest(pivots):
+    canon = repr([(c, tuple(sorted(row.items())), d, a)
+                  for c, (row, d, a) in sorted(pivots.items())])
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _logical_words(model):
+    if model.family == "doubled-semion":
+        return [s.op for s in logical_operators(model).values()]
+    if model.family == "bombin":
+        L = model.geometry.cols
+        return [from_terms(2, model.n_sites, [(x, x % 2, 1 - x % 2) for x in range(L)])]
+    return [op for _, op in model.logicals]
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z4", "dsemion", "bombin"])
+def test_index_and_membership_build_no_pivot_view(name, monkeypatch):
+    build, digest = EAGER_PIVOTS[name]
+    model = build()
+    gm = GeneratorMatrix.from_ops([g.op for g in model.generators])
+
+    def unread(self):
+        raise AssertionError("the pivot view was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine.Echelon, "pivots", property(unread))
+        order = subgroup_order(gm)
+        assert engine.lattice_index(gm.rows, gm.modulus, gm.columns) * order \
+            == gm.modulus ** gm.columns
+        assert logical_dimension(model) * order == model.modulus ** model.n_sites
+        gens = model.generators
+        assert is_member(model, pauli_mul(pauli_mul(gens[0].op, gens[1].op), gens[-1].op))
+        for word in _logical_words(model):
+            assert not engine.syndrome(model, word)
+            assert not is_member(model, word)
+    ech = model.echelon
+    assert "pivots" not in vars(ech)
+    if model.modulus == 2:
+        assert all(isinstance(p, int) for p, _, _ in ech.raw.values())
+    # once read, the view equals the pivots of the all-dict elimination
+    assert _pivot_digest(ech.pivots) == digest
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_PIVOTS))
+def test_pivot_view_equals_eager_pivots(name):
+    build, digest = EAGER_PIVOTS[name]
+    assert _pivot_digest(build().echelon.pivots) == digest
+
+
+# ----------------------------------------------------------------------
+# generators on another register
+# ----------------------------------------------------------------------
+
+def test_from_ops_checks_an_explicit_register():
+    ops = [g.op for g in build_toric_code(2, 2, 2).generators]
+    for modulus, sites in ((4, 9), (4, 8), (2, 9)):
+        with pytest.raises(ShapeError, match="^generator register mismatch$"):
+            GeneratorMatrix.from_ops(ops, modulus, sites)
+    assert GeneratorMatrix.from_ops(ops, 2, 8) == GeneratorMatrix.from_ops(ops)
+    assert subgroup_order(GeneratorMatrix.from_ops(ops, 2, 8)) == 64
+
+
+@pytest.mark.parametrize("geometry, modulus, register", [
+    # modulus-2 generators in a modulus-4 model
+    (lattice.LatticeGeometry(2, 2, "edges"), 4, "8-site Z_4"),
+    # 2x2 generators on a 3x3 geometry
+    (lattice.LatticeGeometry(3, 3, "edges"), 2, "18-site Z_2"),
+])
+def test_model_on_another_register_raises_shape_error(geometry, modulus, register):
+    gens = build_toric_code(2, 2, 2).generators
+    model = StabilizerModel(geometry, modulus, gens)
+    text = (f"^generator A\\(0,0\\) acts on a 8-site Z_2 register, "
+            f"the model on a {register} register$")
+    with pytest.raises(ShapeError, match=text):
+        logical_dimension(model)
+    with pytest.raises(ShapeError, match=text):
+        is_member(model, identity(modulus, model.n_sites))
+    with pytest.raises(ShapeError, match="^generator register mismatch$"):
+        model.echelon

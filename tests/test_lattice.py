@@ -23,6 +23,37 @@ def test_geometry_counts():
                 for x in range(4) for y in range(3)}) == 24
 
 
+@pytest.mark.parametrize("rows, cols, layers", [(2, 2, 1), (3, 4, 1), (5, 2, 2)])
+def test_edge_sites_by_arithmetic_match_the_wrapped_formula(rows, cols, layers):
+    geo = LatticeGeometry(rows, cols, "edges", layers)
+    per_layer = 2 * rows * cols
+    assert (geo.sites_per_layer, geo.n_sites) == (per_layer, layers * per_layer)
+
+    def site(orient, x, y, layer):
+        x, y = geo.wrap(x, y)
+        return layer * per_layer + 2 * (y * cols + x) + (orient == "v")
+
+    for layer in range(layers):
+        for y in range(-rows - 1, 2 * rows + 1):
+            for x in range(-cols - 1, 2 * cols + 1):
+                for o in "hv":
+                    assert geo.edge_index(o, x, y, layer) == site(o, x, y, layer)
+                assert geo.vertex_star(x, y, layer) == [
+                    (site("h", x - 1, y, layer), 1, 0), (site("v", x, y - 1, layer), 1, 0),
+                    (site("h", x, y, layer), -1, 0), (site("v", x, y, layer), -1, 0)]
+                assert geo.plaquette_boundary(x, y, layer) == [
+                    (site("h", x, y, layer), 0, 1), (site("v", x + 1, y, layer), 0, 1),
+                    (site("h", x, y + 1, layer), 0, -1), (site("v", x, y, layer), 0, -1)]
+
+
+def test_edge_sites_need_edge_placement():
+    geo = LatticeGeometry(2, 2, "vertices")
+    for call in (lambda: geo.edge_index("h", 0, 0), lambda: geo.vertex_star(0, 0),
+                 lambda: geo.plaquette_boundary(0, 0)):
+        with pytest.raises(GeometryError, match="^edge_index needs edge placement$"):
+            call()
+
+
 def test_build_toric_code_2x2():
     m = build_toric_code(2, 2, 2)
     assert m.n_sites == 8

@@ -233,6 +233,57 @@ def test_from_terms_and_products_match_dense_reference(case, data):
     assert ref.dense(pauli_prod(N, sites, ws)) == fold
 
 
+def _merged_constructor(modulus, sites, terms, phase):
+    """Repeated sites merged left to right, then the constructor's normal form."""
+    acc = {}
+    for s, x, z in terms:
+        if s in acc:
+            px, pz = acc[s]
+            phase += 2 * pz * x
+            acc[s] = (px + x, pz + z)
+        else:
+            acc[s] = (x, z)
+    return PauliOp(modulus, sites, tuple((s, x, z) for s, (x, z) in acc.items()), phase)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ShapeError as exc:
+        return f"ShapeError: {exc}"
+
+
+@OF_REFERENCE
+@given(st.sampled_from([-3, 0, 1] + MODULI), st.integers(1, 5), st.data())
+def test_from_terms_normal_form_matches_constructor(N, sites, data):
+    # sites one beyond either end of the register, repeated sites, and
+    # exponents and phases beyond [0, N); a modulus below 2 raises first
+    span = max(N, 2)
+    exp = st.integers(-2 * span, 2 * span)
+    inside = st.integers(0, sites - 1)
+    site = inside | st.sampled_from([-1, sites]) if data.draw(st.booleans()) else inside
+    terms = data.draw(st.lists(st.tuples(site, exp, exp), max_size=10))
+    phase = data.draw(st.integers(-4 * span, 4 * span))
+    got = _outcome(from_terms, N, sites, terms, phase)
+    assert got == _outcome(_merged_constructor, N, sites, terms, phase)
+    if isinstance(got, PauliOp):
+        assert got.terms == tuple(sorted(got.terms))
+        if all(0 <= s < sites for s, _, _ in terms):
+            assert ref.dense(got) == ref.from_terms(N, sites, terms, phase)
+
+
+def test_from_terms_error_texts():
+    for N in (0, 1, -2):
+        with pytest.raises(ShapeError, match=f"^modulus must be >= 2, got {N}$"):
+            from_terms(N, 3, [(0, 1, 0)])
+    for s in (-1, 3):
+        with pytest.raises(ShapeError, match="^word acts outside its 3-site register$"):
+            from_terms(2, 3, [(s, 1, 0)])
+    # a site whose exponents cancel or vanish mod N is dropped, as in the constructor
+    assert from_terms(2, 3, [(7, 1, 0), (7, 1, 0)]) == PauliOp(2, 3, ((7, 2, 0),))
+    assert from_terms(2, 3, [(7, 1, 0), (7, 1, 0)]).terms == ()
+
+
 @OF_REFERENCE
 @given(register(6))
 def test_sort_key_orders_like_dense_vectors(case):
