@@ -25,14 +25,10 @@ from .errors import QuditLabError, UnsupportedModelError
 __all__ = [
     "QDim",
     "AnyonTheory",
-    "MajoranaWord",
     "builtin_theory",
-    "fuse",
-    "twist_value",
     "monodromy",
     "modular_data",
     "s_unitary",
-    "majorana_braid",
     "is_isomorphic",
     "product_theory",
     "turn_to_str",
@@ -230,40 +226,6 @@ class AnyonTheory:
         if a not in self._label_set:
             raise QuditLabError(f"unknown label {a!r} in theory {self.name}")
 
-    def validate(self):
-        """Unit laws, associativity, duals, dimension homomorphism, D."""
-        u = self.unit
-        for a in self.labels:
-            if self.fusion[(a, u)] != {a: 1} or self.fusion[(u, a)] != {a: 1}:
-                raise QuditLabError(f"unit law fails for {a}")
-            self.dual(a)
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    lhs = {}
-                    for x, m1 in self.fusion[(a, b)].items():
-                        for d, m2 in self.fusion[(x, c)].items():
-                            lhs[d] = lhs.get(d, 0) + m1 * m2
-                    rhs = {}
-                    for y, m1 in self.fusion[(b, c)].items():
-                        for d, m2 in self.fusion[(a, y)].items():
-                            rhs[d] = rhs.get(d, 0) + m1 * m2
-                    if lhs != rhs:
-                        raise QuditLabError(f"fusion not associative at ({a},{b},{c})")
-        for a in self.labels:
-            for b in self.labels:
-                total = QDim()
-                for c, m in self.fusion[(a, b)].items():
-                    total = total + self.dim[c] * m
-                if total != self.dim[a] * self.dim[b]:
-                    raise QuditLabError(f"dimension homomorphism fails at ({a},{b})")
-        square = QDim()
-        for a in self.labels:
-            square = square + self.dim[a] * self.dim[a]
-        if self.total_dim * self.total_dim != square:
-            raise QuditLabError("total dimension does not match sum of squares")
-        return self
-
 
 def _pointed(name, moduli, labels, twist_of) -> AnyonTheory:
     """Pointed theory of the abelian group Z_m1 x Z_m2 x ... of ``moduli``:
@@ -351,17 +313,6 @@ def builtin_theory(name: str, n: int = None) -> AnyonTheory:
         dim = {**abelian.dim, "sig+": root2, "sig-": root2}
         return AnyonTheory("ising_like_twist", labels, f, twist, dim, QDim(0, 2))
     raise UnsupportedModelError(f"unknown builtin theory {name!r}")
-
-
-def fuse(theory: AnyonTheory, a: str, b: str) -> dict:
-    """Outcome multiset of a x b as a label -> multiplicity dict."""
-    return theory.fuse(a, b)
-
-
-def twist_value(theory: AnyonTheory, label: str) -> Fraction:
-    """Topological spin as a fraction of a full turn (theta = e^{2 pi i t})."""
-    theory._check(label)
-    return theory.twist[label]
 
 
 def monodromy(theory: AnyonTheory, a: str, b: str) -> Fraction:
@@ -498,68 +449,3 @@ def turn_to_str(turn: Fraction) -> str:
     d = turn.denominator
     k = turn.numerator % d
     return _NAMED_TURNS.get((k, d)) or f"e^{{2*pi*i*{k}/{d}}}"
-
-
-# ----------------------------------------------------------------------
-# Majorana braid representation
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MajoranaWord:
-    """Normal-ordered product of Majorana generators with a sign.
-
-    Relations c_j c_k + c_k c_j = 2 delta_jk: adjacent swaps of distinct
-    generators flip the sign, repeated generators cancel.
-    """
-
-    n_modes: int
-    sign: int = 1
-    factors: tuple = ()
-
-    @classmethod
-    def from_factors(cls, n_modes: int, factors, sign: int = 1) -> "MajoranaWord":
-        seq = list(factors)
-        for j in seq:
-            if not 0 <= j < n_modes:
-                raise ValueError(f"generator index {j} out of range")
-        # insertion sort counting transpositions of distinct generators
-        out = []
-        for j in seq:
-            k = len(out)
-            while k > 0 and out[k - 1] > j:
-                k -= 1
-            sign *= (-1) ** (len(out) - k)
-            out.insert(k, j)
-        # cancel equal neighbors (c_j^2 = 1)
-        i = 0
-        while i + 1 < len(out):
-            if out[i] == out[i + 1]:
-                del out[i:i + 2]
-                i = max(0, i - 1)
-            else:
-                i += 1
-        return cls(n_modes, sign, tuple(out))
-
-    def __mul__(self, other: "MajoranaWord") -> "MajoranaWord":
-        if self.n_modes != other.n_modes:
-            raise ValueError("mode-count mismatch")
-        return MajoranaWord.from_factors(self.n_modes,
-                                         self.factors + other.factors,
-                                         self.sign * other.sign)
-
-
-def majorana_braid(word: MajoranaWord, j: int) -> MajoranaWord:
-    """Braid generator j past j+1: c_j -> c_{j+1}, c_{j+1} -> -c_j."""
-    if not 0 <= j + 1 < word.n_modes:
-        raise ValueError(f"braid index {j} out of range for {word.n_modes} modes")
-    sign = word.sign
-    factors = []
-    for c in word.factors:
-        if c == j:
-            factors.append(j + 1)
-        elif c == j + 1:
-            factors.append(j)
-            sign = -sign
-        else:
-            factors.append(c)
-    return MajoranaWord.from_factors(word.n_modes, factors, sign)

@@ -32,7 +32,6 @@ __all__ = [
     "MonteCarloResult",
     "decode_toric",
     "decode_doubled_semion",
-    "brute_force_decode",
     "BruteForceOracle",
     "monte_carlo_trial",
     "classify_residual",
@@ -574,11 +573,6 @@ class BruteForceOracle:
                 return self._canonical(cands, ("w3",))
         raise DecodeNotFoundError(
             f"no correction of weight <= {self.max_weight} matches the syndrome")
-
-
-def brute_force_decode(model, syn, max_weight: int = 2) -> Correction:
-    """Exhaustive minimum-weight decode; ground truth for the two decoders."""
-    return BruteForceOracle(model, max_weight).decode(syn)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,10 @@ elimination, ``echelon``, returns the index together with its per-column
 pivots.  For even N it holds each row whose entries all equal N/2 (every
 Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset over GF(2)
 and reduces it by XOR; three column rules, keyed by d = gcd(pivot entry, N),
-decide a column that holds both kinds (see ``echelon``).  Pivots stay raw
-(``Echelon.raw``): a bitset pivot remains an ``int``, and
-``Echelon.contains`` reduces against either form; the all-dict view
-``Echelon.pivots`` is built only when read, and no routine here reads it,
-so an index costs no pivot conversion.  Each model caches its echelon
+decide a column that holds both kinds (see ``echelon``).  Each pivot stays
+in the form the elimination made it (``Echelon.raw``): a bitset pivot
+remains an ``int``, and ``Echelon.contains`` reduces against either form,
+so no pivot is ever converted.  Each model caches its echelon
 once (``StabilizerModel.echelon``): ``logical_dimension`` reads the index
 from it and ``is_member`` reduces the word's row against the stored
 pivots, with no second elimination; the dimension itself is cached per
@@ -37,7 +36,6 @@ sign-consistent by construction, and a brute-force check in the tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from math import gcd
 
@@ -50,7 +48,6 @@ __all__ = [
     "Syndrome",
     "echelon",
     "subgroup_order",
-    "lattice_index",
     "logical_dimension",
     "is_member",
     "syndrome",
@@ -120,14 +117,6 @@ class Echelon:
     modulus: int
     index: int
     raw: dict
-
-    @cached_property
-    def pivots(self) -> dict:
-        """``raw`` with every pivot as a dict row ``{column: exponent}``,
-        built on first read; no routine here reads it."""
-        h = self.modulus // 2
-        return {col: (dict.fromkeys(_columns(col, p), h) if isinstance(p, int) else p, d, a)
-                for col, (p, d, a) in self.raw.items()}
 
     def contains(self, row: dict) -> bool:
         """True iff the sparse row lies in L, by reduction against the pivots.
@@ -312,15 +301,10 @@ def echelon(rows, modulus, columns) -> Echelon:
     return Echelon(N, index, pivots)
 
 
-def lattice_index(rows, modulus, columns) -> int:
-    """[Z^columns : L] for the lattice L spanned by sparse ``rows`` and N Z^columns."""
-    return echelon(rows, modulus, columns).index
-
-
 def subgroup_order(gens: GeneratorMatrix) -> int:
     """Order of the subgroup of Z_N^{2n} generated by the rows."""
     n2 = gens.columns
-    prod = lattice_index(gens.rows, gens.modulus, n2)
+    prod = echelon(gens.rows, gens.modulus, n2).index
     total = gens.modulus ** n2
     assert total % prod == 0
     return total // prod
@@ -331,8 +315,8 @@ def _first_noncommuting_pair(model):
 
     Words that share no site commute, so the model's site -> generator
     incidence lists the candidate partners of each generator and the
-    symplectic form is summed over the shared sites only.  Returns None
-    when all pairs commute.
+    symplectic form is summed over the shared sites only; j is the smallest
+    partner that fails.  Returns None when all pairs commute.
     """
     inc = model.incidence
     for i, g in enumerate(model.generators):
@@ -341,9 +325,9 @@ def _first_noncommuting_pair(model):
             for j, xo, zo in inc[s]:
                 if j > i:
                     acc[j] = acc.get(j, 0) + z * xo - x * zo
-        for j in sorted(acc):
-            if acc[j] % model.modulus:
-                return i, j
+        bad = [j for j, k in acc.items() if k % model.modulus]
+        if bad:
+            return i, min(bad)
     return None
 
 

@@ -14,9 +14,7 @@ never both zero, so equality of words is plain tuple equality.
 
 Every operation walks the supports only: products, powers, adjoints,
 commutation exponents, serialization, ``weight`` and ``support`` cost
-O(weight), not O(sites).  The dense exponent tuples ``x_exp`` and ``z_exp``
-are derived views for tests and brute-force oracles; no operation here
-reads them.
+O(weight), not O(sites); no dense exponent vector is ever built.
 
 Key relations (all exact, no floats):
 
@@ -31,7 +29,6 @@ the identity on any register is ``"0|"``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ShapeError
@@ -75,22 +72,6 @@ class PauliOp:
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "phase_exp", self.phase_exp % (2 * self.modulus))
 
-    @property
-    def x_exp(self) -> tuple:
-        """Dense X exponents over all sites (a derived view, O(sites))."""
-        xs = [0] * self.sites
-        for s, x, _ in self.terms:
-            xs[s] = x
-        return tuple(xs)
-
-    @property
-    def z_exp(self) -> tuple:
-        """Dense Z exponents over all sites (a derived view, O(sites))."""
-        zs = [0] * self.sites
-        for s, _, z in self.terms:
-            zs[s] = z
-        return tuple(zs)
-
     def is_identity(self, up_to_phase: bool = False) -> bool:
         return not self.terms and (up_to_phase or self.phase_exp == 0)
 
@@ -105,28 +86,6 @@ class PauliOp:
 
     def __pow__(self, k: int) -> "PauliOp":
         return pauli_pow(self, k)
-
-    def adjoint(self) -> "PauliOp":
-        return pauli_adjoint(self)
-
-    def order(self) -> int:
-        """Smallest k >= 1 with self^k exactly the identity (phase included)."""
-        acc = self
-        for k in range(1, 2 * self.modulus ** 2 + 1):
-            if acc.is_identity():
-                return k
-            acc = pauli_mul(acc, self)
-        raise AssertionError("order exceeded bound")  # unreachable for valid words
-
-    def symplectic_order(self) -> int:
-        """Order of the word with phases ignored."""
-        n = self.modulus
-        k = 1
-        for _, x, z in self.terms:
-            for e in (x, z):
-                if e:
-                    k = math.lcm(k, n // math.gcd(e, n))
-        return k
 
 
 def _normal_form(modulus: int, sites: int, terms) -> list:
@@ -302,7 +261,7 @@ def commutation_exponent(p: PauliOp, q: PauliOp) -> int:
 
 def sort_key(p: PauliOp) -> tuple:
     """A key that orders words of one register as their dense
-    ``(x_exp, z_exp)`` tuples compare, in O(weight).
+    (X exponents, Z exponents) tuples compare, in O(weight).
 
     A dense vector is smaller when its first nonzero site comes later, so
     each block lists ``(-site, exponent)`` for its nonzero sites.

@@ -7,6 +7,7 @@ site plus a phase exponent of tau = exp(i*pi/N), with the same normal form
 sites, so it is only for the small registers the tests draw.
 """
 
+import math
 from dataclasses import dataclass
 
 from quditlab.pauli import PauliOp
@@ -31,9 +32,47 @@ class DenseWord:
         return len(self.x_exp)
 
 
+def x_exp(op: PauliOp) -> tuple:
+    """The X exponents of a sparse word over every site."""
+    xs = [0] * op.sites
+    for s, x, _ in op.terms:
+        xs[s] = x
+    return tuple(xs)
+
+
+def z_exp(op: PauliOp) -> tuple:
+    """The Z exponents of a sparse word over every site."""
+    zs = [0] * op.sites
+    for s, _, z in op.terms:
+        zs[s] = z
+    return tuple(zs)
+
+
 def dense(op: PauliOp) -> DenseWord:
-    """The dense form of a sparse word, read through its derived views."""
-    return DenseWord(op.modulus, op.x_exp, op.z_exp, op.phase_exp)
+    """The dense form of a sparse word."""
+    return DenseWord(op.modulus, x_exp(op), z_exp(op), op.phase_exp)
+
+
+def order(op: PauliOp) -> int:
+    """Smallest k >= 1 with op^k exactly the identity (phase included), by
+    repeated multiplication."""
+    acc = op
+    for k in range(1, 2 * op.modulus ** 2 + 1):
+        if acc.is_identity():
+            return k
+        acc = acc * op
+    raise AssertionError("order exceeded bound")  # unreachable for valid words
+
+
+def symplectic_order(op: PauliOp) -> int:
+    """Order of the word with phases ignored."""
+    n = op.modulus
+    k = 1
+    for _, x, z in op.terms:
+        for e in (x, z):
+            if e:
+                k = math.lcm(k, n // math.gcd(e, n))
+    return k
 
 
 def sparse(word: DenseWord) -> PauliOp:

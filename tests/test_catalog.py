@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdim_reference as qdim_ref
-from quditlab.catalog import (AnyonTheory, MajoranaWord, QDim, _pointed, builtin_theory, fuse,
-                              is_isomorphic, majorana_braid, modular_data,
-                              monodromy, product_theory, s_unitary,
-                              turn_to_str, twist_value)
+from majorana_reference import MajoranaWord, majorana_braid
+from quditlab.catalog import (AnyonTheory, QDim, _pointed, builtin_theory, is_isomorphic,
+                              modular_data, monodromy, product_theory, s_unitary,
+                              turn_to_str)
 from quditlab.errors import UnsupportedModelError
+from theory_reference import validate
 
 ALL_BUILTINS = [("toric", None), ("z_n", 2), ("z_n", 3), ("z_n", 4),
                 ("semion", None), ("doubled_semion", None), ("ising", None),
@@ -22,7 +23,7 @@ ALL_BUILTINS = [("toric", None), ("z_n", 2), ("z_n", 3), ("z_n", 4),
 
 def test_all_builtins_validate():
     for name, n in ALL_BUILTINS:
-        builtin_theory(name, n).validate()
+        validate(builtin_theory(name, n))
 
 
 def test_unknown_name():
@@ -32,9 +33,9 @@ def test_unknown_name():
 
 def test_toric_fusion_and_dims():
     t = builtin_theory("toric")
-    assert fuse(t, "e", "m") == {"em": 1}
-    assert fuse(t, "e", "em") == {"m": 1}
-    assert fuse(t, "em", "em") == {"1": 1}
+    assert t.fuse("e", "m") == {"em": 1}
+    assert t.fuse("e", "em") == {"m": 1}
+    assert t.fuse("em", "em") == {"1": 1}
     assert all(t.dim[a] == QDim(1) for a in t.labels)
     assert t.total_dim == QDim(2)
 
@@ -43,36 +44,36 @@ def test_unit_law_everywhere():
     for name, n in ALL_BUILTINS:
         t = builtin_theory(name, n)
         for a in t.labels:
-            assert fuse(t, a, t.unit) == {a: 1}
+            assert t.fuse(a, t.unit) == {a: 1}
 
 
 def test_ising_like_twist_fusion():
     t = builtin_theory("ising_like_twist")
-    assert fuse(t, "sig+", "sig+") == {"1": 1, "eps": 1}
-    assert fuse(t, "sig+", "sig-") == {"e": 1, "m": 1}
-    assert fuse(t, "sig+", "eps") == {"sig+": 1}
-    assert fuse(t, "sig+", "e") == {"sig-": 1}
-    assert fuse(t, "sig+", "m") == {"sig-": 1}
-    assert twist_value(t, "sig+") == Fraction(1, 4)
-    assert twist_value(t, "sig-") == Fraction(3, 4)
+    assert t.fuse("sig+", "sig+") == {"1": 1, "eps": 1}
+    assert t.fuse("sig+", "sig-") == {"e": 1, "m": 1}
+    assert t.fuse("sig+", "eps") == {"sig+": 1}
+    assert t.fuse("sig+", "e") == {"sig-": 1}
+    assert t.fuse("sig+", "m") == {"sig-": 1}
+    assert t.twist["sig+"] == Fraction(1, 4)
+    assert t.twist["sig-"] == Fraction(3, 4)
 
 
 def test_twist_values():
     z4 = builtin_theory("z_n", 4)
-    assert twist_value(z4, "e2m2") == 0          # i^4 = 1
-    assert twist_value(z4, "em") == Fraction(1, 4)
+    assert z4.twist["e2m2"] == 0          # i^4 = 1
+    assert z4.twist["em"] == Fraction(1, 4)
     z2 = builtin_theory("z_n", 2)
-    assert twist_value(z2, "em") == Fraction(1, 2)  # (-1)^{pq}
+    assert z2.twist["em"] == Fraction(1, 2)  # (-1)^{pq}
     ds = builtin_theory("doubled_semion")
-    assert twist_value(ds, "s") == Fraction(1, 4)
-    assert twist_value(ds, "sbar") == Fraction(3, 4)
-    assert twist_value(ds, "ssbar") == 0
+    assert ds.twist["s"] == Fraction(1, 4)
+    assert ds.twist["sbar"] == Fraction(3, 4)
+    assert ds.twist["ssbar"] == 0
     ising = builtin_theory("ising")
-    assert twist_value(ising, "sigma") == Fraction(1, 16)
-    assert twist_value(ising, "psi") == Fraction(1, 2)
+    assert ising.twist["sigma"] == Fraction(1, 16)
+    assert ising.twist["psi"] == Fraction(1, 2)
     assert builtin_theory("semion").twist["s"] == Fraction(1, 4)
     for name, n in ALL_BUILTINS:
-        assert twist_value(builtin_theory(name, n), "1") == 0
+        assert builtin_theory(name, n).twist["1"] == 0
 
 
 def test_ising_dimension_is_root_two():
@@ -99,7 +100,7 @@ def test_monodromy_is_bicharacter():
         for a in t.labels:
             for b in t.labels:
                 for c in t.labels:
-                    (bc,) = fuse(t, b, c)
+                    (bc,) = t.fuse(b, c)
                     lhs = monodromy(t, a, bc)
                     rhs = (monodromy(t, a, b) + monodromy(t, a, c)) % 1
                     assert lhs == rhs
@@ -145,7 +146,7 @@ def test_no_s_matrix_for_twist_theory():
 def test_twist_theory_is_not_doubled_ising():
     ilt = builtin_theory("ising_like_twist")
     doubled = product_theory(builtin_theory("ising"), builtin_theory("ising"))
-    doubled.validate()
+    validate(doubled)
     assert len(doubled.labels) == 9
     assert not is_isomorphic(ilt, doubled)
     # quantum-dimension obstruction: D = 2*sqrt(2) versus 4
@@ -153,7 +154,7 @@ def test_twist_theory_is_not_doubled_ising():
     assert doubled.total_dim == QDim(4)
     assert ilt.total_dim != doubled.total_dim
     # sigma+ x sigma+ differs from sigma+ x sigma-: no relabeling can merge them
-    assert fuse(ilt, "sig+", "sig+") != fuse(ilt, "sig+", "sig-")
+    assert ilt.fuse("sig+", "sig+") != ilt.fuse("sig+", "sig-")
 
 
 def test_condensed_vs_builtin_isomorphism_helper():

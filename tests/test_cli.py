@@ -155,7 +155,7 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["condense", "z4", "1+zz"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
-    # condensation cost grows as N^6, so z<N> above the documented cap is refused
+    # z<N> above the documented cap (set by a catalog dump's N^4 cost) is refused
     assert main(["condense", f"z{CONDENSE_MAX_N + 1}", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
     # the catalog dump of z<N> has the same cap

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from quditlab import condense
-from quditlab.catalog import QDim, builtin_theory, is_isomorphic, monodromy
+from quditlab.catalog import QDim, builtin_theory, is_isomorphic, monodromy, product_theory
 from quditlab.cli import main
 from quditlab.condense import (CondensableAlgebra, bulk_to_boundary, condensable_algebra,
-                               condensed_theory, defect_line_image,
-                               enumerate_condensable, local_modules,
+                               condensed_theory, enumerate_condensable, local_modules,
                                right_modules, validate_condensable)
 from quditlab.errors import NotCondensableError, QuditLabError, UnsupportedModelError
+from theory_reference import brute_force_condensable, defect_line_image, validate
 
 Z2 = builtin_theory("z_n", 2)
 Z4 = builtin_theory("z_n", 4)
@@ -212,9 +212,9 @@ def test_orbits_partition_labels():
     assert sorted(seen) == sorted(Z4.labels)
 
 
-# CLI name -> theory of every catalogued theory up to z6 (a z<N> condensation
-# costs N^6, see cli.CONDENSE_MAX_N); the pointed ones are condensed by each
-# of their algebras
+# CLI name -> theory of every catalogued theory up to z6 (z7 and z8 have
+# their own digest below); the pointed ones are condensed by each of their
+# algebras
 ANYON_THEORIES = {
     "toric": builtin_theory("toric"),
     "semion": builtin_theory("semion"),
@@ -246,7 +246,8 @@ def test_anyon_layer_digest(capsys):
 
 # SHA-256 over the stdout of ``catalog`` of z7 and z8, then of ``condense``
 # for each of the 13 ``enumerate_condensable`` algebras of z8, the largest
-# theory the CLI takes (``cli.CONDENSE_MAX_N``); same rule as above
+# theory the CLI takes (``cli.CONDENSE_MAX_N``, set by the N^4 cost of a
+# catalog dump); same rule as above
 Z8_DIGEST_SHA256 = "63c23ab2d81cfe1802545d96b95fc13948f32b7668df1d7365d81836f784bc02"
 
 
@@ -261,3 +262,47 @@ def test_anyon_layer_z8_digest(capsys):
         digest.update(capsys.readouterr().out.encode())
     assert len(runs) == 2 + 13
     assert digest.hexdigest() == Z8_DIGEST_SHA256
+
+
+TORIC = builtin_theory("toric")
+TORIC2 = product_theory(TORIC, TORIC)
+TORIC3 = product_theory(TORIC2, TORIC)
+# every Z_N the CLI condenses, and the toric code stacked twice and three times
+POINTED = [builtin_theory("z_n", n) for n in range(2, 9)] + [TORIC2, TORIC3]
+
+
+@pytest.mark.parametrize("theory", POINTED, ids=lambda t: t.name)
+def test_enumerate_finds_every_algebra_of_at_most_three_bosons(theory):
+    algs = [a.summands for a in enumerate_condensable(theory)]
+    assert algs == sorted(algs, key=lambda s: (len(s), s))
+    assert len(set(algs)) == len(algs)
+    assert set(algs) == brute_force_condensable(theory)
+
+
+def test_toric_cubed_has_thirty_lagrangian_algebras():
+    sizes = [len(a.summands) for a in enumerate_condensable(TORIC3)]
+    assert len(sizes) == 171
+    # one Lagrangian subgroup per prod_{i<3} (2^i + 1) = 30, each condensing to nothing
+    assert sizes.count(8) == 30
+    assert [len(condensed_theory(a).labels) for a in enumerate_condensable(TORIC3)
+            if len(a.summands) == 8] == [1] * 30
+
+
+@pytest.mark.parametrize("theory", POINTED, ids=lambda t: t.name)
+def test_every_condensed_theory_passes_the_axiom_oracle(theory):
+    # the built-in theories themselves: test_catalog.test_all_builtins_validate
+    for alg in enumerate_condensable(theory):
+        new = validate(condensed_theory(alg))
+        mods = list(zip(local_modules(alg), new.labels))
+        for mod, label in mods:
+            # a module's summands share the twist its condensed label carries
+            assert {theory.twist[s] for s in mod.summands} == {new.twist[label]}
+            assert mod.dim == new.dim[label] == QDim(1)
+        for mod1, l1 in mods:
+            for mod2, l2 in mods:
+                # every summand of one local module times the other lands in
+                # the module the condensed fusion names
+                (product,) = new.fusion[(l1, l2)]
+                for s1 in mod1.summands:
+                    (c,) = theory.fusion[(s1, mod2.summands[-1])]
+                    assert c in product.split("+")

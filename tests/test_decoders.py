@@ -19,7 +19,7 @@ from quditlab.cli import build_model, parse_config
 from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
                                _class_names, _class_tuple, _family_candidates,
                                _geodesic_paths, _min_cost_pairings, _step2_plans,
-                               _torus_path, _trail_edges, brute_force_decode,
+                               _torus_path, _trail_edges,
                                classify_residual,
                                decode_doubled_semion, decode_outcome, decode_toric,
                                monte_carlo_trial)
@@ -41,7 +41,7 @@ def test_empty_syndrome_decodes_to_identity():
     ds = build_doubled_semion(4, 4)
     corr = decode_doubled_semion(ds, engine.syndrome(ds, identity(4, ds.n_sites)))
     assert corr.op.is_identity(up_to_phase=True)
-    oracle = brute_force_decode(tc, engine.syndrome(tc, identity(2, tc.n_sites)), 1)
+    oracle = BruteForceOracle(tc, 1).decode(engine.syndrome(tc, identity(2, tc.n_sites)))
     assert oracle.op.is_identity(up_to_phase=True)
 
 
@@ -53,7 +53,7 @@ def test_adjacent_plaquette_pair_fixed_by_single_x():
     assert len(syn.violated_plaquettes) == 2
     corr = decode_toric(tc, syn)
     assert corr.op == err  # exact inverse at modulus 2
-    assert brute_force_decode(tc, syn, 2).op.weight() == 1
+    assert BruteForceOracle(tc, 2).decode(syn).op.weight() == 1
 
 
 def test_weight1_toric_sweep_identity_class():
@@ -221,7 +221,7 @@ def test_brute_force_not_found():
     # build an uncorrectable-within-budget syndrome by hand
     err = pauli_mul(logical, single_site(2, tc.n_sites, 0, x=1))
     syn = engine.syndrome(tc, err)
-    corr = brute_force_decode(tc, syn, 1)  # weight-1 fix exists for this one
+    corr = BruteForceOracle(tc, 1).decode(syn)  # weight-1 fix exists for this one
     assert not engine.syndrome(tc, pauli_mul(err, corr.op))
     with pytest.raises(DecodeNotFoundError):
         BruteForceOracle(tc, 4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pauli_reference import order, symplectic_order
 from quditlab import engine
 from quditlab.decoders import classify_residual
 from quditlab.defects import apply_z4_patch_in_ds
@@ -35,12 +36,12 @@ def test_generator_kinds_and_orders():
     assert counts == {"vertex": 16, "plaquette": 16, "edge": 32}
     for g in ds.generators:
         if g.kind == "edge":
-            assert g.op.order() == 2  # C_e generators have order 2
+            assert order(g.op) == 2  # C_e generators have order 2
             assert g.op.weight() == 2
         elif g.kind == "plaquette":
-            assert g.op.symplectic_order() == 2
+            assert symplectic_order(g.op) == 2
         else:
-            assert g.op.symplectic_order() == 4
+            assert symplectic_order(g.op) == 4
             assert g.op.weight() == 6  # the fish footprint
 
 

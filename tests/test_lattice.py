@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import string_reference as ref
+from pauli_reference import symplectic_order, x_exp, z_exp
 from quditlab import engine
 from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import GeometryError, PathError, UnsupportedModelError
@@ -96,7 +97,7 @@ def test_toric_generators_commute_and_have_order_n():
         m = build_toric_code(3, 2, N)
         ops = [g.op for g in m.generators]
         for i in range(len(ops)):
-            assert ops[i].symplectic_order() == N
+            assert symplectic_order(ops[i]) == N
             for j in range(i + 1, len(ops)):
                 assert commutation_exponent(ops[i], ops[j]) == 0
 
@@ -145,9 +146,9 @@ def test_bombin_to_kitaev():
     assert kinds == {"vertex", "plaquette"}
     for g in k.generators:
         if g.kind == "vertex":
-            assert not any(g.op.z_exp)
+            assert not any(z_exp(g.op))
         else:
-            assert not any(g.op.x_exp)
+            assert not any(x_exp(g.op))
     assert engine.logical_dimension(k) == engine.logical_dimension(m) == 4
     # applying the translation twice restores the Bombin generators
     back = bombin_to_kitaev(k)

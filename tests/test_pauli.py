@@ -20,7 +20,7 @@ def test_z4_zx_reordering_phase():
     Z = single_site(4, 1, 0, z=1)
     zx = pauli_mul(Z, X)
     xz = pauli_mul(X, Z)
-    assert zx.x_exp == xz.x_exp and zx.z_exp == xz.z_exp
+    assert ref.x_exp(zx) == ref.x_exp(xz) and ref.z_exp(zx) == ref.z_exp(xz)
     assert (zx.phase_exp - xz.phase_exp) % 8 == 2
 
 
@@ -36,7 +36,7 @@ def test_x_fourth_power_is_identity():
     assert pauli_pow(X, 4).is_identity()
     Z = single_site(4, 1, 0, z=1)
     assert pauli_pow(Z, 4).is_identity()
-    assert X.order() == 4 and Z.order() == 4
+    assert ref.order(X) == 4 and ref.order(Z) == 4
 
 
 def test_shape_errors():
@@ -121,13 +121,13 @@ def test_negative_power_is_adjoint_power():
 def _closure_order(gens):
     seen = {gens[0].is_identity and None}  # placeholder replaced below
     start = identity(gens[0].modulus, gens[0].sites)
-    seen = {(start.x_exp, start.z_exp, start.phase_exp)}
+    seen = {(start.terms, start.phase_exp)}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         for g in gens:
             nxt = pauli_mul(cur, g)
-            key = (nxt.x_exp, nxt.z_exp, nxt.phase_exp)
+            key = (nxt.terms, nxt.phase_exp)
             if key not in seen:
                 seen.add(key)
                 frontier.append(nxt)
@@ -309,7 +309,7 @@ def test_group_laws(case):
     # the commutation exponent is antisymmetric
     assert (commutation_exponent(p, q) + commutation_exponent(q, p)) % N == 0
     # p^order = I exactly, and no smaller positive power is
-    k = p.order()
+    k = ref.order(p)
     assert pauli_pow(p, k).is_identity()
     assert not any(pauli_pow(p, j).is_identity() for j in range(1, k))
 
@@ -318,8 +318,8 @@ def test_constructor_normal_form_and_views():
     p = PauliOp(4, 5, ((3, 4, 2), (1, -1, 0), (0, 8, 4)), phase_exp=-1)
     assert p.terms == ((1, 3, 0), (3, 0, 2))
     assert p.phase_exp == 7
-    assert p.x_exp == (0, 3, 0, 0, 0) and p.z_exp == (0, 0, 0, 2, 0)
-    assert p == ref.from_dense(4, p.x_exp, p.z_exp, 7)
+    assert ref.x_exp(p) == (0, 3, 0, 0, 0) and ref.z_exp(p) == (0, 0, 0, 2, 0)
+    assert p == ref.from_dense(4, ref.x_exp(p), ref.z_exp(p), 7)
     assert hash(p) == hash(from_text(to_text(p), 4, 5))
     with pytest.raises(ShapeError, match="repeats"):
         PauliOp(2, 3, ((1, 1, 0), (1, 0, 1)))
