@@ -443,8 +443,6 @@ _NAMED_TURNS = {(0, 1): "1", (1, 4): "i", (1, 2): "-1", (3, 4): "-i"}
 
 
 def turn_to_str(turn: Fraction) -> str:
-    if not isinstance(turn, Fraction):
-        turn = Fraction(turn)
     # n/d in lowest terms, so (n mod d)/d is too: the turn mod 1
     d = turn.denominator
     k = turn.numerator % d

@@ -224,10 +224,8 @@ def parse_config(text: str) -> ExperimentConfig:
                                   f"at least two path nodes")
             kind = _value("string", rest[0], no)
             try:
-                path = tuple(tuple(int(c) for c in tok.split(",")) for tok in rest[1:])
+                path = tuple((int(x), int(y)) for x, y in (tok.split(",") for tok in rest[1:]))
             except ValueError:
-                raise ConfigError(f"line {no}: string path nodes must be x,y pairs")
-            if any(len(p) != 2 for p in path):
                 raise ConfigError(f"line {no}: string path nodes must be x,y pairs")
             cfg.string_spec = (kind, path)
         elif head == "channel":

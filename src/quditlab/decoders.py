@@ -1,6 +1,6 @@
 """Error correction: toric pairing decoder, the five-step doubled-semion
-decoder, a brute-force minimum-weight oracle, and a seeded Monte Carlo
-harness.
+decoder, a brute-force minimum-weight oracle of weight <= 2, and a seeded
+Monte Carlo harness.
 
 All decoders are pure functions of the syndrome.  Stochastic work takes an
 explicit seed and reproduces bit-for-bit.  Soundness (the correction clears
@@ -487,18 +487,16 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
 # ----------------------------------------------------------------------
 
 class BruteForceOracle:
-    """Exhaustive minimum-weight search with meet-in-the-middle tables.
+    """Exhaustive minimum-weight search over corrections of weight <= 2.
 
-    Desk scale only: weight <= 3 on lattices up to 6x6.  At the minimum
-    weight the oracle enumerates every matching correction and returns the
-    canonical one: smallest (logical class, exponent tuple).
+    Desk scale only: one table of the single-site words by syndrome, so a
+    weight-2 match costs one lookup per single.  At the minimum weight the
+    oracle enumerates every matching correction and returns the canonical
+    one: smallest (logical class, exponent tuple).
     """
 
-    def __init__(self, model, max_weight: int = 2):
-        if max_weight > 3:
-            raise DecodeNotFoundError("oracle enumerates weight <= 3 only")
+    def __init__(self, model):
         self.model = model
-        self.max_weight = max_weight
         self.n = model.n_sites
         self.N = model.modulus
         self.gens = list(model.generators)
@@ -510,36 +508,18 @@ class BruteForceOracle:
                     if a == 0 and b == 0:
                         continue
                     op = single_site(self.N, self.n, site, x=a, z=b)
-                    self.singles.append((self._key(op), op))
+                    self.singles.append((self.syndrome_key(engine.syndrome(model, op)), op))
         self.by_key = {}
         for key, op in self.singles:
             self.by_key.setdefault(key, []).append(op)
-        self.w2 = None
-        if max_weight >= 2:
-            self.w2 = set()
-            for i, (k1, op1) in enumerate(self.singles):
-                s1 = op1.support()[0]
-                for k2, op2 in self.singles[i + 1:]:
-                    if op2.support()[0] == s1:
-                        continue
-                    self.w2.add(tuple((a + b) % o for a, b, o in
-                                      zip(k1, k2, self._orders)))
-
-    def _key(self, op):
-        n = self.N
-        return tuple(commutation_exponent(g.op, op) * g.order // n % g.order
-                     for g in self.gens)
 
     def syndrome_key(self, syn):
         return tuple(syn.exponents.get(g.gid, 0) for g in self.gens)
 
-    def _sub(self, a, b):
-        return tuple((x - y) % o for x, y, o in zip(a, b, self._orders))
-
     def _weight2_matches(self, target):
         out = []
         for k1, op1 in self.singles:
-            need = self._sub(target, k1)
+            need = tuple((x - y) % o for x, y, o in zip(target, k1, self._orders))
             for op2 in self.by_key.get(need, []):
                 if op2.support()[0] > op1.support()[0]:
                     out.append(pauli_mul(op1, op2))
@@ -555,24 +535,10 @@ class BruteForceOracle:
             return Correction(identity(self.N, self.n), ("w0",))
         if target in self.by_key:
             return self._canonical(self.by_key[target], ("w1",))
-        if self.max_weight >= 2:
-            cands = self._weight2_matches(target)
-            if cands:
-                return self._canonical(cands, ("w2",))
-        if self.max_weight >= 3:
-            cands = []
-            for k1, op1 in self.singles:
-                s1 = op1.support()[0]
-                need = self._sub(target, k1)
-                if need not in self.w2:
-                    continue
-                for w2op in self._weight2_matches(need):
-                    if min(w2op.support()) > s1:
-                        cands.append(pauli_mul(op1, w2op))
-            if cands:
-                return self._canonical(cands, ("w3",))
-        raise DecodeNotFoundError(
-            f"no correction of weight <= {self.max_weight} matches the syndrome")
+        cands = self._weight2_matches(target)
+        if cands:
+            return self._canonical(cands, ("w2",))
+        raise DecodeNotFoundError("no correction of weight <= 2 matches the syndrome")
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ geometry is never mutated.  Reports always recompute the logical dimension
 from scratch via the engine's sparse gcd elimination; nothing is trusted
 from the construction arithmetic.
 
-Every surgery ends in ``_surgery``, which claims the defect region, rewrites
-the generators and reports the dimension before and after.  ``_carry``
+Every surgery ends in ``_surgery``, which rewrites the generators, keeps the
+parent logicals that commute with the added ones and reports the dimension
+before and after; it refuses to remove a generator that is already gone,
+which is how an overlapping defect is caught.  ``_carry``
 rewrites the parent's certificates, so they stay exact on chained surgeries.
 
 Frozen operator content (pinned by commutation closure, stated orders,
@@ -43,9 +45,9 @@ from dataclasses import dataclass, replace
 
 from . import engine
 from .errors import DefectError, GeometryError, UnsupportedModelError
-from .lattice import (DefectSpec, Generator, StabilizerModel, cell_op, fish_op, hop_op,
-                      plaquette_op, star_op)
-from .pauli import pauli_mul
+from .lattice import (Generator, StabilizerModel, cell_op, fish_op, hop_op, plaquette_op,
+                      star_op)
+from .pauli import commutation_exponent, pauli_mul
 
 __all__ = [
     "DefectReport",
@@ -73,21 +75,25 @@ class DefectReport:
                 f"dimension {self.dim_before} -> {self.dim_after}")
 
 
-def _surgery(model: StabilizerModel, kind: str, region, removed, added, constraints):
-    """Claim ``region`` for a new ``kind`` defect, swap ``removed`` for
-    ``added``, replace the constraints and report the logical dimension
-    before and after."""
-    taken = {cell for spec in model.defects for cell in spec.region}
-    overlap = taken & set(region)
-    if overlap:
-        raise DefectError(f"defect region overlaps an existing defect at {sorted(overlap)}")
+def _surgery(model: StabilizerModel, kind: str, removed, added, constraints):
+    """Swap ``removed`` for ``added``, record the ``kind`` defect, replace
+    the constraints and report the logical dimension before and after.
+
+    Each surgery removes the generators of every site or cell it touches,
+    so a defect that overlaps an earlier one removes a generator that is
+    already gone: that is the one conflict rule.  The kept generators
+    commuted with every parent logical, so a logical stays if it commutes
+    with every added generator.
+    """
     gone = set(removed)
     missing = gone - {g.gid for g in model.generators}
     if missing:
         raise DefectError(f"cannot remove unknown generators {sorted(missing)}")
     gens = tuple(g for g in model.generators if g.gid not in gone) + tuple(added)
+    logicals = tuple((name, op) for name, op in model.logicals
+                     if not any(commutation_exponent(g.op, op) for g in added))
     new = replace(model, generators=gens, constraints=tuple(constraints),
-                  defects=model.defects + (DefectSpec(kind, tuple(region)),))
+                  defects=model.defects + (kind,), logicals=logicals)
     return new, DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
                              engine.logical_dimension(new))
 
@@ -129,7 +135,7 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     for cert in model.constraints:
         total.update(cert)
     merged = _carry(model, [total], sites, lambda x, y, a, b: {f"F({x},{y})": a})
-    return _surgery(model, kind, [("site",) + v for v in sites], removed, added, merged)
+    return _surgery(model, kind, removed, added, merged)
 
 
 # ----------------------------------------------------------------------
@@ -240,16 +246,13 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
     x0, y0 = geo.wrap(x0, y0)
     removed = []
     added = []
-    cells = []
     if contractible:
         if multiplicity != 1:
             raise DefectError("multiplicity applies to non-contractible twists")
         if width < 2 or width + 3 >= geo.cols:
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
         y = y0
-        cols = [(x0 - 1 + j) % geo.cols for j in range(width + 3)]
-        cells = [(a, y) for a in cols]
-        removed = [f"P({a},{y})" for a, _ in cells]
+        removed = [f"P({(x0 - 1 + j) % geo.cols},{y})" for j in range(width + 3)]
         added = [_cell(geo, "PentL", "pentagon", x0, y, _PENTAGON_L, 1)]
         added += [_cell(geo, "Par", "parallelogram", (x0 + j) % geo.cols, y, _PARALLELOGRAM)
                   for j in range(width)]
@@ -261,13 +264,11 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
         for line in range(multiplicity):
             y = (y0 + 2 * line) % geo.rows
             for a in range(geo.cols):
-                cells.append((a, y))
                 removed.append(f"P({a},{y})")
                 added.append(_cell(geo, "Par", "parallelogram", a, y, _PARALLELOGRAM))
     merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
               | {g.gid: 1 for g in added})
-    return _surgery(model, "bombin-twist", [("cell",) + c for c in cells],
-                    removed, added, (merged,))
+    return _surgery(model, "bombin-twist", removed, added, (merged,))
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +302,7 @@ def _ds_patch(model: StabilizerModel, sites):
     certs = [{g: 2 * e for g, e in c.items()} if odd(c) else c for c in model.constraints]
     certs = _carry(model, certs, sites, lambda u, v, a, b: {
         f"Fds({u},{v})": a, f"Bds({u},{v})": (b - a) // 2 % 2})
-    return _surgery(model, "ds-patch", [("site",) + v for v in sites], removed, added, certs)
+    return _surgery(model, "ds-patch", removed, added, certs)
 
 
 def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
@@ -342,8 +343,7 @@ def _z4_patch(model: StabilizerModel, sites):
         added.append(Generator(f"TCB({a},{b})", "plaquette", plaquette_op(geo, 4, a, b), 4))
     certs = _carry(model, model.constraints, sites, lambda u, v, a, b: {
         f"TCA({u},{v})": a, f"TCB({u},{v})": a + 2 * b})
-    return _surgery(model, "z4-patch-in-ds", [("site",) + v for v in sites],
-                    removed, added, certs)
+    return _surgery(model, "z4-patch-in-ds", removed, added, certs)
 
 
 def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
@@ -405,5 +405,4 @@ def couple_bilayer(model: StabilizerModel, wormhole: str, mouths=((0, 0), (2, 2)
     else:
         constraints = (ones("vertex-T2"), ones("plaquette-T1"),
                        ones("vertex-T1", "plaquette-T2", extra=["F1", "F2"]))
-    return _surgery(model, f"bilayer-wormhole-{wormhole}",
-                    [("mouth", x1, y1), ("mouth", x2, y2)], removed, added, constraints)
+    return _surgery(model, f"bilayer-wormhole-{wormhole}", removed, added, constraints)

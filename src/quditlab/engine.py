@@ -395,29 +395,11 @@ class Syndrome:
     Exponents are normalized to the generator's declared order: generator g
     of order r on error E picks up eigenvalue exp(2*pi*i*s/r) with
     s = commutation_exponent(g, E) * r / N mod r.  Unviolated generators are
-    omitted from ``exponents``.
+    omitted; ``kinds`` maps each violated gid to its generator's kind.
     """
 
     exponents: dict = field(default_factory=dict)
     kinds: dict = field(default_factory=dict)
-
-    def violated(self, kind_prefix: str = None):
-        if kind_prefix is None:
-            return sorted(self.exponents)
-        return sorted(g for g in self.exponents
-                      if self.kinds[g].startswith(kind_prefix))
-
-    @property
-    def violated_vertices(self):
-        return self.violated("vertex")
-
-    @property
-    def violated_plaquettes(self):
-        return self.violated("plaquette")
-
-    @property
-    def violated_edges(self):
-        return self.violated("edge")
 
     def weight(self) -> int:
         return len(self.exponents)

@@ -124,23 +124,15 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class DefectSpec:
-    """Placement of one defect; regions of distinct defects must be disjoint."""
-
-    kind: str
-    region: tuple = ()
-
-
-@dataclass(frozen=True)
 class StabilizerModel:
-    """Lattice geometry + modulus + labeled generators + defect registry."""
+    """Lattice geometry + modulus + labeled generators + applied surgeries."""
 
     geometry: LatticeGeometry
     modulus: int
     generators: tuple
     constraints: tuple = ()  # exponent certificates {gid: exp} multiplying to identity
     family: str = "custom"
-    defects: tuple = ()
+    defects: tuple = ()  # the kind of each surgery applied, in order
     logicals: tuple = ()  # (name, PauliOp) canonical logical representatives
 
     @property

@@ -84,9 +84,6 @@ class PauliOp:
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         return pauli_mul(self, other)
 
-    def __pow__(self, k: int) -> "PauliOp":
-        return pauli_pow(self, k)
-
 
 def _normal_form(modulus: int, sites: int, terms) -> list:
     """The (site, x, z) triples with exponents reduced mod N, zero sites

@@ -173,7 +173,7 @@ def test_criterion_5_subgroup_order_oracle():
 def test_criterion_6_decoder_sweeps():
     start = time.monotonic()
     tc = build_toric_code(4, 4, 2)
-    oracle = BruteForceOracle(tc, 3)
+    oracle = BruteForceOracle(tc)
     singles = [(s, a, b) for s in range(tc.n_sites)
                for a, b in ((1, 0), (0, 1), (1, 1))]
     checked = 0
@@ -194,7 +194,7 @@ def test_criterion_6_decoder_sweeps():
             checked += 1
 
     ds = build_doubled_semion(4, 4)
-    ds_oracle = BruteForceOracle(ds, 3)
+    ds_oracle = BruteForceOracle(ds)
     ds_checked = 0
     for site in range(ds.n_sites):
         for a in range(4):

@@ -323,6 +323,41 @@ def test_config_error_table(tmp_path, capsys, body, code, first_err):
     assert (err[0] if err else "") == first_err
 
 
+# X on every other site from 0 to 24 of the 6x6 doubled semion violates 13
+# edge terms, more than the 12 the decoder's trail traces
+DS_TRAIL = ("model doubled-semion rows=6 cols=6\nerror 0|"
+            + ";".join(f"{s}:1,0" for s in range(0, 25, 2)) + "\n")
+
+
+# one case per documented exit code (0 success, 2 config, 3 model, 4 decode):
+# argv with CFG standing for a config file holding ``body`` (no file when
+# body is None), the exit code, the start of stderr, one line of stdout
+@pytest.mark.parametrize("argv, body, code, err_start, out_line", [
+    (["condense", "z4", "1+e"], None, 0, "", "condense-invalid not-closed at exe witness=e2"),
+    (["run", "--config", "CFG"], TORIC + "error 0|99:1,0\noutput syndrome\n", 2,
+     "config error: field 'error': Pauli word '0|99:1,0': site 99 is outside [0, 32)\n", ""),
+    (["run", "--config", "CFG"], None, 2, "config error: cannot read config ", ""),
+    (["run", "--config", "CFG"], TORIC + "channel rate=0.1 trials=-1\n", 2,
+     "config error: line 3: field 'trials' must not be negative\n", ""),
+    (["run", "--config", "CFG"], TORIC + "string e 0,0 1,0,2\n", 2,
+     "config error: line 3: string path nodes must be x,y pairs\n", ""),
+    # the second twist line starts on the first one's last site
+    (["run", "--config", "CFG"], "model toric rows=6 cols=6\n"
+     "defect kitaev-twist x=0 y=1 length=3\ndefect kitaev-twist x=2 y=1 length=3\n", 3,
+     "model error: cannot remove unknown generators ['A(2,1)', 'B(2,1)']\n", ""),
+    (["decode", "--config", "CFG"], DS_TRAIL, 4,
+     "decode error: edge-excitation trail too long to trace\n", ""),
+])
+def test_documented_exit_codes(tmp_path, capsys, argv, body, code, err_start, out_line):
+    cfg = tmp_path / "case.cfg"
+    if body is not None:
+        cfg.write_text(f"{CONFIG_HEADER}\n{body}")
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith(err_start) and err.count("\n") == (code != 0)
+    assert out_line in out.splitlines() if out_line else out == ""
+
+
 # anchors are taken mod the lattice: each config builds the same report as
 # its in-lattice twin, and every generator id names a point inside the
 # lattice, also for each surgery anchored on the last row and column

@@ -41,7 +41,7 @@ def test_empty_syndrome_decodes_to_identity():
     ds = build_doubled_semion(4, 4)
     corr = decode_doubled_semion(ds, engine.syndrome(ds, identity(4, ds.n_sites)))
     assert corr.op.is_identity(up_to_phase=True)
-    oracle = BruteForceOracle(tc, 1).decode(engine.syndrome(tc, identity(2, tc.n_sites)))
+    oracle = BruteForceOracle(tc).decode(engine.syndrome(tc, identity(2, tc.n_sites)))
     assert oracle.op.is_identity(up_to_phase=True)
 
 
@@ -50,15 +50,15 @@ def test_adjacent_plaquette_pair_fixed_by_single_x():
     tc = build_toric_code(4, 4, 2)
     err = single_site(2, tc.n_sites, tc.geometry.edge_index("v", 2, 1), x=1)
     syn = engine.syndrome(tc, err)
-    assert len(syn.violated_plaquettes) == 2
+    assert sorted(syn.kinds.values()) == ["plaquette", "plaquette"]
     corr = decode_toric(tc, syn)
     assert corr.op == err  # exact inverse at modulus 2
-    assert BruteForceOracle(tc, 2).decode(syn).op.weight() == 1
+    assert BruteForceOracle(tc).decode(syn).op.weight() == 1
 
 
 def test_weight1_toric_sweep_identity_class():
     tc = build_toric_code(4, 4, 2)
-    oracle = BruteForceOracle(tc, 2)
+    oracle = BruteForceOracle(tc)
     for site in range(tc.n_sites):
         for a, b in ((1, 0), (0, 1), (1, 1)):
             err = single_site(2, tc.n_sites, site, x=a, z=b)
@@ -72,7 +72,7 @@ def test_weight1_toric_sweep_identity_class():
 def test_weight2_toric_sample_matches_oracle():
     # the full exhaustive sweep runs in the acceptance suite
     tc = build_toric_code(4, 4, 2)
-    oracle = BruteForceOracle(tc, 3)
+    oracle = BruteForceOracle(tc)
     rng = random.Random(31)
     singles = [(s, a, b) for s in range(tc.n_sites)
                for a, b in ((1, 0), (0, 1), (1, 1))]
@@ -104,6 +104,14 @@ def test_inconsistent_syndrome_raises():
     tc = build_toric_code(4, 4, 2)
     fake = Syndrome({"A(0,0)": 1}, {"A(0,0)": "vertex"})
     with pytest.raises(InconsistentSyndromeError):
+        decode_toric(tc, fake)
+
+
+def test_decode_toric_z3_charges_must_cancel():
+    # two unit vertex charges sum to 2, not 0 mod 3: no Z_3 word makes them
+    tc = build_toric_code(4, 4, 3)
+    fake = Syndrome({"A(0,0)": 1, "A(2,1)": 1}, {"A(0,0)": "vertex", "A(2,1)": "vertex"})
+    with pytest.raises(InconsistentSyndromeError, match="vertex charges do not cancel mod 3"):
         decode_toric(tc, fake)
 
 
@@ -221,10 +229,17 @@ def test_brute_force_not_found():
     # build an uncorrectable-within-budget syndrome by hand
     err = pauli_mul(logical, single_site(2, tc.n_sites, 0, x=1))
     syn = engine.syndrome(tc, err)
-    corr = BruteForceOracle(tc, 1).decode(syn)  # weight-1 fix exists for this one
+    corr = BruteForceOracle(tc).decode(syn)  # weight-1 fix exists for this one
     assert not engine.syndrome(tc, pauli_mul(err, corr.op))
-    with pytest.raises(DecodeNotFoundError):
-        BruteForceOracle(tc, 4)
+    # X on three vertical edges in a row violates B(2,0) and B(5,0), three
+    # apart either way round the 6-cycle: the minimum correction has weight 3
+    tc = build_toric_code(6, 6, 2)
+    err = from_terms(2, tc.n_sites, [(tc.geometry.edge_index("v", x, 0), 1, 0) for x in range(3)])
+    syn = engine.syndrome(tc, err)
+    assert sorted(syn.exponents) == ["B(2,0)", "B(5,0)"]
+    assert decode_toric(tc, syn).op.weight() == 3
+    with pytest.raises(DecodeNotFoundError, match="weight <= 2"):
+        BruteForceOracle(tc).decode(syn)
 
 
 def test_monte_carlo_zero_rate():
@@ -614,7 +629,7 @@ def test_mc_toric_config_class_counts():
 # ----------------------------------------------------------------------
 
 def _give_up_on_plaquettes(model, syn):
-    if syn.violated_plaquettes:
+    if "plaquette" in syn.kinds.values():
         raise InconsistentSyndromeError("gives up on every plaquette violation")
     return decode_toric(model, syn)
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import pathlib
 from collections import Counter
 
 import pytest
 
 from pauli_reference import order, symplectic_order, x_exp, z_exp
 from quditlab import engine
+from quditlab.cli import build_model, parse_config
 from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_dislocation,
                               apply_ds_patch, apply_kitaev_twist,
                               apply_multiple_ising_twists,
@@ -17,6 +19,9 @@ from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
                               evaluate_constraint, string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _assert_commuting(model):
@@ -92,10 +97,26 @@ def test_kitaev_twist_matches_bombin_dimensions():
 
 
 def test_twist_region_overlap_rejected():
+    # the second line's first site (2, 1) is the first line's last one, so it
+    # would remove that site's star and plaquette a second time
     tc = build_toric_code(6, 6, 2)
     m, _ = apply_kitaev_twist(tc, 0, 1, length=3)
-    with pytest.raises(DefectError):
+    with pytest.raises(DefectError, match=r"cannot remove unknown generators \['A\(2,1\)', "
+                                          r"'B\(2,1\)'\]"):
         apply_kitaev_twist(m, 2, 1, length=3)
+
+
+@pytest.mark.parametrize("name", ["twist_ii", "ds_patch_ring"])
+def test_surgery_drops_the_logicals_its_new_generators_detect(name):
+    # a ring of fish or patch terms along row y anticommutes with the loops
+    # Z1 and X2 that cross the row, so only X1 and Z2 stay logicals
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    parent = build_toric_code(cfg.rows, cfg.cols, cfg.modulus)
+    m, _ = build_model(cfg)
+    assert [n for n, _ in parent.logicals] == ["X1", "Z1", "X2", "Z2"]
+    assert [n for n, _ in m.logicals] == ["X1", "Z2"]
+    for _, op in m.logicals:
+        assert not any(commutation_exponent(g.op, op) for g in m.generators)
 
 
 def test_multiple_ising_twists():
@@ -458,9 +479,9 @@ def _surgery_grid():
 
 
 # one SHA-256 over each grid surgery's new generators (id, kind, order,
-# word), report summary, removed ids, defect specs and certificates; the
+# word), report summary, removed ids, defect kinds and certificates; the
 # certificates of a model are hashed as a sorted set of sorted items
-SURGERY_DIGEST_SHA256 = "40fb5086714db90d873e92baaa53b598c5fc493247d8eac2eb4fe1e1294f2941"
+SURGERY_DIGEST_SHA256 = "def49a4106eafb139501e156adfc619e0eda83c445ef783c933e7a597340d1bc"
 
 
 def test_surgery_digest():

@@ -67,17 +67,15 @@ def test_half_s_half_sbar_loop_gives_two_vertex_excitations():
     word = pauli_mul(string_operator(ds, "s", out),
                      string_operator(ds, "sbar", back))
     syn = engine.syndrome(ds, word)
-    assert len(syn.violated_vertices) == 2
-    assert not syn.violated_plaquettes and not syn.violated_edges
-    assert all(syn.exponents[g] == 2 for g in syn.violated_vertices)
+    assert list(syn.kinds.values()) == ["vertex", "vertex"]
+    assert list(syn.exponents.values()) == [2, 2]
 
 
 def test_open_s_string_creates_vertex_and_plaquette_excitations():
     ds = build_doubled_semion(8, 8)
     word = string_operator(ds, "s", [(1, 4), (2, 4), (3, 4), (4, 4)])
     syn = engine.syndrome(ds, word)
-    assert syn.violated_plaquettes and syn.violated_vertices
-    assert not syn.violated_edges
+    assert set(syn.kinds.values()) == {"vertex", "plaquette"}
     # golden endpoint record for the frozen convention
     golden = [("B(1,4)", 1), ("B(4,4)", 1),
               ("A(1,4)", 1), ("A(2,5)", 1), ("A(4,4)", 3), ("A(5,5)", 3)]

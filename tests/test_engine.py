@@ -116,10 +116,10 @@ def test_syndrome_examples():
     geo = m.geometry
     x_err = single_site(2, m.n_sites, geo.edge_index("h", 1, 1), x=1)
     syn = syndrome(m, x_err)
-    assert len(syn.violated_plaquettes) == 2 and not syn.violated_vertices
+    assert sorted(syn.kinds.values()) == ["plaquette", "plaquette"]
     z_err = single_site(2, m.n_sites, geo.edge_index("h", 1, 1), z=1)
     syn = syndrome(m, z_err)
-    assert len(syn.violated_vertices) == 2 and not syn.violated_plaquettes
+    assert sorted(syn.kinds.values()) == ["vertex", "vertex"]
 
 
 def test_syndrome_is_homomorphism():
@@ -369,7 +369,7 @@ def test_replaced_model_computes_its_own_echelon():
     assert same.echelon is not m.echelon and same.echelon.index == m.echelon.index
     a0, a1 = (m.generator(gid) for gid in m.gids("vertex")[:2])
     rest = tuple(g for g in m.generators if g not in (a0, a1))
-    for cut in (defects._surgery(m, "cut", (), [a0.gid, a1.gid], (), ())[0],
+    for cut in (defects._surgery(m, "cut", [a0.gid, a1.gid], (), ())[0],
                 dataclasses.replace(m, generators=rest)):
         assert cut.echelon is not m.echelon
         assert logical_dimension(cut) == 8

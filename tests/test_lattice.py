@@ -84,7 +84,7 @@ def test_z2_toric_l32_scale():
     for cert in m.constraints:
         assert to_text(evaluate_constraint(m, cert)) == "0|"
     error = single_site(2, m.n_sites, m.geometry.edge_index("h", 5, 7), x=1)
-    assert engine.syndrome(m, error).violated() == ["B(5,6)", "B(5,7)"]
+    assert sorted(engine.syndrome(m, error).exponents) == ["B(5,6)", "B(5,7)"]
     gens = m.generators
     product = pauli_prod(2, m.n_sites, [gens[3].op, gens[700].op, gens[1500].op])
     assert engine.is_member(m, product)
@@ -172,16 +172,16 @@ def test_string_operator_endpoints():
     # single-edge X string: exactly two plaquette violations
     err = string_operator(m, "m", [(1, 1), (2, 1)])
     syn = engine.syndrome(m, err)
-    assert len(syn.violated_plaquettes) == 2 and not syn.violated_vertices
+    assert sorted(syn.kinds.values()) == ["plaquette", "plaquette"]
     # extending the string moves the violation to the new endpoints only
     longer = string_operator(m, "m", [(1, 1), (2, 1), (3, 1)])
     syn2 = engine.syndrome(m, longer)
-    assert len(syn2.violated_plaquettes) == 2
-    assert set(syn.violated_plaquettes) & set(syn2.violated_plaquettes) == {"B(1,1)"}
+    assert sorted(syn2.kinds.values()) == ["plaquette", "plaquette"]
+    assert set(syn.exponents) & set(syn2.exponents) == {"B(1,1)"}
     # e strings violate the two endpoint vertices
     err = string_operator(m, "e", [(0, 0), (0, 1), (0, 2)])
     syn3 = engine.syndrome(m, err)
-    assert sorted(syn3.violated_vertices) == ["A(0,0)", "A(0,2)"]
+    assert syn3.kinds == {"A(0,0)": "vertex", "A(0,2)": "vertex"}
 
 
 def test_closed_contractible_loop_is_stabilizer():
