@@ -517,12 +517,23 @@ class BruteForceOracle:
         return tuple(syn.exponents.get(g.gid, 0) for g in self.gens)
 
     def _weight2_matches(self, target):
+        """Every weight-2 word with key ``target``, each unordered pair once.
+
+        One single of a match has a nonzero key on a violated generator, so
+        sits on its support: only those sites' singles are enumerated, each
+        partner is looked up on any other site, and a pair with both sites
+        among them is kept from its lower site.
+        """
+        per = self.N * self.N - 1  # singles per site, in site order
+        near = {s for g, t in zip(self.gens, target) if t for s in g.op.support()}
         out = []
-        for k1, op1 in self.singles:
-            need = tuple((x - y) % o for x, y, o in zip(target, k1, self._orders))
-            for op2 in self.by_key.get(need, []):
-                if op2.support()[0] > op1.support()[0]:
-                    out.append(pauli_mul(op1, op2))
+        for site in sorted(near):
+            for k1, op1 in self.singles[site * per:(site + 1) * per]:
+                need = tuple((x - y) % o for x, y, o in zip(target, k1, self._orders))
+                for op2 in self.by_key.get(need, ()):
+                    s2 = op2.terms[0][0]
+                    if s2 != site and (s2 > site or s2 not in near):
+                        out.append(pauli_mul(op1, op2))
         return out
 
     def _canonical(self, words, trace) -> Correction:

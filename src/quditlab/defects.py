@@ -13,9 +13,8 @@ rewrites the parent's certificates, so they stay exact on chained surgeries.
 
 Frozen operator content (pinned by commutation closure, stated orders,
 the dimension results in tests/test_defects.py and the golden build
-reports).  Stars, plaquettes, fish, hops and vertex cells come from
-``lattice.star_op``, ``plaquette_op``, ``fish_op``, ``hop_op`` and
-``cell_op``:
+reports).  Stars, plaquettes, fish, hops and the sheared vertex cells are
+rows of the offset table ``lattice.TERMS``, built by ``lattice.term_words``:
 
 * Fish merge (Kitaev twist lines, dislocations, Ising insertions): per site
   v the star and its north-east plaquette merge into a fish; every hop with
@@ -45,8 +44,7 @@ from dataclasses import dataclass, replace
 
 from . import engine
 from .errors import DefectError, GeometryError, UnsupportedModelError
-from .lattice import (Generator, StabilizerModel, cell_op, fish_op, hop_op, plaquette_op,
-                      star_op)
+from .lattice import Generator, StabilizerModel, term_words
 from .pauli import commutation_exponent, pauli_mul
 
 __all__ = [
@@ -128,8 +126,10 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     exponents agree at every site, so A^a B^a becomes F^a."""
     geo, N = model.geometry, model.modulus
     removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", fish_op(geo, N, x, y), N) for x, y in sites]
-    added += [Generator(f"S({x},{y})", "short-string", hop_op(geo, N, o, x, y), N)
+    added = [Generator(f"F({x},{y})", "fish", op, N)
+             for (x, y), op in zip(sites, term_words(geo, N, "fish", sites))]
+    added += [Generator(f"S({x},{y})", "short-string",
+                        term_words(geo, N, f"hop-{o}", [(x, y)])[0], N)
               for o, x, y in _inside_hops(geo, sites)]
     total = Counter()
     for cert in model.constraints:
@@ -218,15 +218,10 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
 # Bombin-lattice (vertex placement) twist lines
 # ----------------------------------------------------------------------
 
-# corners ((dx, dy), pauli) of the sheared cells, taken from their anchor
-_PARALLELOGRAM = (((0, 0), "X"), ((1, 0), "Z"), ((1, 1), "Z"), ((2, 1), "X"))
-_PENTAGON_L = (((-1, 0), "X"), ((0, 0), "Z"), ((-1, 1), "Z"), ((0, 1), "Y"), ((1, 1), "X"))
-_PENTAGON_R = (((-1, 0), "X"), ((0, 0), "Y"), ((1, 0), "Z"), ((0, 1), "Z"), ((1, 1), "X"))
-
-
-def _cell(geo, name, kind, a, y, corners, phase=0):
-    op = cell_op(geo, [((a + dx, y + dy), p) for (dx, dy), p in corners], phase)
-    return Generator(f"{name}({a},{y})", kind, op, 2)
+def _cells(geo, name, kind, term, anchors, phase=0):
+    """The ``lattice.TERMS[term]`` cell at each (a, y) of ``anchors``."""
+    return [Generator(f"{name}({a},{y})", kind, op, 2)
+            for (a, y), op in zip(anchors, term_words(geo, 2, term, anchors, phase=phase))]
 
 
 def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
@@ -253,19 +248,19 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
         y = y0
         removed = [f"P({(x0 - 1 + j) % geo.cols},{y})" for j in range(width + 3)]
-        added = [_cell(geo, "PentL", "pentagon", x0, y, _PENTAGON_L, 1)]
-        added += [_cell(geo, "Par", "parallelogram", (x0 + j) % geo.cols, y, _PARALLELOGRAM)
-                  for j in range(width)]
-        added.append(_cell(geo, "PentR", "pentagon", (x0 + width + 1) % geo.cols, y,
-                           _PENTAGON_R, 1))
+        added = _cells(geo, "PentL", "pentagon", "pentagon-l", [(x0, y)], 1)
+        added += _cells(geo, "Par", "parallelogram", "parallelogram",
+                        [((x0 + j) % geo.cols, y) for j in range(width)])
+        added += _cells(geo, "PentR", "pentagon", "pentagon-r",
+                        [((x0 + width + 1) % geo.cols, y)], 1)
     else:
         if multiplicity < 1 or 2 * multiplicity > geo.rows:
             raise DefectError("too many parallel twist lines for this lattice")
         for line in range(multiplicity):
             y = (y0 + 2 * line) % geo.rows
-            for a in range(geo.cols):
-                removed.append(f"P({a},{y})")
-                added.append(_cell(geo, "Par", "parallelogram", a, y, _PARALLELOGRAM))
+            removed += [f"P({a},{y})" for a in range(geo.cols)]
+            added += _cells(geo, "Par", "parallelogram", "parallelogram",
+                            [(a, y) for a in range(geo.cols)])
     merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
               | {g.gid: 1 for g in added})
     return _surgery(model, "bombin-twist", removed, added, (merged,))
@@ -287,12 +282,12 @@ def _ds_patch(model: StabilizerModel, sites):
     """
     geo, N = model.geometry, 4
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
-    added = [Generator(f"Fds({a},{b})", "defect-fish", fish_op(geo, N, a, b), 4)
-             for a, b in sites]
-    added += [Generator(f"Bds({a},{b})", "defect-plaquette",
-                        plaquette_op(geo, N, a, b, power=2), 2) for a, b in sites]
+    added = [Generator(f"Fds({a},{b})", "defect-fish", op, 4)
+             for (a, b), op in zip(sites, term_words(geo, N, "fish", sites))]
+    added += [Generator(f"Bds({a},{b})", "defect-plaquette", op, 2)
+              for (a, b), op in zip(sites, term_words(geo, N, "plaquette", sites, power=2))]
     added += [Generator(f"Cds({o},{a},{b})", "defect-short",
-                        hop_op(geo, N, o, a, b, power=2), 2)
+                        term_words(geo, N, f"hop-{o}", [(a, b)], power=2)[0], 2)
               for o, a, b in _inside_hops(geo, sites)]
 
     def odd(cert):
@@ -338,9 +333,10 @@ def _z4_patch(model: StabilizerModel, sites):
         ("h", (a, b)), ("h", geo.wrap(a - 1, b)), ("v", (a, b)), ("v", geo.wrap(a, b - 1))))
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites] + list(hops)
     added = []
-    for a, b in sites:
-        added.append(Generator(f"TCA({a},{b})", "vertex", star_op(geo, 4, a, b), 4))
-        added.append(Generator(f"TCB({a},{b})", "plaquette", plaquette_op(geo, 4, a, b), 4))
+    for (a, b), tca, tcb in zip(sites, term_words(geo, 4, "star", sites),
+                                term_words(geo, 4, "plaquette", sites)):
+        added.append(Generator(f"TCA({a},{b})", "vertex", tca, 4))
+        added.append(Generator(f"TCB({a},{b})", "plaquette", tcb, 4))
     certs = _carry(model, model.constraints, sites, lambda u, v, a, b: {
         f"TCA({u},{v})": a, f"TCB({u},{v})": a + 2 * b})
     return _surgery(model, "z4-patch-in-ds", removed, added, certs)

@@ -4,12 +4,12 @@ Stabilizer content (frozen convention, pinned by the behavioral contract:
 mutual commutation, C_e order 2, spin values i/-i/1, logical dimension 4):
 
 * vertex term  A_v  = (toric vertex star at v) * (toric plaquette NE of v),
-  a 6-edge operator of order 4 (``lattice.fish_op``);
+  a 6-edge operator of order 4 (the ``lattice.TERMS`` fish);
 * plaquette term B_p = (toric plaquette)^2, order 2
-  (``lattice.plaquette_op`` with power 2);
+  (the ``lattice.TERMS`` plaquette at power 2);
 * edge terms  C_e, order 2, one per edge: the boson hopping operators
-  (``lattice.hop_op`` with power 2, also used by the doubled-semion patch
-  in ``defects``)
+  (the ``lattice.TERMS`` hops at power 2, also used by the doubled-semion
+  patch in ``defects``)
 
       C_h(x,y) = Z^2 on h(x,y)  *  X^2 on v(x+1,y)
       C_v(x,y) = Z^2 on v(x,y)  *  X^2 on h(x,y+1)
@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import GeometryError, PathError
-from .lattice import (Generator, LatticeGeometry, StabilizerModel, fish_op, hop_op,
-                      plaquette_op, string_operator)
+from .lattice import Generator, LatticeGeometry, StabilizerModel, string_operator, term_words
 from .pauli import PauliOp, pauli_adjoint, pauli_mul
 
 __all__ = [
@@ -48,14 +47,17 @@ class StringOperator:
 
 def ds_generators(geo: LatticeGeometry):
     """The four doubled-semion generator families on an edge-placement torus."""
+    anchors = [(x, y) for y in range(geo.rows) for x in range(geo.cols)]
+    words = zip(anchors, term_words(geo, 4, "fish", anchors),
+                term_words(geo, 4, "plaquette", anchors, power=2),
+                term_words(geo, 4, "hop-h", anchors, power=2),
+                term_words(geo, 4, "hop-v", anchors, power=2))
     gens = []
-    for y in range(geo.rows):
-        for x in range(geo.cols):
-            gens.append(Generator(f"A({x},{y})", "vertex", fish_op(geo, 4, x, y), 4))
-            gens.append(Generator(f"B({x},{y})", "plaquette",
-                                  plaquette_op(geo, 4, x, y, power=2), 2))
-            gens += [Generator(f"C({o},{x},{y})", "edge", hop_op(geo, 4, o, x, y, power=2), 2)
-                     for o in "hv"]
+    for (x, y), a, b, ch, cv in words:
+        gens += [Generator(f"A({x},{y})", "vertex", a, 4),
+                 Generator(f"B({x},{y})", "plaquette", b, 2),
+                 Generator(f"C(h,{x},{y})", "edge", ch, 2),
+                 Generator(f"C(v,{x},{y})", "edge", cv, 2)]
     return gens
 
 

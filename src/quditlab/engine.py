@@ -24,9 +24,9 @@ pivots, with no second elimination; the dimension itself is cached per
 model too (``StabilizerModel.logical_dimension``).  Each model also
 carries a site -> generator incidence index (``StabilizerModel.incidence``,
 which also checks that every generator lives on the model's register):
-the commutation check visits the generator pairs that share a site, and a
-syndrome or a membership pre-check visits the generators incident to the
-word's support, O(weight x degree).
+the commutation check visits each pair of generators that share a site
+once, from its later member, and a syndrome or a membership pre-check
+visits the generators incident to the word's support, O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction, and a brute-force check in the tests
@@ -311,24 +311,29 @@ def subgroup_order(gens: GeneratorMatrix) -> int:
 
 
 def _first_noncommuting_pair(model):
-    """The first pair (i, j), i < j, in loop order whose generators do not commute.
+    """The lexicographically first pair (i, j), i < j, whose generators do
+    not commute, or None when all pairs commute.
 
-    Words that share no site commute, so the model's site -> generator
-    incidence lists the candidate partners of each generator and the
-    symplectic form is summed over the shared sites only; j is the smallest
-    partner that fails.  Returns None when all pairs commute.
+    For each j in order, the form with each earlier generator i is summed
+    over j's sites from the ascending incidence lists, each scan breaking
+    at i >= j: a pair sharing a site is visited once.  After a failing
+    (i0, j0), a later j can only win with i < i0, so scans break at i0.
     """
     inc = model.incidence
-    for i, g in enumerate(model.generators):
+    N = model.modulus
+    first = None
+    for j, g in enumerate(model.generators):
+        stop = j if first is None else first[0]
         acc = {}
         for s, x, z in g.op.terms:
-            for j, xo, zo in inc[s]:
-                if j > i:
-                    acc[j] = acc.get(j, 0) + z * xo - x * zo
-        bad = [j for j, k in acc.items() if k % model.modulus]
+            for i, xo, zo in inc[s]:
+                if i >= stop:
+                    break
+                acc[i] = acc.get(i, 0) + zo * x - xo * z
+        bad = [i for i, k in acc.items() if k % N]
         if bad:
-            return i, min(bad)
-    return None
+            first = min(bad), j
+    return first
 
 
 def _noncommuting(model, op: PauliOp) -> dict:

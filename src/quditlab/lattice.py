@@ -10,13 +10,14 @@ Conventions (fixed here, validated only by commutation and order tests):
   and X^-1 on outgoing edges (h(x,y), v(x,y)); plaquette operator B(x,y) is
   Z along the counterclockwise boundary of the square whose south-west
   corner is (x,y).  Every A commutes with every B for any modulus.
-  ``star_op``, ``plaquette_op``, the 6-edge ``fish_op`` = A(x,y)*B(x,y) and
-  the 2-edge ``hop_op`` are the only builders of these terms; the
-  doubled-semion model and every defect surgery reuse them.
 * Vertex placement: qubits sit on vertices; the cell with south-west corner
   (x,y) carries X on its SW/NE corners and Z on its SE/NW corners, one such
   generator per cell, two-colored dark/light by (x+y) mod 2 with (0,0) dark.
-  ``cell_op`` builds it and the Bombin twist's parallelograms and pentagons.
+
+Every lattice term (star, plaquette at any power, fish, hops, Bombin cells)
+is a row of one offset table, ``TERMS``, the way ``STRINGS`` holds every
+string step.  ``term_words`` is their one builder, used by every model and
+surgery: sites by arithmetic on the anchor, each word sorted and built once.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ from functools import cached_property
 
 from . import engine
 from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
-from .pauli import PauliOp, from_terms, pauli_pow, pauli_prod
+from .pauli import PauliOp, _word, from_terms
 
 __all__ = [
     "LatticeGeometry",
     "Generator",
     "StabilizerModel",
-    "star_op",
-    "plaquette_op",
-    "fish_op",
-    "hop_op",
-    "cell_op",
+    "TERMS",
+    "term_words",
     "toric_generators",
     "build_toric_code",
     "build_bilayer_toric",
@@ -77,35 +75,11 @@ class LatticeGeometry:
 
     # --- edge placement -------------------------------------------------
     def edge_index(self, orient: str, x: int, y: int, layer: int = 0) -> int:
-        return self._cell(x, y, layer) + (orient != "h")
-
-    def _cell(self, x: int, y: int, layer: int) -> int:
-        """The site of h(x, y) in ``layer``; v(x, y) is the next one."""
+        """The site of h(x, y) (orient "h") or v(x, y) in ``layer``."""
         if self.placement != "edges":
             raise GeometryError("edge_index needs edge placement")
-        return layer * self.sites_per_layer + 2 * (y % self.rows * self.cols + x % self.cols)
-
-    def vertex_star(self, x: int, y: int, layer: int = 0):
-        """(site, x-exp, z-exp) triples of the vertex operator at (x, y):
-        h(x-1, y), v(x, y-1), h(x, y) and v(x, y)."""
-        here = self._cell(x, y, layer)
-        return [
-            (self._cell(x - 1, y, layer), 1, 0),
-            (self._cell(x, y - 1, layer) + 1, 1, 0),
-            (here, -1, 0),
-            (here + 1, -1, 0),
-        ]
-
-    def plaquette_boundary(self, x: int, y: int, layer: int = 0):
-        """(site, x-exp, z-exp) triples of the plaquette operator with SW
-        corner (x, y): h(x, y), v(x+1, y), h(x, y+1) and v(x, y)."""
-        here = self._cell(x, y, layer)
-        return [
-            (here, 0, 1),
-            (self._cell(x + 1, y, layer) + 1, 0, 1),
-            (self._cell(x, y + 1, layer), 0, -1),
-            (here + 1, 0, -1),
-        ]
+        return (layer * self.sites_per_layer
+                + 2 * (y % self.rows * self.cols + x % self.cols) + (orient != "h"))
 
     # --- vertex placement -----------------------------------------------
     def vertex_index(self, x: int, y: int) -> int:
@@ -190,60 +164,81 @@ class StabilizerModel:
 def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
     """Multiply out a trivial-constraint certificate in deterministic gid order.
 
-    One ``from_terms`` pass folds every g^e into a single accumulator, so
-    the cost follows the certificate's total weight.
+    One ``from_terms`` pass folds every g^e: g^1 appends g's terms, any
+    other e appends them times e with ``pauli_pow``'s phase e ph + e(e-1)
+    sum xz, so no power word is built.
     """
-    return pauli_prod(model.modulus, model.n_sites,
-                      (pauli_pow(model.generator(gid).op, certificate[gid])
-                       for gid in sorted(certificate)))
+    terms, phase = [], 0
+    for gid in sorted(certificate):
+        op, e = model.generator(gid).op, certificate[gid]
+        if e == 1:
+            terms += op.terms
+            phase += op.phase_exp
+        else:
+            terms += [(s, e * x, e * z) for s, x, z in op.terms]
+            phase += e * op.phase_exp + e * (e - 1) * sum(x * z for _, x, z in op.terms)
+    return from_terms(model.modulus, model.n_sites, terms, phase)
 
 
-def star_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0) -> PauliOp:
-    """The vertex operator A(x, y) of the module conventions."""
-    return from_terms(modulus, geo.n_sites, geo.vertex_star(x, y, layer))
+# TERMS[name] = (placement, offsets): offset (dx, dy, k, x, z) puts X^x Z^z on
+# site k of the cell (x + dx, y + dy) of the anchor (x, y), the site
+# layer * sites_per_layer + c * (y' * cols + x') + k of the wrapped cell
+# (x', y'): c = 2 and k = 0 (h) or 1 (v) on edges, c = 1 and k = 0 on
+# vertices.  No two offsets of a term meet on a torus of at least 2x2 (the
+# pentagons need 3 columns, the twist gives 6), so no site needs a merge.
+# star, plaquette, fish = star * plaquette and the hops are the edge terms
+# of the module conventions; cell is the Bombin generator, parallelogram and
+# pentagon-l/-r the Bombin twist's cells (a Y corner by the phase 1).
+TERMS = {
+    "star": ("edges", ((-1, 0, 0, 1, 0), (0, -1, 1, 1, 0), (0, 0, 0, -1, 0), (0, 0, 1, -1, 0))),
+    "plaquette": ("edges", ((0, 0, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 0, 0, -1),
+                            (0, 0, 1, 0, -1))),
+    "fish": ("edges", ((-1, 0, 0, 1, 0), (0, -1, 1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 1, -1, -1),
+                       (1, 0, 1, 0, 1), (0, 1, 0, 0, -1))),
+    "hop-h": ("edges", ((0, 0, 0, 0, 1), (1, 0, 1, -1, 0))),
+    "hop-v": ("edges", ((0, 0, 1, 0, 1), (0, 1, 0, -1, 0))),
+    "cell": ("vertices", ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))),
+    "parallelogram": ("vertices", ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 1, 0, 0, 1),
+                                   (2, 1, 0, 1, 0))),
+    "pentagon-l": ("vertices", ((-1, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, 1, 0, 0, 1),
+                                (0, 1, 0, 1, 1), (1, 1, 0, 1, 0))),
+    "pentagon-r": ("vertices", ((-1, 0, 0, 1, 0), (0, 0, 0, 1, 1), (1, 0, 0, 0, 1),
+                                (0, 1, 0, 0, 1), (1, 1, 0, 1, 0))),
+}
 
 
-def plaquette_op(geo: LatticeGeometry, modulus: int, x: int, y: int, layer: int = 0,
-                 power: int = 1) -> PauliOp:
-    """The plaquette operator B(x, y) raised to ``power``."""
-    return from_terms(modulus, geo.n_sites, [
-        (s, 0, power * z) for s, _, z in geo.plaquette_boundary(x, y, layer)])
-
-
-def fish_op(geo: LatticeGeometry, modulus: int, x: int, y: int) -> PauliOp:
-    """A(x, y) * B(x, y): the star and its north-east plaquette on 6 edges."""
-    return from_terms(modulus, geo.n_sites,
-                      geo.vertex_star(x, y) + geo.plaquette_boundary(x, y))
-
-
-def hop_op(geo: LatticeGeometry, modulus: int, orient: str, x: int, y: int,
-           power: int = 1) -> PauliOp:
-    """Z on h(x,y) * X^-1 on v(x+1,y) (orient "h") or Z on v(x,y) * X^-1 on
-    h(x,y+1) (orient "v"), raised to ``power``: the twist-line short string,
-    and on Z_4 at power 2 the doubled-semion boson hop C_h / C_v."""
-    far = ("v", x + 1, y) if orient == "h" else ("h", x, y + 1)
-    return from_terms(modulus, geo.n_sites, [(geo.edge_index(orient, x, y), 0, power),
-                                             (geo.edge_index(*far), -power, 0)])
-
-
-_CORNER = {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-
-
-def cell_op(geo: LatticeGeometry, corners, phase: int = 0) -> PauliOp:
-    """The qubit word with X, Z or Y on each ``((x, y), pauli)`` vertex corner."""
-    return from_terms(2, geo.n_sites, [(geo.vertex_index(x, y), *_CORNER[p])
-                                       for (x, y), p in corners], phase=phase)
+def term_words(geo: LatticeGeometry, modulus: int, name: str, anchors, layer: int = 0,
+               power: int = 1, phase: int = 0) -> list:
+    """The ``TERMS[name]`` word at each (x, y) of ``anchors`` with phase
+    exponent ``phase``, every exponent times ``power`` (the word's power for
+    the star, plaquette and hops, whose sites carry X or Z alone), reduced
+    once per call; a term of the other placement raises GeometryError."""
+    placement, offsets = TERMS[name]
+    if geo.placement != placement:
+        kind = "edge" if placement == "edges" else "vertex"
+        raise GeometryError(f"{kind}_index needs {kind} placement")
+    cols, rows, n = geo.cols, geo.rows, geo.n_sites
+    c = 2 if placement == "edges" else 1
+    base = layer * geo.sites_per_layer
+    table = [(dx, dy, base + k, x * power % modulus, z * power % modulus)
+             for dx, dy, k, x, z in offsets if x * power % modulus or z * power % modulus]
+    out = []
+    for x, y in anchors:
+        terms = sorted([(c * ((y + dy) % rows * cols + (x + dx) % cols) + k, a, b)
+                        for dx, dy, k, a, b in table])
+        out.append(_word(modulus, n, tuple(terms), phase))
+    return out
 
 
 def toric_generators(geo: LatticeGeometry, modulus: int, layer: int = 0, tag: str = ""):
     """Star ``{tag}A(x,y)`` and plaquette ``{tag}B(x,y)`` of every vertex of a layer."""
+    anchors = [(x, y) for y in range(geo.rows) for x in range(geo.cols)]
+    stars = term_words(geo, modulus, "star", anchors, layer)
+    plaquettes = term_words(geo, modulus, "plaquette", anchors, layer)
     gens = []
-    for y in range(geo.rows):
-        for x in range(geo.cols):
-            gens.append(Generator(f"{tag}A({x},{y})", "vertex",
-                                  star_op(geo, modulus, x, y, layer), modulus))
-            gens.append(Generator(f"{tag}B({x},{y})", "plaquette",
-                                  plaquette_op(geo, modulus, x, y, layer), modulus))
+    for (x, y), a, b in zip(anchors, stars, plaquettes):
+        gens.append(Generator(f"{tag}A({x},{y})", "vertex", a, modulus))
+        gens.append(Generator(f"{tag}B({x},{y})", "plaquette", b, modulus))
     return gens
 
 
@@ -259,18 +254,15 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     """Z_N toric code on a cols x rows torus with qudits on edges."""
     geo = _toric_geometry(rows, cols, modulus)
     n = geo.n_sites
-    constraints = (
-        {f"A({x},{y})": 1 for y in range(rows) for x in range(cols)},
-        {f"B({x},{y})": 1 for y in range(rows) for x in range(cols)},
-    )
+    gens = tuple(toric_generators(geo, modulus))
+    constraints = ({g.gid: 1 for g in gens[::2]}, {g.gid: 1 for g in gens[1::2]})
     logicals = (
         ("X1", from_terms(modulus, n, [(geo.edge_index("v", x, 0), 1, 0) for x in range(cols)])),
         ("Z1", from_terms(modulus, n, [(geo.edge_index("v", 0, y), 0, 1) for y in range(rows)])),
         ("X2", from_terms(modulus, n, [(geo.edge_index("h", 0, y), 1, 0) for y in range(rows)])),
         ("Z2", from_terms(modulus, n, [(geo.edge_index("h", x, 0), 0, 1) for x in range(cols)])),
     )
-    return StabilizerModel(geo, modulus, tuple(toric_generators(geo, modulus)),
-                           constraints, "toric", logicals=logicals)
+    return StabilizerModel(geo, modulus, gens, constraints, "toric", logicals=logicals)
 
 
 def build_bilayer_toric(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
@@ -297,17 +289,11 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
-    gens = []
-    for y in range(rows):
-        for x in range(cols):
-            op = cell_op(geo, [((x, y), "X"), ((x + 1, y), "Z"),
-                               ((x + 1, y + 1), "X"), ((x, y + 1), "Z")])
-            color = "dark" if (x + y) % 2 == 0 else "light"
-            gens.append(Generator(f"P({x},{y})", f"cell-{color}", op, 2))
-    constraints = (
-        {g.gid: 1 for g in gens if g.kind == "cell-dark"},
-        {g.gid: 1 for g in gens if g.kind == "cell-light"},
-    )
+    anchors = [(x, y) for y in range(rows) for x in range(cols)]
+    gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2)
+            for (x, y), op in zip(anchors, term_words(geo, 2, "cell", anchors))]
+    constraints = tuple({g.gid: 1 for g in gens if g.kind == kind}
+                        for kind in ("cell-dark", "cell-light"))
     return StabilizerModel(geo, 2, tuple(gens), constraints, "bombin")
 
 

@@ -223,6 +223,26 @@ def test_left_right_convention_flip_is_equally_sound():
         assert decode_outcome(ds, err, corr).success
 
 
+@pytest.mark.parametrize("build", [lambda: build_toric_code(3, 3, 2),
+                                   lambda: build_toric_code(2, 3, 3),
+                                   lambda: build_doubled_semion(2, 2)],
+                         ids=["z2-3x3", "z3-3x2", "ds-2x2"])
+def test_weight2_matches_are_every_pair_once(build):
+    # the oracle enumerates only the singles on the violated generators'
+    # sites; every weight-2 key must still give each pair of singles on two
+    # sites exactly once
+    oracle = BruteForceOracle(build())
+    pairs = {}
+    for i, (k1, op1) in enumerate(oracle.singles):
+        for k2, op2 in oracle.singles[i + 1:]:
+            if op2.terms[0][0] != op1.terms[0][0]:
+                key = tuple((a + b) % o for a, b, o in zip(k1, k2, oracle._orders))
+                pairs.setdefault(key, []).append(to_text(pauli_mul(op1, op2)))
+    for key, want in pairs.items():
+        if any(key):
+            assert sorted(map(to_text, oracle._weight2_matches(key))) == sorted(want)
+
+
 def test_brute_force_not_found():
     tc = build_toric_code(4, 4, 2)
     logical = tc.logicals[0][1]  # weight-4 logical: no weight-1 correction

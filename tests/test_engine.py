@@ -465,7 +465,8 @@ def test_doubled_semion_index_matches_snf(L):
 
 
 def test_noncommuting_error_names_first_pair():
-    # (a, d) and (b, c) fail to commute; the old i < j loop meets (a, d) first
+    # (a, d) and (b, c) fail to commute; the lexicographically first (a, d)
+    # is named
     n = 8
     gens = (Generator("a", "vertex", single_site(2, n, 5, x=1), 2),
             Generator("b", "vertex", single_site(2, n, 0, x=1), 2),
@@ -482,6 +483,21 @@ def test_noncommuting_error_names_first_pair():
             Generator("d", "vertex", single_site(2, n, 0, z=1), 2))
     bad = StabilizerModel(lattice.LatticeGeometry(2, 2, "edges"), 2, gens)
     with pytest.raises(InvalidModelError, match="^generators a and c do not commute$"):
+        logical_dimension(bad)
+
+
+def test_noncommuting_error_names_lexicographic_pair_after_a_later_one():
+    # only (2, 3) and (0, 5) fail; scanning j in order meets (2, 3) at j = 3,
+    # and (0, 5), lexicographically first, must still be named
+    n = 8
+    ops = [single_site(2, n, 0, x=1), single_site(2, n, 7, z=1), single_site(2, n, 1, x=1),
+           single_site(2, n, 1, z=1), single_site(2, n, 6, x=1), single_site(2, n, 0, z=1)]
+    failing = [(i, j) for i in range(6) for j in range(i + 1, 6)
+               if commutation_exponent(ops[i], ops[j])]
+    assert failing == [(0, 5), (2, 3)]
+    gens = tuple(Generator(str(i), "vertex", op, 2) for i, op in enumerate(ops))
+    bad = StabilizerModel(lattice.LatticeGeometry(2, 2, "edges"), 2, gens)
+    with pytest.raises(InvalidModelError, match="^generators 0 and 5 do not commute$"):
         logical_dimension(bad)
 
 

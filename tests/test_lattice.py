@@ -1,20 +1,23 @@
 """Lattice geometry, toric/Bombin builders, the Hadamard translation, strings."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_reference as lref
 import string_reference as ref
 from pauli_reference import symplectic_order, x_exp, z_exp
-from quditlab import engine
+from quditlab import defects, engine
 from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import GeometryError, PathError, UnsupportedModelError
-from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev,
+from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev, build_bilayer_toric,
                               build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, string_operator)
-from quditlab.pauli import commutation_exponent, pauli_prod, single_site, to_text
+                              evaluate_constraint, string_operator, term_words)
+from quditlab.pauli import (commutation_exponent, from_terms, pauli_pow, pauli_prod,
+                            single_site, to_text)
 
 
 def test_geometry_counts():
@@ -35,24 +38,113 @@ def test_edge_sites_by_arithmetic_match_the_wrapped_formula(rows, cols, layers):
         return layer * per_layer + 2 * (y * cols + x) + (orient == "v")
 
     for layer in range(layers):
-        for y in range(-rows - 1, 2 * rows + 1):
-            for x in range(-cols - 1, 2 * cols + 1):
-                for o in "hv":
-                    assert geo.edge_index(o, x, y, layer) == site(o, x, y, layer)
-                assert geo.vertex_star(x, y, layer) == [
-                    (site("h", x - 1, y, layer), 1, 0), (site("v", x, y - 1, layer), 1, 0),
-                    (site("h", x, y, layer), -1, 0), (site("v", x, y, layer), -1, 0)]
-                assert geo.plaquette_boundary(x, y, layer) == [
-                    (site("h", x, y, layer), 0, 1), (site("v", x + 1, y, layer), 0, 1),
-                    (site("h", x, y + 1, layer), 0, -1), (site("v", x, y, layer), 0, -1)]
+        anchors = [(x, y) for y in range(-rows - 1, 2 * rows + 1)
+                   for x in range(-cols - 1, 2 * cols + 1)]
+        stars = term_words(geo, 3, "star", anchors, layer)
+        plaquettes = term_words(geo, 3, "plaquette", anchors, layer)
+        for (x, y), star, plaquette in zip(anchors, stars, plaquettes):
+            for o in "hv":
+                assert geo.edge_index(o, x, y, layer) == site(o, x, y, layer)
+            assert star == from_terms(3, geo.n_sites, [
+                (site("h", x - 1, y, layer), 1, 0), (site("v", x, y - 1, layer), 1, 0),
+                (site("h", x, y, layer), -1, 0), (site("v", x, y, layer), -1, 0)])
+            assert plaquette == from_terms(3, geo.n_sites, [
+                (site("h", x, y, layer), 0, 1), (site("v", x + 1, y, layer), 0, 1),
+                (site("h", x, y + 1, layer), 0, -1), (site("v", x, y, layer), 0, -1)])
 
 
 def test_edge_sites_need_edge_placement():
     geo = LatticeGeometry(2, 2, "vertices")
-    for call in (lambda: geo.edge_index("h", 0, 0), lambda: geo.vertex_star(0, 0),
-                 lambda: geo.plaquette_boundary(0, 0)):
+    calls = [lambda: geo.edge_index("h", 0, 0)]
+    calls += [lambda t=t: term_words(geo, 2, t, [(0, 0)])
+              for t in ("star", "plaquette", "fish", "hop-h", "hop-v")]
+    for call in calls:
         with pytest.raises(GeometryError, match="^edge_index needs edge placement$"):
             call()
+    edges = LatticeGeometry(2, 2, "edges")
+    for t in ("cell", "parallelogram", "pentagon-l", "pentagon-r"):
+        with pytest.raises(GeometryError, match="^vertex_index needs vertex placement$"):
+            term_words(edges, 2, t, [(0, 0)])
+
+
+# 2x2 to 5x4 tori; anchors reach one torus beyond each side, so negative and
+# wrapped anchors are both covered
+TORI = [(rows, cols) for rows in range(2, 6) for cols in range(2, 5)]
+
+
+def _anchors(rows, cols):
+    return [(x, y) for y in range(-rows, 2 * rows) for x in range(-cols, 2 * cols)]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6])
+def test_edge_terms_match_per_term_reference(modulus):
+    # the star and fish at power 1, the plaquette and both hops at every
+    # power -1 ... N + 1, on layers 0 and 1
+    for rows, cols in TORI:
+        geo = LatticeGeometry(rows, cols, "edges", layers=2)
+        anchors = _anchors(rows, cols)
+        for layer in (0, 1):
+            cases = [("star", 1, lambda x, y: lref.star_op(geo, modulus, x, y, layer)),
+                     ("fish", 1, lambda x, y: lref.fish_op(geo, modulus, x, y, layer))]
+            for p in range(-1, modulus + 2):
+                cases.append(("plaquette", p, lambda x, y, p=p: lref.plaquette_op(
+                    geo, modulus, x, y, layer, p)))
+                cases += [(f"hop-{o}", p, lambda x, y, o=o, p=p: lref.hop_op(
+                    geo, modulus, o, x, y, layer, p)) for o in "hv"]
+            for name, power, want in cases:
+                got = term_words(geo, modulus, name, anchors, layer, power)
+                for (x, y), word in zip(anchors, got):
+                    # equal words: the same register, terms and phase
+                    assert word == want(x, y), (name, power, x, y)
+
+
+def test_powered_terms_are_word_powers():
+    # every site of a plaquette or a hop carries X or Z alone, so scaling
+    # its exponents is its power
+    geo = LatticeGeometry(3, 4, "edges")
+    for modulus in (2, 3, 4, 6):
+        for name in ("plaquette", "hop-h", "hop-v"):
+            (base,) = term_words(geo, modulus, name, [(1, 2)])
+            for p in range(-1, modulus + 2):
+                assert term_words(geo, modulus, name, [(1, 2)], power=p) == [
+                    pauli_pow(base, p)]
+
+
+def test_vertex_cells_match_corner_reference():
+    # the Bombin cell and the twist's sheared cells; the pentagons' corners
+    # two columns apart meet on a 2-column torus, so they need 3 columns
+    for rows, cols in TORI:
+        geo = LatticeGeometry(rows, cols, "vertices")
+        anchors = _anchors(rows, cols)
+        for name, (_, phase) in lref.CELLS.items():
+            if name.startswith("pentagon") and cols < 3:
+                continue
+            got = term_words(geo, 2, name, anchors, phase=phase)
+            assert got == [lref.cell(geo, name, x, y) for x, y in anchors], name
+
+
+def test_models_match_per_term_reference():
+    for N in (2, 3, 4):
+        m = build_toric_code(3, 4, N)
+        want = [op for y in range(3) for x in range(4)
+                for op in (lref.star_op(m.geometry, N, x, y),
+                           lref.plaquette_op(m.geometry, N, x, y))]
+        assert [g.op for g in m.generators] == want
+    bilayer = build_bilayer_toric(2, 3)
+    assert [g.op for g in bilayer.generators] == [
+        op for layer in (0, 1) for y in range(2) for x in range(3)
+        for op in (lref.star_op(bilayer.geometry, 2, x, y, layer),
+                   lref.plaquette_op(bilayer.geometry, 2, x, y, layer))]
+    ds = build_doubled_semion(3, 4)
+    assert [g.op for g in ds.generators] == [
+        op for y in range(3) for x in range(4)
+        for op in (lref.fish_op(ds.geometry, 4, x, y),
+                   lref.plaquette_op(ds.geometry, 4, x, y, power=2),
+                   lref.hop_op(ds.geometry, 4, "h", x, y, power=2),
+                   lref.hop_op(ds.geometry, 4, "v", x, y, power=2))]
+    bombin = build_bombin_lattice(4, 6)
+    assert [g.op for g in bombin.generators] == [
+        lref.cell(bombin.geometry, "cell", x, y) for y in range(4) for x in range(6)]
 
 
 def test_build_toric_code_2x2():
@@ -70,8 +162,49 @@ def test_build_toric_code_z3():
 def test_toric_constraint_certificates():
     for N in (2, 3, 4):
         m = build_toric_code(3, 3, N)
+        assert m.constraints == (
+            {f"A({x},{y})": 1 for y in range(3) for x in range(3)},
+            {f"B({x},{y})": 1 for y in range(3) for x in range(3)})
         for cert in m.constraints:
             assert evaluate_constraint(m, cert).is_identity()
+
+
+def _constraint_fold(model, certificate):
+    """The certificate's product as one ``pauli_pow`` word per generator,
+    multiplied in gid order."""
+    return pauli_prod(model.modulus, model.n_sites,
+                      (pauli_pow(model.generator(gid).op, certificate[gid])
+                       for gid in sorted(certificate)))
+
+
+def _z4_patch_in_ds():
+    return defects.apply_z4_patch_in_ds(build_doubled_semion(4, 4))[0]
+
+
+def _bombin_twist():
+    return defects.apply_bombin_twist(build_bombin_lattice(6, 6))[0]
+
+
+# a power's phase e(e-1) sum xz is a multiple of 2N on every toric and
+# doubled-semion word; the twisted Bombin model's Y corners make it nonzero
+@pytest.mark.parametrize("build", [lambda: build_toric_code(4, 4, 4),
+                                   lambda: build_doubled_semion(4, 4), _z4_patch_in_ds,
+                                   _bombin_twist],
+                         ids=["z4-toric", "doubled-semion", "z4-patch-in-ds", "bombin-twist"])
+def test_evaluate_constraint_matches_power_fold(build):
+    model = build()
+    N = model.modulus
+    rng = random.Random(7)
+    gids = [g.gid for g in model.generators]
+    certs = [dict(c) for c in model.constraints]
+    # every carried exponent scaled, and random subsets with mixed exponents
+    certs += [{g: e * v for g, v in c.items()} for c in model.constraints
+              for e in (2, N - 1, -1, N + 1)]
+    certs += [{g: rng.choice((1, 2, N - 1, -1, N + 1)) for g in rng.sample(gids, 12)}
+              for _ in range(20)]
+    for cert in certs:
+        got, want = evaluate_constraint(model, cert), _constraint_fold(model, cert)
+        assert (got.terms, got.phase_exp) == (want.terms, want.phase_exp), cert
 
 
 def test_z2_toric_l32_scale():
