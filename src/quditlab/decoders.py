@@ -489,8 +489,9 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
 class BruteForceOracle:
     """Exhaustive minimum-weight search over corrections of weight <= 2.
 
-    Desk scale only: one table of the single-site words by syndrome, so a
-    weight-2 match costs one lookup per single.  At the minimum weight the
+    Desk scale only: one table of the single-site words keyed by the
+    (gid, exponent) pairs of their syndrome, so a weight-2 match costs one
+    lookup per single, whatever the model's size.  At the minimum weight the
     oracle enumerates every matching correction and returns the canonical
     one: smallest (logical class, exponent tuple).
     """
@@ -499,8 +500,7 @@ class BruteForceOracle:
         self.model = model
         self.n = model.n_sites
         self.N = model.modulus
-        self.gens = list(model.generators)
-        self._orders = [g.order for g in self.gens]
+        self._orders = {g.gid: g.order for g in model.generators}
         self.singles = []  # (key, op) in deterministic order
         for site in range(self.n):
             for a in range(self.N):
@@ -508,13 +508,15 @@ class BruteForceOracle:
                     if a == 0 and b == 0:
                         continue
                     op = single_site(self.N, self.n, site, x=a, z=b)
-                    self.singles.append((self.syndrome_key(engine.syndrome(model, op)), op))
+                    self.singles.append((self._key(engine.syndrome(model, op).exponents), op))
         self.by_key = {}
         for key, op in self.singles:
             self.by_key.setdefault(key, []).append(op)
 
-    def syndrome_key(self, syn):
-        return tuple(syn.exponents.get(g.gid, 0) for g in self.gens)
+    def _key(self, exponents):
+        # the (gid, exponent mod order) pairs on the model's generators, zeros dropped
+        return frozenset((g, v % o) for g, v in exponents.items()
+                         if (o := self._orders.get(g)) and v % o)
 
     def _weight2_matches(self, target):
         """Every weight-2 word with key ``target``, each unordered pair once.
@@ -525,12 +527,19 @@ class BruteForceOracle:
         among them is kept from its lower site.
         """
         per = self.N * self.N - 1  # singles per site, in site order
-        near = {s for g, t in zip(self.gens, target) if t for s in g.op.support()}
+        orders = self._orders
+        near = {s for g, _ in target for s in self.model.generator(g).op.support()}
         out = []
         for site in sorted(near):
             for k1, op1 in self.singles[site * per:(site + 1) * per]:
-                need = tuple((x - y) % o for x, y, o in zip(target, k1, self._orders))
-                for op2 in self.by_key.get(need, ()):
+                need = dict(target)
+                for g, v in k1:
+                    r = (need.get(g, 0) - v) % orders[g]
+                    if r:
+                        need[g] = r
+                    else:
+                        del need[g]
+                for op2 in self.by_key.get(frozenset(need.items()), ()):
                     s2 = op2.terms[0][0]
                     if s2 != site and (s2 > site or s2 not in near):
                         out.append(pauli_mul(op1, op2))
@@ -541,8 +550,8 @@ class BruteForceOracle:
         return Correction(min(words, key=lambda w: _rank(w, self.model.logicals)), trace)
 
     def decode(self, syn) -> Correction:
-        target = tuple((-v) % o for v, o in zip(self.syndrome_key(syn), self._orders))
-        if not any(target):
+        target = self._key({g: -v for g, v in syn.exponents.items()})
+        if not target:
             return Correction(identity(self.N, self.n), ("w0",))
         if target in self.by_key:
             return self._canonical(self.by_key[target], ("w1",))

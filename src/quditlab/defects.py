@@ -8,8 +8,7 @@ from the construction arithmetic.
 Every surgery ends in ``_surgery``, which rewrites the generators, keeps the
 parent logicals that commute with the added ones and reports the dimension
 before and after; it refuses to remove a generator that is already gone,
-which is how an overlapping defect is caught.  ``_carry``
-rewrites the parent's certificates, so they stay exact on chained surgeries.
+which is how an overlapping defect is caught.
 
 Frozen operator content (pinned by commutation closure, stated orders,
 the dimension results in tests/test_defects.py and the golden build
@@ -73,9 +72,10 @@ class DefectReport:
                 f"dimension {self.dim_before} -> {self.dim_after}")
 
 
-def _surgery(model: StabilizerModel, kind: str, removed, added, constraints):
-    """Swap ``removed`` for ``added``, record the ``kind`` defect, replace
-    the constraints and report the logical dimension before and after.
+def _surgery(model: StabilizerModel, kind: str, removed, added):
+    """Swap ``removed`` for ``added``, record the ``kind`` defect and report
+    the logical dimension before and after.  The new model carries no
+    trivial-constraint certificates.
 
     Each surgery removes the generators of every site or cell it touches,
     so a defect that overlaps an earlier one removes a generator that is
@@ -90,23 +90,10 @@ def _surgery(model: StabilizerModel, kind: str, removed, added, constraints):
     gens = tuple(g for g in model.generators if g.gid not in gone) + tuple(added)
     logicals = tuple((name, op) for name, op in model.logicals
                      if not any(commutation_exponent(g.op, op) for g in added))
-    new = replace(model, generators=gens, constraints=tuple(constraints),
+    new = replace(model, generators=gens, constraints=(),
                   defects=model.defects + (kind,), logicals=logicals)
     return new, DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
                              engine.logical_dimension(new))
-
-
-def _carry(model: StabilizerModel, certificates, sites, rule):
-    """``certificates`` with the exponents a of A(x,y) and b of B(x,y) at
-    each of ``sites`` replaced by the {gid: exponent} map ``rule(x, y, a, b)``;
-    exponents are reduced mod the modulus and zeros dropped."""
-    out = []
-    for cert in certificates:
-        cert = dict(cert)
-        for x, y in sites:
-            cert.update(rule(x, y, cert.pop(f"A({x},{y})", 0), cert.pop(f"B({x},{y})", 0)))
-        out.append({g: e % model.modulus for g, e in cert.items() if e % model.modulus})
-    return out
 
 
 def _inside_hops(geo, sites):
@@ -122,8 +109,7 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     """Merge the star A and north-east plaquette B at each of ``sites`` into
     a fish F = A*B and link merged east neighbours by a short string; the
     sites lie along one row or are pairwise apart, so every inside hop is an
-    h hop.  The parent's certificates sum into one, whose star and plaquette
-    exponents agree at every site, so A^a B^a becomes F^a."""
+    h hop."""
     geo, N = model.geometry, model.modulus
     removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
     added = [Generator(f"F({x},{y})", "fish", op, N)
@@ -131,11 +117,7 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     added += [Generator(f"S({x},{y})", "short-string",
                         term_words(geo, N, f"hop-{o}", [(x, y)])[0], N)
               for o, x, y in _inside_hops(geo, sites)]
-    total = Counter()
-    for cert in model.constraints:
-        total.update(cert)
-    merged = _carry(model, [total], sites, lambda x, y, a, b: {f"F({x},{y})": a})
-    return _surgery(model, kind, removed, added, merged)
+    return _surgery(model, kind, removed, added)
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +243,7 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             removed += [f"P({a},{y})" for a in range(geo.cols)]
             added += _cells(geo, "Par", "parallelogram", "parallelogram",
                             [(a, y) for a in range(geo.cols)])
-    merged = ({g.gid: 1 for g in model.generators if g.gid not in removed}
-              | {g.gid: 1 for g in added})
-    return _surgery(model, "bombin-twist", removed, added, (merged,))
+    return _surgery(model, "bombin-twist", removed, added)
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +255,7 @@ def _patch_sites(geo, x, y):
 
 
 def _ds_patch(model: StabilizerModel, sites):
-    """Condense the order-two boson on ``sites`` of a Z_4 toric code.
-
-    A certificate with b - a odd at some site is doubled first, so that
-    A^a B^b = Fds^a Bds^((b - a) / 2) holds at every site.
-    """
+    """Condense the order-two boson on ``sites`` of a Z_4 toric code."""
     geo, N = model.geometry, 4
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
     added = [Generator(f"Fds({a},{b})", "defect-fish", op, 4)
@@ -289,15 +265,7 @@ def _ds_patch(model: StabilizerModel, sites):
     added += [Generator(f"Cds({o},{a},{b})", "defect-short",
                         term_words(geo, N, f"hop-{o}", [(a, b)], power=2)[0], 2)
               for o, a, b in _inside_hops(geo, sites)]
-
-    def odd(cert):
-        return any((cert.get(f"B({a},{b})", 0) - cert.get(f"A({a},{b})", 0)) % 2
-                   for a, b in sites)
-
-    certs = [{g: 2 * e for g, e in c.items()} if odd(c) else c for c in model.constraints]
-    certs = _carry(model, certs, sites, lambda u, v, a, b: {
-        f"Fds({u},{v})": a, f"Bds({u},{v})": (b - a) // 2 % 2})
-    return _surgery(model, "ds-patch", removed, added, certs)
+    return _surgery(model, "ds-patch", removed, added)
 
 
 def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
@@ -322,11 +290,7 @@ def apply_ds_patch(model: StabilizerModel, x: int = 1, y: int = 1,
 
 def _z4_patch(model: StabilizerModel, sites):
     """Restore bare Z_4 toric-code stabilizers on ``sites`` of a
-    doubled-semion model, dropping the four hops at each site.
-
-    The DS vertex term is TCA*TCB and its plaquette term TCB^2, so a
-    certificate's A^a B^b becomes TCA^a TCB^(a + 2b).
-    """
+    doubled-semion model, dropping the four hops at each site."""
     geo = model.geometry
     # the four hops at a site: C(h) at (a,b) and (a-1,b), C(v) at (a,b) and (a,b-1)
     hops = dict.fromkeys(f"C({o},{u},{v})" for a, b in sites for o, (u, v) in (
@@ -337,9 +301,7 @@ def _z4_patch(model: StabilizerModel, sites):
                                 term_words(geo, 4, "plaquette", sites)):
         added.append(Generator(f"TCA({a},{b})", "vertex", tca, 4))
         added.append(Generator(f"TCB({a},{b})", "plaquette", tcb, 4))
-    certs = _carry(model, model.constraints, sites, lambda u, v, a, b: {
-        f"TCA({u},{v})": a, f"TCB({u},{v})": a + 2 * b})
-    return _surgery(model, "z4-patch-in-ds", removed, added, certs)
+    return _surgery(model, "z4-patch-in-ds", removed, added)
 
 
 def apply_z4_patch_in_ds(model: StabilizerModel, x: int = 1, y: int = 1):
@@ -372,7 +334,7 @@ def couple_bilayer(model: StabilizerModel, wormhole: str, mouths=((0, 0), (2, 2)
     of the upper layer at both mouths, so fluxes of one layer re-emerge as
     charges of the other; the dimension doubles to 32.
     """
-    # the constraints below are those of two uncoupled layers
+    # a second coupling would add a second F1 and F2
     if model.family != "bilayer" or model.defects:
         raise UnsupportedModelError("bilayer coupling needs a bilayer model without defects")
     if wormhole not in ("i", "ii"):
@@ -390,15 +352,4 @@ def couple_bilayer(model: StabilizerModel, wormhole: str, mouths=((0, 0), (2, 2)
     f1, f2 = (pauli_mul(model.generator(a).op, model.generator(b).op)
               for a, b in (removed[:2], removed[2:]))
     added = [Generator("F1", "bilayer-fish", f1, 2), Generator("F2", "bilayer-fish", f2, 2)]
-
-    def ones(*kinds, extra=()):
-        gids = [g for k in kinds for g in model.gids(k) if g not in removed]
-        return dict.fromkeys(gids + list(extra), 1)
-
-    if wormhole == "i":
-        constraints = (ones("plaquette-T1", "vertex-T2", extra=["F1"]),
-                       ones("plaquette-T2", "vertex-T1", extra=["F2"]))
-    else:
-        constraints = (ones("vertex-T2"), ones("plaquette-T1"),
-                       ones("vertex-T1", "plaquette-T2", extra=["F1", "F2"]))
-    return _surgery(model, f"bilayer-wormhole-{wormhole}", removed, added, constraints)
+    return _surgery(model, f"bilayer-wormhole-{wormhole}", removed, added)

@@ -400,11 +400,10 @@ class Syndrome:
     Exponents are normalized to the generator's declared order: generator g
     of order r on error E picks up eigenvalue exp(2*pi*i*s/r) with
     s = commutation_exponent(g, E) * r / N mod r.  Unviolated generators are
-    omitted; ``kinds`` maps each violated gid to its generator's kind.
+    omitted.
     """
 
     exponents: dict = field(default_factory=dict)
-    kinds: dict = field(default_factory=dict)
 
     def weight(self) -> int:
         return len(self.exponents)
@@ -424,12 +423,10 @@ def syndrome(model, error: PauliOp) -> Syndrome:
         raise ShapeError("error register does not match model")
     n = model.modulus
     exps = {}
-    kinds = {}
     for j, k in _noncommuting(model, error).items():
         g = model.generators[j]
         exps[g.gid] = k * g.order // n % g.order
-        kinds[g.gid] = g.kind
-    return Syndrome(exps, kinds)
+    return Syndrome(exps)
 
 
 def excitation_energy(model, error: PauliOp) -> int:

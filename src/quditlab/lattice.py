@@ -104,7 +104,7 @@ class StabilizerModel:
     geometry: LatticeGeometry
     modulus: int
     generators: tuple
-    constraints: tuple = ()  # exponent certificates {gid: exp} multiplying to identity
+    constraints: tuple = ()  # certificates of the built model; a surgery drops them
     family: str = "custom"
     defects: tuple = ()  # the kind of each surgery applied, in order
     logicals: tuple = ()  # (name, PauliOp) canonical logical representatives
@@ -156,9 +156,6 @@ class StabilizerModel:
 
     def generator(self, gid: str) -> Generator:
         return self._by_gid[gid]
-
-    def gids(self, kind_prefix: str = ""):
-        return [g.gid for g in self.generators if g.kind.startswith(kind_prefix)]
 
 
 def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:

@@ -242,7 +242,7 @@ def test_criterion_8_twist_transport():
     once = pauli_mul(string_operator(m2, "e", [(3, 0), (3, 1), (3, 2)]),
                      string_operator(m2, "m", [(3, 2), (3, 3), (3, 4)]))
     syn = engine.syndrome(m2, once)
-    kinds = sorted(syn.kinds[g] for g in syn.exponents)
+    kinds = sorted(m2.generator(g).kind for g in syn.exponents)
     assert kinds == ["plaquette", "vertex"], "one crossing must swap the kinds"
     geo = m2.geometry
     twice = pauli_mul(pauli_mul(pauli_mul(
@@ -250,7 +250,7 @@ def test_criterion_8_twist_transport():
         single_site(2, m2.n_sites, geo.edge_index("h", 3, 5), z=1)),
         string_operator(m2, "e", [(4, 5), (4, 6), (4, 7)]))
     syn2 = engine.syndrome(m2, twice)
-    kinds2 = sorted(syn2.kinds[g] for g in syn2.exponents)
+    kinds2 = sorted(m2.generator(g).kind for g in syn2.exponents)
     assert kinds2 == ["vertex", "vertex"], "two crossings must restore the kinds"
     dt = time.monotonic() - start
     assert dt < 1.0

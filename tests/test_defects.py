@@ -1,4 +1,4 @@
-"""Defect surgeries: dimensions, counts, certificates, syndrome transport."""
+"""Defect surgeries: dimensions, counts, chaining, syndrome transport."""
 
 import hashlib
 import itertools
@@ -17,7 +17,7 @@ from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_di
 from quditlab.dsemion import build_doubled_semion, ds_generators
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, string_operator)
+                              string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
 
 
@@ -29,11 +29,6 @@ def _assert_commuting(model):
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             assert commutation_exponent(ops[i], ops[j]) == 0
-
-
-def _assert_certificates(model):
-    for cert in model.constraints:
-        assert evaluate_constraint(model, cert).is_identity(up_to_phase=True)
 
 
 def _kind_counts(report):
@@ -53,9 +48,8 @@ def test_dislocation_i():
     assert len(rep.removed) == 6  # three stars, three plaquettes
     assert _kind_counts(rep) == {"fish": 3, "short-string": 2}
     assert (rep.dim_before, rep.dim_after) == (4, 4)
-    assert len(m.constraints) == 1  # single merged trivial constraint
+    assert m.constraints == ()  # a surgery drops the parent's certificates
     _assert_commuting(m)
-    _assert_certificates(m)
 
 
 def test_dislocation_ii():
@@ -63,7 +57,6 @@ def test_dislocation_ii():
     m, rep = apply_dislocation(tc, "ii", 0, 2)
     assert len(rep.removed) == len(rep.added) == 12
     assert (rep.dim_before, rep.dim_after) == (4, 2)
-    _assert_certificates(m)
 
 
 def test_dislocation_needs_z2():
@@ -123,10 +116,8 @@ def test_multiple_ising_twists():
     tc = build_toric_code(6, 6, 2)
     dims = {}
     for k in (0, 1, 2, 3):
-        m, rep = apply_multiple_ising_twists(tc, k)
+        _, rep = apply_multiple_ising_twists(tc, k)
         dims[k] = rep.dim_after
-        if k:
-            _assert_certificates(m)
     assert dims[0] == 4          # identity transformation
     assert dims[1] == 4          # constraint merge only
     assert dims[2] == 2 * dims[0]  # dimension doubles
@@ -147,9 +138,8 @@ def test_bombin_twist_contractible_minimal():
     assert len(rep.removed) == 5
     assert _kind_counts(rep) == {"pentagon": 2, "parallelogram": 2}
     assert (rep.dim_before, rep.dim_after) == (4, 4)
-    assert len(m.constraints) == 1
+    assert m.constraints == ()
     _assert_commuting(m)
-    _assert_certificates(m)
     # pentagons carry one Y (a site with both X and Z content)
     for g in rep.added:
         ys = sum(1 for x, z in zip(x_exp(g.op), z_exp(g.op)) if x and z)
@@ -173,7 +163,6 @@ def test_bombin_twist_noncontractible_parities():
         m, rep = apply_bombin_twist(b, y0=1, contractible=False, multiplicity=mult)
         dims[mult] = rep.dim_after
         _assert_commuting(m)
-        _assert_certificates(m)
     assert dims[1] == 2   # one non-contractible twist halves the dimension
     assert dims[2] == 4   # two full twists cancel out
     assert dims[3] == 2   # odd counts drop to two again
@@ -206,7 +195,6 @@ def test_ds_patch_contractible():
     # the quartet relation keeps the contractible-patch dimension at 16
     assert (rep.dim_before, rep.dim_after) == (16, 16)
     _assert_commuting(m)
-    _assert_certificates(m)
 
 
 def test_ds_patch_ring():
@@ -214,7 +202,6 @@ def test_ds_patch_ring():
     m, rep = apply_ds_patch(tc, y=1, contractible=False)
     assert rep.dim_after == 8  # one condensed-loop homology class absorbed
     _assert_commuting(m)
-    _assert_certificates(m)
 
 
 def test_ds_patch_needs_z4():
@@ -245,7 +232,6 @@ def test_z4_patch_in_ds():
     assert len(rep.removed) == 8 + 12  # fish+plaquettes plus incident hops
     assert (rep.dim_before, rep.dim_after) == (4, 4)
     _assert_commuting(m)
-    _assert_certificates(m)
     with pytest.raises(UnsupportedModelError):
         apply_z4_patch_in_ds(build_toric_code(4, 4, 4))
 
@@ -301,9 +287,8 @@ def test_patch_dimension_on_regions(region):
     for parent, core, before, after in ((build_toric_code(6, 6, 4), _ds_patch, 16, ds_dim),
                                         (build_doubled_semion(6, 6), _z4_patch, 4, z4_dim)):
         if after is not None:
-            m, rep = core(parent, sites)
+            _, rep = core(parent, sites)
             assert (rep.dim_before, rep.dim_after) == (before, after), core.__name__
-            _assert_certificates(m)
 
 
 def test_ds_patch_on_the_whole_torus_is_the_doubled_semion():
@@ -322,17 +307,15 @@ def test_bilayer_wormhole_i():
     m, rep = couple_bilayer(build_bilayer_toric(4, 4), "i")
     assert len(rep.removed) == 4 and len(rep.added) == 2
     assert (rep.dim_before, rep.dim_after) == (16, 16)
-    assert len(m.constraints) == 2
+    assert m.constraints == ()
     _assert_commuting(m)
-    _assert_certificates(m)
 
 
 def test_bilayer_wormhole_ii():
     m, rep = couple_bilayer(build_bilayer_toric(4, 4), "ii")
     assert (rep.dim_before, rep.dim_after) == (16, 32)
-    assert len(m.constraints) == 3
+    assert m.constraints == ()
     _assert_commuting(m)
-    _assert_certificates(m)
 
 
 def test_bilayer_validation():
@@ -368,7 +351,7 @@ def test_wormhole_ii_transports_flux_to_charge():
               (geo.edge_index("h", 1, 0, 0), 0, 1)]     # charge leg in layer 1
     word = from_terms(2, m.n_sites, terms)
     syn = engine.syndrome(m, word)
-    kinds = sorted(syn.kinds[g] for g in syn.exponents)
+    kinds = sorted(m.generator(g).kind for g in syn.exponents)
     assert kinds == ["plaquette-T2", "vertex-T1"]
 
 
@@ -389,7 +372,7 @@ def test_em_condensed_on_twist_line():
     ending_on_line = pauli_mul(pauli_mul(hop(4, 2), hop(3, 2)), hop(2, 2))
     syn = engine.syndrome(m, ending_on_line)
     assert engine.excitation_energy(m, ending_on_line) == 2
-    assert sorted(syn.kinds[g] for g in syn.exponents) == ["plaquette", "vertex"]
+    assert sorted(m.generator(g).kind for g in syn.exponents) == ["plaquette", "vertex"]
     free = pauli_mul(hop(4, 5), hop(3, 5))
     assert engine.excitation_energy(m, free) == 4
 
@@ -404,14 +387,14 @@ def test_twist_transport_swaps_and_restores_kinds():
     m_mid = string_operator(m2, "m", [(3, 2), (3, 3), (3, 4)])
     once = pauli_mul(e_leg, m_mid)
     syn1 = engine.syndrome(m2, once)
-    assert sorted(syn1.kinds[g] for g in syn1.exponents) == ["plaquette", "vertex"]
+    assert sorted(m2.generator(g).kind for g in syn1.exponents) == ["plaquette", "vertex"]
 
     m_cross = string_operator(m2, "m", [(3, 4), (3, 5)])
     dress = single_site(2, n, geo.edge_index("h", 3, 5), z=1)
     e_up = string_operator(m2, "e", [(4, 5), (4, 6), (4, 7)])
     twice = pauli_mul(pauli_mul(pauli_mul(once, m_cross), dress), e_up)
     syn2 = engine.syndrome(m2, twice)
-    assert sorted(syn2.kinds[g] for g in syn2.exponents) == ["vertex", "vertex"]
+    assert sorted(m2.generator(g).kind for g in syn2.exponents) == ["vertex", "vertex"]
 
 
 def test_bombin_shear_transport_swaps_colors():
@@ -422,7 +405,7 @@ def test_bombin_shear_transport_swaps_colors():
     below = single_site(2, n, geo.vertex_index(2, 3), z=1)
     crossed = pauli_mul(below, single_site(2, n, geo.vertex_index(4, 4), z=1))
     syn = engine.syndrome(m, crossed)
-    cells = sorted(syn.kinds[g] for g in syn.exponents)
+    cells = sorted(m.generator(g).kind for g in syn.exponents)
     assert cells == ["cell-dark", "cell-light"]  # the pair changed color class
 
     m2, _ = apply_bombin_twist(b, y0=3, contractible=False, multiplicity=2)
@@ -430,7 +413,7 @@ def test_bombin_shear_transport_swaps_colors():
     word = pauli_mul(word, single_site(2, n, geo.vertex_index(5, 5), z=1))
     word = pauli_mul(word, single_site(2, n, geo.vertex_index(7, 6), z=1))
     syn2 = engine.syndrome(m2, word)
-    cells2 = sorted(syn2.kinds[g] for g in syn2.exponents)
+    cells2 = sorted(m2.generator(g).kind for g in syn2.exponents)
     assert cells2 == ["cell-light", "cell-light"]  # restored after two crossings
 
 
@@ -479,9 +462,8 @@ def _surgery_grid():
 
 
 # one SHA-256 over each grid surgery's new generators (id, kind, order,
-# word), report summary, removed ids, defect kinds and certificates; the
-# certificates of a model are hashed as a sorted set of sorted items
-SURGERY_DIGEST_SHA256 = "def49a4106eafb139501e156adfc619e0eda83c445ef783c933e7a597340d1bc"
+# word), report summary, removed ids and defect kinds
+SURGERY_DIGEST_SHA256 = "8b783f76ff7e6908db23b7c2b7a78c434cab67c5843c4499d37ae456d95017a7"
 
 
 def test_surgery_digest():
@@ -494,13 +476,11 @@ def test_surgery_digest():
                       f"{rep.summary()}\n{sorted(rep.removed)}\n{m.defects}\n".encode())
         for g in m.generators:
             digest.update(f"{g.gid} {g.kind} {g.order} {to_text(g.op)}\n".encode())
-        for cert in sorted(sorted(c.items()) for c in m.constraints):
-            digest.update(f"{cert}\n".encode())
     assert digest.hexdigest() == SURGERY_DIGEST_SHA256
 
 
 # ----------------------------------------------------------------------
-# certificates of chained surgeries
+# chained surgeries
 # ----------------------------------------------------------------------
 
 # parent -> {name: surgery of (model, slot)}; slot 0 and slot 1 anchor the
@@ -533,31 +513,16 @@ CHAINABLE = {
     }),
 }
 
-# trivial constraints of each single surgery
-SINGLE_COUNTS = {"kitaev-twist": 1, "kitaev-ring": 1, "dislocation-i": 1, "dislocation-ii": 1,
-                 "ising-twists": 1, "ds-patch": 2, "ds-ring": 2, "z4-patch-in-ds": 2,
-                 "bombin-twist": 1, "bombin-ring": 1}
-
-
-def test_single_surgery_certificate_counts():
-    for build, surgeries in CHAINABLE.values():
-        for name, surgery in surgeries.items():
-            m, _ = surgery(build(), 0)
-            assert len(m.constraints) == SINGLE_COUNTS[name], name
-            _assert_certificates(m)
-    for variant, count in (("i", 2), ("ii", 3)):
-        m, _ = couple_bilayer(build_bilayer_toric(6, 6), variant)
-        assert len(m.constraints) == count
-        _assert_certificates(m)
-
 
 @pytest.mark.parametrize("family, first, second", [
     (family, a, b) for family, (_, surgeries) in CHAINABLE.items()
     for a, b in itertools.product(surgeries, repeat=2)])
-def test_chained_surgery_certificates_are_identities(family, first, second):
+def test_surgeries_on_disjoint_regions_chain(family, first, second):
+    # the second surgery applies to the first one's model; the logical
+    # dimension runs the commutation check on the combined generators
     build, surgeries = CHAINABLE[family]
     m, _ = surgeries[first](build(), 0)
     m, _ = surgeries[second](m, 1)
     assert len(m.defects) == 2
-    for cert in m.constraints:
-        assert evaluate_constraint(m, cert).is_identity(up_to_phase=True), cert
+    engine.logical_dimension(m)
+    assert m.constraints == ()

@@ -67,7 +67,7 @@ def test_half_s_half_sbar_loop_gives_two_vertex_excitations():
     word = pauli_mul(string_operator(ds, "s", out),
                      string_operator(ds, "sbar", back))
     syn = engine.syndrome(ds, word)
-    assert list(syn.kinds.values()) == ["vertex", "vertex"]
+    assert [ds.generator(g).kind for g in syn.exponents] == ["vertex", "vertex"]
     assert list(syn.exponents.values()) == [2, 2]
 
 
@@ -75,7 +75,7 @@ def test_open_s_string_creates_vertex_and_plaquette_excitations():
     ds = build_doubled_semion(8, 8)
     word = string_operator(ds, "s", [(1, 4), (2, 4), (3, 4), (4, 4)])
     syn = engine.syndrome(ds, word)
-    assert set(syn.kinds.values()) == {"vertex", "plaquette"}
+    assert {ds.generator(g).kind for g in syn.exponents} == {"vertex", "plaquette"}
     # golden endpoint record for the frozen convention
     golden = [("B(1,4)", 1), ("B(4,4)", 1),
               ("A(1,4)", 1), ("A(2,5)", 1), ("A(4,4)", 3), ("A(5,5)", 3)]

@@ -116,10 +116,10 @@ def test_syndrome_examples():
     geo = m.geometry
     x_err = single_site(2, m.n_sites, geo.edge_index("h", 1, 1), x=1)
     syn = syndrome(m, x_err)
-    assert sorted(syn.kinds.values()) == ["plaquette", "plaquette"]
+    assert sorted(m.generator(g).kind for g in syn.exponents) == ["plaquette", "plaquette"]
     z_err = single_site(2, m.n_sites, geo.edge_index("h", 1, 1), z=1)
     syn = syndrome(m, z_err)
-    assert sorted(syn.kinds.values()) == ["vertex", "vertex"]
+    assert sorted(m.generator(g).kind for g in syn.exponents) == ["vertex", "vertex"]
 
 
 def test_syndrome_is_homomorphism():
@@ -220,7 +220,7 @@ def _dense_syndrome(model, error):
     for g in model.generators:
         k = commutation_exponent(g.op, error)
         if k:
-            out[g.gid] = (k * g.order // n % g.order, g.kind)
+            out[g.gid] = k * g.order // n % g.order
     return out
 
 
@@ -244,8 +244,7 @@ def test_syndrome_matches_dense_reference(case):
     model, error = case
     syn = syndrome(model, error)
     ref = _dense_syndrome(model, error)
-    assert list(syn.exponents.items()) == [(g, e) for g, (e, _) in ref.items()]
-    assert syn.kinds == {g: kind for g, (_, kind) in ref.items()}
+    assert list(syn.exponents.items()) == list(ref.items())
 
 
 def _bfs_rows(rows, n, columns):
@@ -367,9 +366,9 @@ def test_replaced_model_computes_its_own_echelon():
     assert logical_dimension(m) == 4
     same = dataclasses.replace(m, family="copy")
     assert same.echelon is not m.echelon and same.echelon.index == m.echelon.index
-    a0, a1 = (m.generator(gid) for gid in m.gids("vertex")[:2])
+    a0, a1 = [g for g in m.generators if g.kind == "vertex"][:2]
     rest = tuple(g for g in m.generators if g not in (a0, a1))
-    for cut in (defects._surgery(m, "cut", [a0.gid, a1.gid], (), ())[0],
+    for cut in (defects._surgery(m, "cut", [a0.gid, a1.gid], ())[0],
                 dataclasses.replace(m, generators=rest)):
         assert cut.echelon is not m.echelon
         assert logical_dimension(cut) == 8

@@ -150,7 +150,7 @@ def test_models_match_per_term_reference():
 def test_build_toric_code_2x2():
     m = build_toric_code(2, 2, 2)
     assert m.n_sites == 8
-    assert len(m.gids("vertex")) == 4 and len(m.gids("plaquette")) == 4
+    assert sorted(g.kind for g in m.generators) == ["plaquette"] * 4 + ["vertex"] * 4
     assert engine.logical_dimension(m) == 4
 
 
@@ -197,7 +197,8 @@ def test_evaluate_constraint_matches_power_fold(build):
     rng = random.Random(7)
     gids = [g.gid for g in model.generators]
     certs = [dict(c) for c in model.constraints]
-    # every carried exponent scaled, and random subsets with mixed exponents
+    # every built certificate scaled (a surgered model has none), and random
+    # subsets with mixed exponents
     certs += [{g: e * v for g, v in c.items()} for c in model.constraints
               for e in (2, N - 1, -1, N + 1)]
     certs += [{g: rng.choice((1, 2, N - 1, -1, N + 1)) for g in rng.sample(gids, 12)}
@@ -268,7 +269,7 @@ def test_bombin_single_z_hits_two_diagonal_cells():
     syn = engine.syndrome(m, err)
     violated = sorted(syn.exponents)
     assert violated == ["P(1,1)", "P(2,2)"]  # diagonal pair, same color
-    kinds = {syn.kinds[g] for g in violated}
+    kinds = {m.generator(g).kind for g in violated}
     assert len(kinds) == 1
 
 
@@ -305,16 +306,17 @@ def test_string_operator_endpoints():
     # single-edge X string: exactly two plaquette violations
     err = string_operator(m, "m", [(1, 1), (2, 1)])
     syn = engine.syndrome(m, err)
-    assert sorted(syn.kinds.values()) == ["plaquette", "plaquette"]
+    assert sorted(m.generator(g).kind for g in syn.exponents) == ["plaquette", "plaquette"]
     # extending the string moves the violation to the new endpoints only
     longer = string_operator(m, "m", [(1, 1), (2, 1), (3, 1)])
     syn2 = engine.syndrome(m, longer)
-    assert sorted(syn2.kinds.values()) == ["plaquette", "plaquette"]
+    assert sorted(m.generator(g).kind for g in syn2.exponents) == ["plaquette", "plaquette"]
     assert set(syn.exponents) & set(syn2.exponents) == {"B(1,1)"}
     # e strings violate the two endpoint vertices
     err = string_operator(m, "e", [(0, 0), (0, 1), (0, 2)])
     syn3 = engine.syndrome(m, err)
-    assert syn3.kinds == {"A(0,0)": "vertex", "A(0,2)": "vertex"}
+    assert {g: m.generator(g).kind for g in syn3.exponents} == {"A(0,0)": "vertex",
+                                                               "A(0,2)": "vertex"}
 
 
 def test_closed_contractible_loop_is_stabilizer():
