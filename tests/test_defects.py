@@ -17,7 +17,7 @@ from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_di
 from quditlab.dsemion import build_doubled_semion, ds_generators
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
 from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
-                              string_operator)
+                              evaluate_constraint, string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
 
 
@@ -512,6 +512,26 @@ CHAINABLE = {
         "bombin-ring": lambda m, s: apply_bombin_twist(m, y0=1 + 4 * s, contractible=False),
     }),
 }
+
+
+def test_single_surgery_leaves_parent_and_its_certificates_intact():
+    # a surgery builds a new model: the parent keeps its generators and its
+    # certificates still multiply to the identity; the child carries none
+    cases = [(build, surgery) for build, surgeries in CHAINABLE.values()
+             for surgery in surgeries.values()]
+    cases += [(lambda: build_bilayer_toric(6, 6), lambda m, s, v=v: couple_bilayer(m, v))
+              for v in ("i", "ii")]
+    for build, surgery in cases:
+        parent = build()
+        before = [(g.gid, to_text(g.op)) for g in parent.generators]
+        m, _ = surgery(parent, 0)
+        assert len(m.defects) == 1
+        assert m.constraints == ()
+        engine.logical_dimension(m)
+        assert [(g.gid, to_text(g.op)) for g in parent.generators] == before
+        assert parent.defects == ()
+        for cert in parent.constraints:
+            assert evaluate_constraint(parent, cert).is_identity(up_to_phase=True), cert
 
 
 @pytest.mark.parametrize("family, first, second", [
