@@ -109,8 +109,10 @@ MODELS = {
     "toric": lambda rows, cols, modulus: lattice.build_toric_code(rows, cols, modulus),
     "bombin": lambda rows, cols, modulus: lattice.build_bombin_lattice(rows, cols),
     "doubled-semion": lambda rows, cols, modulus: dsemion.build_doubled_semion(rows, cols),
-    "bilayer": lambda rows, cols, modulus: lattice.build_bilayer_toric(rows, cols, modulus),
+    "bilayer": lambda rows, cols, modulus: lattice.build_bilayer_toric(rows, cols),
 }
+# family -> its one modulus; a toric code takes any (Z_2 when not given)
+MODULI = {"bombin": 2, "doubled-semion": 4, "bilayer": 2}
 
 # defect kind -> (fields, required fields, surgery of (model, **fields));
 # anchors default to x=1, y=1
@@ -200,7 +202,11 @@ def parse_config(text: str) -> ExperimentConfig:
             if rest[0] not in MODELS:
                 raise ConfigError(f"unknown model family {rest[0]!r}")
             cfg.family, cfg.rows, cfg.cols = rest[0], kv["rows"], kv["cols"]
-            cfg.modulus = kv.get("modulus", 2)
+            fixed = MODULI.get(rest[0])
+            cfg.modulus = kv.get("modulus", fixed or 2)
+            if fixed and cfg.modulus != fixed:
+                raise ConfigError(f"line {no}: field 'modulus' must be {fixed} "
+                                  f"for the {rest[0]} model")
         elif head == "defect":
             if not rest:
                 raise ConfigError(f"line {no}: defect needs a kind")
@@ -386,7 +392,7 @@ def _condense_lines(theory, algebra_text):
     try:
         alg = condense.condensable_algebra(theory, summands)
     except NotCondensableError as exc:
-        kind, where, witness = exc.report.first_failure()
+        kind, where, witness = exc.failure
         lines.append(f"condense-invalid {kind} at {where} witness={witness}")
         return lines
     if alg.boundary_tag:

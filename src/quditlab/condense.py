@@ -25,7 +25,6 @@ from .errors import NotCondensableError, UnsupportedModelError
 __all__ = [
     "CondensableAlgebra",
     "ModuleObject",
-    "ValidationReport",
     "validate_condensable",
     "condensable_algebra",
     "enumerate_condensable",
@@ -53,9 +52,9 @@ class CondensableAlgebra:
 
     def __post_init__(self):
         theory = self.parent
-        report = validate_condensable(theory, self.summands)
-        if not report.valid:
-            raise NotCondensableError(report)
+        failure = validate_condensable(theory, self.summands)
+        if failure is not None:
+            raise NotCondensableError(failure)
         ordered = tuple(sorted(set(self.summands), key=theory.labels.index))
         object.__setattr__(self, "summands", ordered)
         if not self.boundary_tag and theory.name in ("toric", "z_2") and len(ordered) == 2:
@@ -97,15 +96,6 @@ class ModuleObject:
         return "+".join(self.summands)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    failures: tuple = ()
-
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
-
 def _fuse_one(theory, a, b):
     out = theory.fuse(a, b)
     (c,) = out
@@ -118,31 +108,34 @@ def _require_abelian(theory):
             f"condensation engine handles pointed theories only; {theory.name} is not")
 
 
-def validate_condensable(theory: AnyonTheory, summands) -> ValidationReport:
-    """Check unit membership, fusion/dual closure, bosonity, mutual monodromy."""
+def validate_condensable(theory: AnyonTheory, summands):
+    """The first failed check, as (kind, where, witness), or None.
+
+    The checks run in this order: unit membership, fusion and dual
+    closure, bosonity, mutual monodromy.
+    """
     _require_abelian(theory)
     for a in summands:
         theory._check(a)
-    failures = []
     summands = sorted(set(summands), key=theory.labels.index)
     if theory.unit not in summands:
-        failures.append(("unit-missing", theory.unit, None))
+        return "unit-missing", theory.unit, None
     for a in summands:
         for b in summands:
             c = _fuse_one(theory, a, b)
             if c not in summands:
-                failures.append(("not-closed", f"{a}x{b}", c))
+                return "not-closed", f"{a}x{b}", c
         if theory.dual(a) not in summands:
-            failures.append(("dual-missing", a, theory.dual(a)))
+            return "dual-missing", a, theory.dual(a)
     for a in summands:
         if theory.twist[a] % 1 != 0:
-            failures.append(("not-a-boson", a, theory.twist[a]))
+            return "not-a-boson", a, theory.twist[a]
     for a in summands:
         for b in summands:
             turn = monodromy(theory, a, b)
             if turn != 0:
-                failures.append(("nontrivial-monodromy", (a, b), turn))
-    return ValidationReport(not failures, tuple(failures))
+                return "nontrivial-monodromy", (a, b), turn
+    return None
 
 
 def condensable_algebra(theory: AnyonTheory, summands) -> CondensableAlgebra:

@@ -70,13 +70,9 @@ def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:
     if rows < 2 or cols < 2:
         raise GeometryError("doubled semion needs rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "edges")
-    gens = ds_generators(geo)
-    constraints = (
-        # product of all vertex terms = product of all toric stars and plaquettes
-        {g.gid: 1 for g in gens if g.kind == "vertex"},
-        {g.gid: 1 for g in gens if g.kind == "plaquette"},
-    )
-    model = StabilizerModel(geo, 4, tuple(gens), constraints, "doubled-semion")
+    # the product of all vertex terms is that of all toric stars and plaquettes
+    model = StabilizerModel(geo, 4, tuple(ds_generators(geo)), ("vertex", "plaquette"),
+                            "doubled-semion")
     logicals = tuple(sorted((name, s.op) for name, s in logical_operators(model).items()))
     return replace(model, logicals=logicals)
 

@@ -82,19 +82,16 @@ class GeneratorMatrix:
     columns: int
 
     @classmethod
-    def from_ops(cls, ops, modulus: int = None, sites: int = None) -> "GeneratorMatrix":
-        """The rows of ``ops``; an explicit ``modulus`` or ``sites`` must
-        match every op's register (ShapeError otherwise)."""
+    def from_ops(cls, ops) -> "GeneratorMatrix":
+        """The rows of ``ops``, which must share one register (ShapeError
+        otherwise, and for no ops, which name none)."""
         ops = list(ops)
-        if ops:
-            modulus = ops[0].modulus if modulus is None else modulus
-            sites = ops[0].sites if sites is None else sites
-        elif modulus is None or sites is None:
-            raise ShapeError("empty generator list needs explicit modulus and sites")
-        for op in ops:
-            if op.modulus != modulus or op.sites != sites:
-                raise ShapeError("generator register mismatch")
-        return cls(modulus, tuple(_row(op) for op in ops), 2 * sites)
+        if not ops:
+            raise ShapeError("empty generator list has no register")
+        N, n = ops[0].modulus, ops[0].sites
+        if any(op.modulus != N or op.sites != n for op in ops):
+            raise ShapeError("generator register mismatch")
+        return cls(N, tuple(_row(op) for op in ops), 2 * n)
 
     @classmethod
     def from_dense(cls, modulus: int, rows, columns: int) -> "GeneratorMatrix":
@@ -126,28 +123,11 @@ class Echelon:
         leaves a vector of L that starts later (Howell form; Storjohann and
         Mulders, "Fast algorithms for linear algebra modulo N", 1998).  So
         a leading entry with no pivot, or not divisible by d_c, means "not
-        in L".  A row whose entries all equal h = N/2 is reduced as a
-        bitset, by XOR against bitset pivots, until it meets a dict pivot;
-        a dict row subtracts q * h on a bitset pivot's set columns.
+        in L".  A bitset pivot is subtracted as h = N/2 on its set columns.
         """
         N = self.modulus
-        h = N // 2 if N % 2 == 0 else 0
+        h = N // 2
         raw = self.raw
-        if h and set(row.values()) == {h}:
-            b = 0
-            for c in row:
-                b |= 1 << c
-            while b:
-                col = (b & -b).bit_length() - 1
-                if col not in raw:
-                    return False
-                pivot = raw[col][0]
-                if not isinstance(pivot, int):
-                    row = dict.fromkeys(_columns(0, b), h)
-                    break
-                b ^= pivot << col
-            else:
-                return True
         row = dict(row)
         while row:
             col = min(row)

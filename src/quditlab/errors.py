@@ -26,11 +26,11 @@ class UnsupportedModelError(QuditLabError):
 
 
 class NotCondensableError(QuditLabError):
-    """Summands fail a condensable-algebra check; ``report`` lists each failure."""
+    """Summands fail a condensable-algebra check; ``failure`` is the first."""
 
-    def __init__(self, report):
-        super().__init__(f"not a condensable algebra: {report.first_failure()}")
-        self.report = report
+    def __init__(self, failure):
+        super().__init__(f"not a condensable algebra: {failure}")
+        self.failure = failure
 
 
 class InvalidModelError(QuditLabError):

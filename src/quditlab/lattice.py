@@ -27,7 +27,7 @@ from functools import cached_property
 
 from . import engine
 from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
-from .pauli import PauliOp, _word, from_terms
+from .pauli import PauliOp, _word, from_terms, pauli_prod
 
 __all__ = [
     "LatticeGeometry",
@@ -104,7 +104,7 @@ class StabilizerModel:
     geometry: LatticeGeometry
     modulus: int
     generators: tuple
-    constraints: tuple = ()  # certificates of the built model; a surgery drops them
+    constraints: tuple = ()  # kinds whose generators multiply to 1; a surgery drops them
     family: str = "custom"
     defects: tuple = ()  # the kind of each surgery applied, in order
     logicals: tuple = ()  # (name, PauliOp) canonical logical representatives
@@ -141,11 +141,12 @@ class StabilizerModel:
     @cached_property
     def echelon(self) -> "engine.Echelon":
         """The generators' ``engine.Echelon`` (index and pivots), eliminated
-        once per model on first use; ``replace`` gives a new model that
-        eliminates its own generators."""
-        gens = engine.GeneratorMatrix.from_ops([g.op for g in self.generators],
-                                               self.modulus, self.n_sites)
-        return engine.echelon(gens.rows, gens.modulus, gens.columns)
+        once per model on first use, after ``incidence`` has checked the
+        register; ``replace`` gives a new model that eliminates its own
+        generators."""
+        self.incidence
+        return engine.echelon([engine._row(g.op) for g in self.generators],
+                              self.modulus, 2 * self.n_sites)
 
     @cached_property
     def logical_dimension(self) -> int:
@@ -158,23 +159,11 @@ class StabilizerModel:
         return self._by_gid[gid]
 
 
-def evaluate_constraint(model: StabilizerModel, certificate: dict) -> PauliOp:
-    """Multiply out a trivial-constraint certificate in deterministic gid order.
-
-    One ``from_terms`` pass folds every g^e: g^1 appends g's terms, any
-    other e appends them times e with ``pauli_pow``'s phase e ph + e(e-1)
-    sum xz, so no power word is built.
-    """
-    terms, phase = [], 0
-    for gid in sorted(certificate):
-        op, e = model.generator(gid).op, certificate[gid]
-        if e == 1:
-            terms += op.terms
-            phase += op.phase_exp
-        else:
-            terms += [(s, e * x, e * z) for s, x, z in op.terms]
-            phase += e * op.phase_exp + e * (e - 1) * sum(x * z for _, x, z in op.terms)
-    return from_terms(model.modulus, model.n_sites, terms, phase)
+def evaluate_constraint(model: StabilizerModel, kind: str) -> PauliOp:
+    """The product of every generator of ``kind``, in generator order, as one
+    ``pauli_prod``; the identity for each kind in ``model.constraints``."""
+    return pauli_prod(model.modulus, model.n_sites,
+                      [g.op for g in model.generators if g.kind == kind])
 
 
 # TERMS[name] = (placement, offsets): offset (dx, dy, k, x, z) puts X^x Z^z on
@@ -252,26 +241,24 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     geo = _toric_geometry(rows, cols, modulus)
     n = geo.n_sites
     gens = tuple(toric_generators(geo, modulus))
-    constraints = ({g.gid: 1 for g in gens[::2]}, {g.gid: 1 for g in gens[1::2]})
     logicals = (
         ("X1", from_terms(modulus, n, [(geo.edge_index("v", x, 0), 1, 0) for x in range(cols)])),
         ("Z1", from_terms(modulus, n, [(geo.edge_index("v", 0, y), 0, 1) for y in range(rows)])),
         ("X2", from_terms(modulus, n, [(geo.edge_index("h", 0, y), 1, 0) for y in range(rows)])),
         ("Z2", from_terms(modulus, n, [(geo.edge_index("h", x, 0), 0, 1) for x in range(cols)])),
     )
-    return StabilizerModel(geo, modulus, gens, constraints, "toric", logicals=logicals)
+    return StabilizerModel(geo, modulus, gens, ("vertex", "plaquette"), "toric",
+                           logicals=logicals)
 
 
-def build_bilayer_toric(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
+def build_bilayer_toric(rows: int, cols: int) -> StabilizerModel:
     """Two uncoupled Z_2 toric codes on one cols x rows torus.
 
     Layer t's generators are ``T{t}/A(x,y)`` and ``T{t}/B(x,y)`` of kinds
     ``vertex-T{t}`` and ``plaquette-T{t}``; ``defects.couple_bilayer``
     joins the layers through a wormhole.
     """
-    geo = _toric_geometry(rows, cols, modulus, layers=2)
-    if modulus != 2:
-        raise UnsupportedModelError("bilayer coupling needs two Z_2 toric codes")
+    geo = _toric_geometry(rows, cols, 2, layers=2)
     gens = tuple(replace(g, kind=f"{g.kind}-T{layer + 1}")
                  for layer in (0, 1)
                  for g in toric_generators(geo, 2, layer, f"T{layer + 1}/"))
@@ -289,9 +276,7 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
     anchors = [(x, y) for y in range(rows) for x in range(cols)]
     gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2)
             for (x, y), op in zip(anchors, term_words(geo, 2, "cell", anchors))]
-    constraints = tuple({g.gid: 1 for g in gens if g.kind == kind}
-                        for kind in ("cell-dark", "cell-light"))
-    return StabilizerModel(geo, 2, tuple(gens), constraints, "bombin")
+    return StabilizerModel(geo, 2, tuple(gens), ("cell-dark", "cell-light"), "bombin")
 
 
 def _hadamard_sites(geo: LatticeGeometry):

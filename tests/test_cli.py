@@ -237,7 +237,14 @@ CONFIG_ERRORS = [
     (BILAYER + "defect bilayer-wormhole-i mouths=0,0,4,0\n",
      3, "model error: wormhole mouths must be distinct"),
     (BILAYER.replace("\n", " modulus=3\n") + WORMHOLE,
-     3, "model error: bilayer coupling needs two Z_2 toric codes"),
+     2, "config error: line 2: field 'modulus' must be 2 for the bilayer model"),
+    ("model bilayer rows=4 cols=4 modulus=3\n",
+     2, "config error: line 2: field 'modulus' must be 2 for the bilayer model"),
+    ("model doubled-semion rows=4 cols=4 modulus=3\n",
+     2, "config error: line 2: field 'modulus' must be 4 for the doubled-semion model"),
+    ("model bombin rows=4 cols=4 modulus=7\n",
+     2, "config error: line 2: field 'modulus' must be 2 for the bombin model"),
+    ("model doubled-semion rows=4 cols=4 modulus=4\noutput dimension\n", 0, ""),
     ("model frob rows=4 cols=4\n", 2, "config error: unknown model family 'frob'"),
     ("model toric cols=4\n", 2, "config error: line 2: missing field 'rows'"),
     ("model\n", 2, "config error: line 2: model needs a family"),

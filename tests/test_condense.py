@@ -19,19 +19,16 @@ Z4 = builtin_theory("z_n", 4)
 
 
 def test_validate_examples():
-    assert validate_condensable(Z4, ["1", "e2m2"]).valid
-    report = validate_condensable(Z2, ["1", "em"])
-    assert not report.valid
-    kind, label, witness = report.first_failure()
+    assert validate_condensable(Z4, ["1", "e2m2"]) is None
+    kind, label, witness = validate_condensable(Z2, ["1", "em"])
     assert kind == "not-a-boson" and label == "em" and witness == Fraction(1, 2)
-    assert validate_condensable(Z2, ["1"]).valid
+    assert validate_condensable(Z2, ["1"]) is None
 
 
 def test_validate_rejects_non_closed():
-    report = validate_condensable(Z4, ["1", "e2"])  # e2 x e2 = 1: fine
-    assert report.valid
-    report = validate_condensable(Z4, ["1", "e"])   # not a boson
-    assert not report.valid
+    assert validate_condensable(Z4, ["1", "e2"]) is None  # e2 x e2 = 1: fine
+    # e x e = e2 is missing, the first check that fails
+    assert validate_condensable(Z4, ["1", "e"]) == ("not-closed", "exe", "e2")
 
 
 def test_unknown_summand_is_a_typed_error():
@@ -54,7 +51,7 @@ def test_every_construction_path_validates():
         with pytest.raises(NotCondensableError, match="not a condensable algebra") as info:
             build()
         assert isinstance(info.value, QuditLabError)
-        assert info.value.report == validate_condensable(Z4, ["1", "e"])
+        assert info.value.failure == validate_condensable(Z4, ["1", "e"])
     direct = CondensableAlgebra(Z4, ("e2m2", "1", "e2m2"))
     assert direct == condensable_algebra(Z4, ["1", "e2m2"])
     assert direct.summands == ("1", "e2m2")

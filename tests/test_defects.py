@@ -320,8 +320,6 @@ def test_bilayer_wormhole_ii():
 
 def test_bilayer_validation():
     a = build_bilayer_toric(4, 4)
-    with pytest.raises(UnsupportedModelError, match="two Z_2 toric codes"):
-        build_bilayer_toric(4, 4, 4)
     with pytest.raises(UnsupportedModelError, match="bilayer model without defects"):
         couple_bilayer(build_toric_code(4, 4, 2), "i")
     with pytest.raises(UnsupportedModelError, match="bilayer model without defects"):

@@ -1,7 +1,6 @@
 """Lattice geometry, toric/Bombin builders, the Hadamard translation, strings."""
 
 import functools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +15,8 @@ from quditlab.errors import GeometryError, PathError, UnsupportedModelError
 from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev, build_bilayer_toric,
                               build_bombin_lattice, build_toric_code,
                               evaluate_constraint, string_operator, term_words)
-from quditlab.pauli import (commutation_exponent, from_terms, pauli_pow, pauli_prod,
-                            single_site, to_text)
+from quditlab.pauli import (commutation_exponent, from_terms, identity, pauli_mul, pauli_pow,
+                            pauli_prod, single_site, to_text)
 
 
 def test_geometry_counts():
@@ -162,19 +161,16 @@ def test_build_toric_code_z3():
 def test_toric_constraint_certificates():
     for N in (2, 3, 4):
         m = build_toric_code(3, 3, N)
-        assert m.constraints == (
-            {f"A({x},{y})": 1 for y in range(3) for x in range(3)},
-            {f"B({x},{y})": 1 for y in range(3) for x in range(3)})
-        for cert in m.constraints:
-            assert evaluate_constraint(m, cert).is_identity()
+        assert m.constraints == ("vertex", "plaquette")
+        for kind in m.constraints:
+            assert evaluate_constraint(m, kind).is_identity()
 
 
-def _constraint_fold(model, certificate):
-    """The certificate's product as one ``pauli_pow`` word per generator,
-    multiplied in gid order."""
-    return pauli_prod(model.modulus, model.n_sites,
-                      (pauli_pow(model.generator(gid).op, certificate[gid])
-                       for gid in sorted(certificate)))
+def _constraint_fold(model, kind):
+    """The product of the kind's generators, multiplied pairwise with
+    ``pauli_mul`` in gid order."""
+    words = [g.op for g in sorted(model.generators, key=lambda g: g.gid) if g.kind == kind]
+    return functools.reduce(pauli_mul, words, identity(model.modulus, model.n_sites))
 
 
 def _z4_patch_in_ds():
@@ -185,27 +181,26 @@ def _bombin_twist():
     return defects.apply_bombin_twist(build_bombin_lattice(6, 6))[0]
 
 
-# a power's phase e(e-1) sum xz is a multiple of 2N on every toric and
-# doubled-semion word; the twisted Bombin model's Y corners make it nonzero
-@pytest.mark.parametrize("build", [lambda: build_toric_code(4, 4, 4),
-                                   lambda: build_doubled_semion(4, 4), _z4_patch_in_ds,
-                                   _bombin_twist],
-                         ids=["z4-toric", "doubled-semion", "z4-patch-in-ds", "bombin-twist"])
-def test_evaluate_constraint_matches_power_fold(build):
+# every kind of each model, certificate or not: the generator-order product
+# equals the gid-order pairwise fold, terms and phase; the twisted Bombin
+# model's Y corners give words with a nonzero phase
+@pytest.mark.parametrize("build, constraints", [
+    *[(functools.partial(build_toric_code, 4, 4, N), ("vertex", "plaquette"))
+      for N in (2, 3, 4, 5, 6)],
+    (lambda: build_bombin_lattice(4, 4), ("cell-dark", "cell-light")),
+    (lambda: build_doubled_semion(4, 4), ("vertex", "plaquette")),
+    (_z4_patch_in_ds, ()),
+    (_bombin_twist, ()),
+], ids=[*(f"z{N}-toric" for N in (2, 3, 4, 5, 6)), "bombin", "doubled-semion",
+        "z4-patch-in-ds", "bombin-twist"])
+def test_evaluate_constraint_matches_power_fold(build, constraints):
     model = build()
-    N = model.modulus
-    rng = random.Random(7)
-    gids = [g.gid for g in model.generators]
-    certs = [dict(c) for c in model.constraints]
-    # every built certificate scaled (a surgered model has none), and random
-    # subsets with mixed exponents
-    certs += [{g: e * v for g, v in c.items()} for c in model.constraints
-              for e in (2, N - 1, -1, N + 1)]
-    certs += [{g: rng.choice((1, 2, N - 1, -1, N + 1)) for g in rng.sample(gids, 12)}
-              for _ in range(20)]
-    for cert in certs:
-        got, want = evaluate_constraint(model, cert), _constraint_fold(model, cert)
-        assert (got.terms, got.phase_exp) == (want.terms, want.phase_exp), cert
+    assert model.constraints == constraints
+    for kind in sorted({g.kind for g in model.generators}):
+        got, want = evaluate_constraint(model, kind), _constraint_fold(model, kind)
+        assert (got.terms, got.phase_exp) == (want.terms, want.phase_exp), kind
+        if kind in constraints:
+            assert to_text(got) == "0|", kind
 
 
 def test_z2_toric_l32_scale():
