@@ -10,10 +10,11 @@ parent logicals that commute with the added ones and reports the dimension
 before and after; it refuses to remove a generator that is already gone,
 which is how an overlapping defect is caught.
 
-Frozen operator content (pinned by commutation closure, stated orders,
-the dimension results in tests/test_defects.py and the golden build
-reports).  Stars, plaquettes, fish, hops and the sheared vertex cells are
-rows of the offset table ``lattice.TERMS``, built by ``lattice.term_words``:
+Frozen operator content (pinned by commutation closure, orders read off
+each row's word, the dimension results in tests/test_defects.py and the
+golden build reports).  Stars, plaquettes, fish, hops and the sheared
+vertex cells are rows of the offset table ``lattice.TERMS``, and every
+added generator but the wormhole fish is a ``lattice.term_generators`` row:
 
 * Fish merge (Kitaev twist lines, dislocations, Ising insertions): per site
   v the star and its north-east plaquette merge into a fish; every hop with
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 
 from . import engine
 from .errors import DefectError, GeometryError, UnsupportedModelError
-from .lattice import Generator, StabilizerModel, term_words
+from .lattice import Generator, StabilizerModel, term_generators
 from .pauli import commutation_exponent, pauli_mul
 
 __all__ = [
@@ -97,12 +98,12 @@ def _surgery(model: StabilizerModel, kind: str, removed, added):
 
 
 def _inside_hops(geo, sites):
-    """The hops (o, x, y) whose two end sites both lie in ``sites``: every
-    h hop, from (x, y) to (x+1, y), then every v hop, from (x, y) to
-    (x, y+1), each in the order of ``sites``."""
+    """The anchors of the h hops, from (x, y) to (x+1, y), and of the v
+    hops, from (x, y) to (x, y+1), whose two end sites both lie in
+    ``sites``: two lists, each in the order of ``sites``."""
     inside = set(sites)
-    return [(o, x, y) for o, dx, dy in (("h", 1, 0), ("v", 0, 1))
-            for x, y in sites if geo.wrap(x + dx, y + dy) in inside]
+    return ([(x, y) for x, y in sites if geo.wrap(x + 1, y) in inside],
+            [(x, y) for x, y in sites if geo.wrap(x, y + 1) in inside])
 
 
 def _fish_merge(model: StabilizerModel, kind: str, sites):
@@ -112,11 +113,9 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     h hop."""
     geo, N = model.geometry, model.modulus
     removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
-    added = [Generator(f"F({x},{y})", "fish", op, N)
-             for (x, y), op in zip(sites, term_words(geo, N, "fish", sites))]
-    added += [Generator(f"S({x},{y})", "short-string",
-                        term_words(geo, N, f"hop-{o}", [(x, y)])[0], N)
-              for o, x, y in _inside_hops(geo, sites)]
+    added = (term_generators(geo, N, [("F(", "fish", "fish")], sites)
+             + term_generators(geo, N, [("S(", "short-string", "hop-h")],
+                               _inside_hops(geo, sites)[0]))
     return _surgery(model, kind, removed, added)
 
 
@@ -200,10 +199,7 @@ def apply_multiple_ising_twists(model: StabilizerModel, k: int, sites=None):
 # Bombin-lattice (vertex placement) twist lines
 # ----------------------------------------------------------------------
 
-def _cells(geo, name, kind, term, anchors, phase=0):
-    """The ``lattice.TERMS[term]`` cell at each (a, y) of ``anchors``."""
-    return [Generator(f"{name}({a},{y})", kind, op, 2)
-            for (a, y), op in zip(anchors, term_words(geo, 2, term, anchors, phase=phase))]
+_PARALLELOGRAM = ("Par(", "parallelogram", "parallelogram")
 
 
 def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
@@ -230,19 +226,18 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
         y = y0
         removed = [f"P({(x0 - 1 + j) % geo.cols},{y})" for j in range(width + 3)]
-        added = _cells(geo, "PentL", "pentagon", "pentagon-l", [(x0, y)], 1)
-        added += _cells(geo, "Par", "parallelogram", "parallelogram",
-                        [((x0 + j) % geo.cols, y) for j in range(width)])
-        added += _cells(geo, "PentR", "pentagon", "pentagon-r",
-                        [((x0 + width + 1) % geo.cols, y)], 1)
+        added = (term_generators(geo, 2, [("PentL(", "pentagon", "pentagon-l", 1, 1)], [(x0, y)])
+                 + term_generators(geo, 2, [_PARALLELOGRAM],
+                                   [((x0 + j) % geo.cols, y) for j in range(width)])
+                 + term_generators(geo, 2, [("PentR(", "pentagon", "pentagon-r", 1, 1)],
+                                   [((x0 + width + 1) % geo.cols, y)]))
     else:
         if multiplicity < 1 or 2 * multiplicity > geo.rows:
             raise DefectError("too many parallel twist lines for this lattice")
         for line in range(multiplicity):
             y = (y0 + 2 * line) % geo.rows
             removed += [f"P({a},{y})" for a in range(geo.cols)]
-            added += _cells(geo, "Par", "parallelogram", "parallelogram",
-                            [(a, y) for a in range(geo.cols)])
+            added += term_generators(geo, 2, [_PARALLELOGRAM], [(a, y) for a in range(geo.cols)])
     return _surgery(model, "bombin-twist", removed, added)
 
 
@@ -256,15 +251,13 @@ def _patch_sites(geo, x, y):
 
 def _ds_patch(model: StabilizerModel, sites):
     """Condense the order-two boson on ``sites`` of a Z_4 toric code."""
-    geo, N = model.geometry, 4
+    geo = model.geometry
+    h, v = _inside_hops(geo, sites)
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
-    added = [Generator(f"Fds({a},{b})", "defect-fish", op, 4)
-             for (a, b), op in zip(sites, term_words(geo, N, "fish", sites))]
-    added += [Generator(f"Bds({a},{b})", "defect-plaquette", op, 2)
-              for (a, b), op in zip(sites, term_words(geo, N, "plaquette", sites, power=2))]
-    added += [Generator(f"Cds({o},{a},{b})", "defect-short",
-                        term_words(geo, N, f"hop-{o}", [(a, b)], power=2)[0], 2)
-              for o, a, b in _inside_hops(geo, sites)]
+    added = (term_generators(geo, 4, [("Fds(", "defect-fish", "fish")], sites)
+             + term_generators(geo, 4, [("Bds(", "defect-plaquette", "plaquette", 2)], sites)
+             + term_generators(geo, 4, [("Cds(h,", "defect-short", "hop-h", 2)], h)
+             + term_generators(geo, 4, [("Cds(v,", "defect-short", "hop-v", 2)], v))
     return _surgery(model, "ds-patch", removed, added)
 
 
@@ -296,11 +289,8 @@ def _z4_patch(model: StabilizerModel, sites):
     hops = dict.fromkeys(f"C({o},{u},{v})" for a, b in sites for o, (u, v) in (
         ("h", (a, b)), ("h", geo.wrap(a - 1, b)), ("v", (a, b)), ("v", geo.wrap(a, b - 1))))
     removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites] + list(hops)
-    added = []
-    for (a, b), tca, tcb in zip(sites, term_words(geo, 4, "star", sites),
-                                term_words(geo, 4, "plaquette", sites)):
-        added.append(Generator(f"TCA({a},{b})", "vertex", tca, 4))
-        added.append(Generator(f"TCB({a},{b})", "plaquette", tcb, 4))
+    added = term_generators(geo, 4, [("TCA(", "vertex", "star"),
+                                     ("TCB(", "plaquette", "plaquette")], sites)
     return _surgery(model, "z4-patch-in-ds", removed, added)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import GeometryError, PathError
-from .lattice import Generator, LatticeGeometry, StabilizerModel, string_operator, term_words
+from .lattice import LatticeGeometry, StabilizerModel, string_operator, term_generators
 from .pauli import PauliOp, pauli_adjoint, pauli_mul
 
 __all__ = [
@@ -47,18 +47,9 @@ class StringOperator:
 
 def ds_generators(geo: LatticeGeometry):
     """The four doubled-semion generator families on an edge-placement torus."""
-    anchors = [(x, y) for y in range(geo.rows) for x in range(geo.cols)]
-    words = zip(anchors, term_words(geo, 4, "fish", anchors),
-                term_words(geo, 4, "plaquette", anchors, power=2),
-                term_words(geo, 4, "hop-h", anchors, power=2),
-                term_words(geo, 4, "hop-v", anchors, power=2))
-    gens = []
-    for (x, y), a, b, ch, cv in words:
-        gens += [Generator(f"A({x},{y})", "vertex", a, 4),
-                 Generator(f"B({x},{y})", "plaquette", b, 2),
-                 Generator(f"C(h,{x},{y})", "edge", ch, 2),
-                 Generator(f"C(v,{x},{y})", "edge", cv, 2)]
-    return gens
+    return term_generators(geo, 4, [("A(", "vertex", "fish"), ("B(", "plaquette", "plaquette", 2),
+                                    ("C(h,", "edge", "hop-h", 2), ("C(v,", "edge", "hop-v", 2)],
+                           geo.cells)
 
 
 def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:

@@ -11,22 +11,23 @@ Every routine works on nonzero support only.  A row is the sparse
 column 2s and its z exponent in column 2s + 1 (``_row``); ``GeneratorMatrix``
 holds such rows, and dense matrices enter through ``from_dense``.  One
 elimination, ``echelon``, returns the index together with its per-column
-pivots.  For even N it holds each row whose entries all equal N/2 (every
-Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset over GF(2)
-and reduces it by XOR; three column rules, keyed by d = gcd(pivot entry, N),
-decide a column that holds both kinds (see ``echelon``).  Each pivot stays
-in the form the elimination made it (``Echelon.raw``): a bitset pivot
-remains an ``int``, and ``Echelon.contains`` reduces against either form,
-so no pivot is ever converted.  Each model caches its echelon
-once (``StabilizerModel.echelon``): ``logical_dimension`` reads the index
-from it and ``is_member`` reduces the word's row against the stored
-pivots, with no second elimination; the dimension itself is cached per
-model too (``StabilizerModel.logical_dimension``).  Each model also
+pivots.  For N = 2 and 4 it holds each row whose entries all equal N/2
+(every Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset
+over GF(2) and reduces it by XOR; two column rules, keyed by
+d = gcd(pivot entry, N), decide a column that holds both kinds (see
+``echelon``).  Each pivot stays in the form the elimination made it
+(``Echelon.raw``): a bitset pivot remains an ``int``, and
+``Echelon.contains`` reduces against either form, so no pivot is ever
+converted.  Each model caches its echelon once
+(``StabilizerModel.echelon``): ``logical_dimension`` reads the index from
+it and ``is_member`` decides by reducing the word's row against the
+stored pivots alone, with no second elimination; the dimension itself is
+cached per model too (``StabilizerModel.logical_dimension``).  Each model also
 carries a site -> generator incidence index (``StabilizerModel.incidence``,
 which also checks that every generator lives on the model's register):
 the commutation check visits each pair of generators that share a site
-once, from its later member, and a syndrome or a membership pre-check
-visits the generators incident to the word's support, O(weight x degree).
+once, from its later member, and a syndrome visits the generators
+incident to the word's support, O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction, and a brute-force check in the tests
@@ -172,20 +173,19 @@ def echelon(rows, modulus, columns) -> Echelon:
     in the tests).  The cost follows the nonzeros the elimination touches,
     not rows x columns.
 
-    For even N a row whose entries all equal h = N/2 (every Z_2 row, the
-    doubled semion's order-2 B_p^2 and C_e rows, the d = 2 annihilators on
-    Z_4) is h times a GF(2) vector, held as an ``int`` bitset relative to
-    its leading column and reduced by XOR, since h * x mod N depends only
-    on x mod 2.  A column holding both kinds first gcd-combines its dict
-    rows into one pivot P with d = gcd(P[col], N), then:
+    For N = 2 and 4 a row whose entries all equal h = N/2 (every Z_2 row,
+    the doubled semion's order-2 B_p^2 and C_e rows, the d = 2
+    annihilators on Z_4) is h times a GF(2) vector, held as an ``int``
+    bitset relative to its leading column and reduced by XOR, since
+    h * x mod N depends only on x mod 2.  These are the even moduli whose
+    pivot entries have d = gcd(P[col], N) of 1 or h alone.  A column
+    holding both kinds first gcd-combines its dict rows into one pivot P,
+    then:
 
     * d = 1: every bitset b takes b ^= odd(P), the bitset of P's odd
       entries (h b - h a P with a P[col] = 1 mod N, a odd);
     * d = h: the first bitset b0 becomes the pivot, P + h b0 moves on and
-      every other bitset takes b ^= b0;
-    * 1 < d < h (N = 8, 12), read before combining as gcd(N, entries):
-      the bitsets turn back into dict rows and the gcd step runs on all of
-      them.
+      every other bitset takes b ^= b0.
 
     A column of bitsets alone pivots on its first and XORs it into the
     rest.  Every pivot stays in the form it was made in, a bitset pivot as
@@ -193,7 +193,7 @@ def echelon(rows, modulus, columns) -> Echelon:
     distinct pivot entry (``residues``).
     """
     N = modulus
-    h = N // 2 if N % 2 == 0 else 0
+    h = N // 2 if N in (2, 4) else 0
     buckets = {}  # leading column -> dict rows
     bitsets = {}  # leading column -> bitsets, bit i for column + i
     residues = {}  # P[col] -> (gcd(P[col], N), a) with a * P[col] = gcd mod N
@@ -219,10 +219,6 @@ def echelon(rows, modulus, columns) -> Echelon:
         nz = buckets.pop(col, None)
         bs = bitsets.pop(col, ()) if bitsets else ()
         if nz:
-            if bs and gcd(N, *(r[col] for r in nz)) not in (1, h):
-                # 1 < d < h: the bitsets become dict rows
-                nz += [dict.fromkeys(_columns(col, b), h) for b in bs]
-                bs = ()
             # gcd-combine until a single nonzero entry remains in this column
             while len(nz) > 1:
                 nz.sort(key=lambda r: r[col])
@@ -316,22 +312,6 @@ def _first_noncommuting_pair(model):
     return first
 
 
-def _noncommuting(model, op: PauliOp) -> dict:
-    """{position: commutation_exponent(g.op, op)} for every generator g that
-    does not commute with ``op``, in generator order.
-
-    Only the generators incident to op's support are visited, so a
-    weight-w word costs O(w x degree).
-    """
-    inc = model.incidence
-    acc = {}
-    for s, x, z in op.terms:
-        for j, gx, gz in inc.get(s, ()):
-            acc[j] = acc.get(j, 0) + gz * x - gx * z
-    n = model.modulus
-    return {j: k for j in sorted(acc) if (k := acc[j] % n)}
-
-
 def logical_dimension(model) -> int:
     """N^sites / |stabilizer group|; requires pairwise-commuting generators.
 
@@ -360,16 +340,16 @@ def _logical_dimension(model) -> int:
 
 
 def is_member(model, op: PauliOp) -> bool:
-    """True iff op lies in the stabilizer group up to phase.
+    """True iff op lies in the stabilizer group up to phase, by reducing its
+    row against the pivots of the model's cached echelon.
 
-    Operators that fail to commute with some generator are detectable errors,
-    not members; they return False without raising.  Otherwise op's row is
-    reduced against the pivots of the model's cached echelon.
+    The generators are taken to commute, as ``logical_dimension`` checks:
+    a row of the lattice is then a product of commuting generators up to
+    phase, so a word that fails to commute with some generator fails the
+    reduction and returns False without raising.
     """
     if op.modulus != model.modulus or op.sites != model.n_sites:
         raise ShapeError("operator register does not match model")
-    if _noncommuting(model, op):
-        return False
     return model.echelon.contains(_row(op))
 
 
@@ -401,11 +381,17 @@ def syndrome(model, error: PauliOp) -> Syndrome:
     """
     if error.modulus != model.modulus or error.sites != model.n_sites:
         raise ShapeError("error register does not match model")
+    inc = model.incidence
+    acc = {}
+    for s, x, z in error.terms:
+        for j, gx, gz in inc.get(s, ()):
+            acc[j] = acc.get(j, 0) + gz * x - gx * z
     n = model.modulus
     exps = {}
-    for j, k in _noncommuting(model, error).items():
-        g = model.generators[j]
-        exps[g.gid] = k * g.order // n % g.order
+    for j in sorted(acc):
+        if k := acc[j] % n:
+            g = model.generators[j]
+            exps[g.gid] = k * g.order // n % g.order
     return Syndrome(exps)
 
 

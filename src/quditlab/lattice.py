@@ -16,14 +16,15 @@ Conventions (fixed here, validated only by commutation and order tests):
 
 Every lattice term (star, plaquette at any power, fish, hops, Bombin cells)
 is a row of one offset table, ``TERMS``, the way ``STRINGS`` holds every
-string step.  ``term_words`` is their one builder, used by every model and
-surgery: sites by arithmetic on the anchor, each word sorted and built once.
+string step.  ``term_words`` builds their words, sites by arithmetic on the
+anchor, and ``term_generators`` the generators of every model and surgery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import gcd
 
 from . import engine
 from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
@@ -35,7 +36,7 @@ __all__ = [
     "StabilizerModel",
     "TERMS",
     "term_words",
-    "toric_generators",
+    "term_generators",
     "build_toric_code",
     "build_bilayer_toric",
     "build_bombin_lattice",
@@ -69,6 +70,11 @@ class LatticeGeometry:
     @cached_property
     def n_sites(self) -> int:
         return self.layers * self.sites_per_layer
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Every cell (x, y) of one layer, row by row."""
+        return tuple((x, y) for y in range(self.rows) for x in range(self.cols))
 
     def wrap(self, x: int, y: int):
         return x % self.cols, y % self.rows
@@ -216,16 +222,24 @@ def term_words(geo: LatticeGeometry, modulus: int, name: str, anchors, layer: in
     return out
 
 
-def toric_generators(geo: LatticeGeometry, modulus: int, layer: int = 0, tag: str = ""):
-    """Star ``{tag}A(x,y)`` and plaquette ``{tag}B(x,y)`` of every vertex of a layer."""
-    anchors = [(x, y) for y in range(geo.rows) for x in range(geo.cols)]
-    stars = term_words(geo, modulus, "star", anchors, layer)
-    plaquettes = term_words(geo, modulus, "plaquette", anchors, layer)
-    gens = []
-    for (x, y), a, b in zip(anchors, stars, plaquettes):
-        gens.append(Generator(f"{tag}A({x},{y})", "vertex", a, modulus))
-        gens.append(Generator(f"{tag}B({x},{y})", "plaquette", b, modulus))
-    return gens
+def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: int = 0) -> list:
+    """The generators of ``rows`` at each (x, y) of ``anchors``, anchor by
+    anchor and in row order at each anchor.  A row ``(prefix, kind, term[,
+    power[, phase]])`` gives ``f"{prefix}{x},{y})"`` of ``kind``, the
+    ``term_words`` word; a row's words share their exponents, so each takes
+    the first word's order N / gcd(N, exponents)."""
+    if not anchors:
+        return []
+    columns = []
+    for prefix, kind, term, *scale in rows:
+        words = term_words(geo, modulus, term, anchors, layer, *scale)
+        d = modulus
+        for _, x, z in words[0].terms:
+            d = gcd(d, x, z)
+        columns.append((prefix, kind, words, modulus // d))
+    return [Generator(prefix + at, kind, words[i], order)
+            for i, at in enumerate([f"{x},{y})" for x, y in anchors])
+            for prefix, kind, words, order in columns]
 
 
 def _toric_geometry(rows: int, cols: int, modulus: int, layers: int = 1) -> LatticeGeometry:
@@ -240,7 +254,8 @@ def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     """Z_N toric code on a cols x rows torus with qudits on edges."""
     geo = _toric_geometry(rows, cols, modulus)
     n = geo.n_sites
-    gens = tuple(toric_generators(geo, modulus))
+    gens = tuple(term_generators(geo, modulus, [("A(", "vertex", "star"),
+                                                ("B(", "plaquette", "plaquette")], geo.cells))
     logicals = (
         ("X1", from_terms(modulus, n, [(geo.edge_index("v", x, 0), 1, 0) for x in range(cols)])),
         ("Z1", from_terms(modulus, n, [(geo.edge_index("v", 0, y), 0, 1) for y in range(rows)])),
@@ -259,9 +274,9 @@ def build_bilayer_toric(rows: int, cols: int) -> StabilizerModel:
     joins the layers through a wormhole.
     """
     geo = _toric_geometry(rows, cols, 2, layers=2)
-    gens = tuple(replace(g, kind=f"{g.kind}-T{layer + 1}")
-                 for layer in (0, 1)
-                 for g in toric_generators(geo, 2, layer, f"T{layer + 1}/"))
+    gens = tuple(g for t in (1, 2) for g in term_generators(
+        geo, 2, [(f"T{t}/A(", f"vertex-T{t}", "star"),
+                 (f"T{t}/B(", f"plaquette-T{t}", "plaquette")], geo.cells, t - 1))
     return StabilizerModel(geo, 2, gens, (), "bilayer")
 
 
@@ -273,17 +288,15 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
-    anchors = [(x, y) for y in range(rows) for x in range(cols)]
     gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2)
-            for (x, y), op in zip(anchors, term_words(geo, 2, "cell", anchors))]
+            for (x, y), op in zip(geo.cells, term_words(geo, 2, "cell", geo.cells))]
     return StabilizerModel(geo, 2, tuple(gens), ("cell-dark", "cell-light"), "bombin")
 
 
 def _hadamard_sites(geo: LatticeGeometry):
     """Vertices with odd coordinate parity: conjugating them by Hadamard turns
     dark cells into all-X and light cells into all-Z generators."""
-    return {geo.vertex_index(x, y)
-            for y in range(geo.rows) for x in range(geo.cols) if (x + y) % 2}
+    return {geo.vertex_index(x, y) for x, y in geo.cells if (x + y) % 2}
 
 
 def _swap_xz(op: PauliOp, sites) -> PauliOp:

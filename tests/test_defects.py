@@ -16,8 +16,8 @@ from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_di
                               apply_z4_patch_in_ds, couple_bilayer)
 from quditlab.dsemion import build_doubled_semion, ds_generators
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
-from quditlab.lattice import (build_bilayer_toric, build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, string_operator)
+from quditlab.lattice import (bombin_to_kitaev, build_bilayer_toric, build_bombin_lattice,
+                              build_toric_code, evaluate_constraint, string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
 
 
@@ -530,6 +530,22 @@ def test_single_surgery_leaves_parent_and_its_certificates_intact():
         assert parent.defects == ()
         for cert in parent.constraints:
             assert evaluate_constraint(parent, cert).is_identity(up_to_phase=True), cert
+
+
+def test_every_order_is_the_symplectic_order_of_its_word():
+    # a row reads its order off its first word; the reference takes the lcm
+    # of the per-exponent orders of every word on its own
+    models = [build_model(parse_config(p.read_text()))[0] for p in sorted(CONFIGS.glob("*.cfg"))]
+    models += [surgery(build(), 0)[0] for build, surgeries in CHAINABLE.values()
+               for surgery in surgeries.values()]
+    models += [couple_bilayer(build_bilayer_toric(6, 6), v)[0] for v in ("i", "ii")]
+    models += [build_toric_code(4, 4, N) for N in range(2, 9)]
+    bombin = build_bombin_lattice(4, 4)
+    models += [build_doubled_semion(4, 4), bombin, bombin_to_kitaev(bombin),
+               build_bilayer_toric(4, 4)]
+    for m in models:
+        for g in m.generators:
+            assert g.order == symplectic_order(g.op), (m.family, m.defects, g.gid)
 
 
 @pytest.mark.parametrize("family, first, second", [

@@ -14,7 +14,8 @@ from quditlab.dsemion import build_doubled_semion
 from quditlab.errors import GeometryError, PathError, UnsupportedModelError
 from quditlab.lattice import (LatticeGeometry, bombin_to_kitaev, build_bilayer_toric,
                               build_bombin_lattice, build_toric_code,
-                              evaluate_constraint, string_operator, term_words)
+                              evaluate_constraint, string_operator, term_generators,
+                              term_words)
 from quditlab.pauli import (commutation_exponent, from_terms, identity, pauli_mul, pauli_pow,
                             pauli_prod, single_site, to_text)
 
@@ -229,6 +230,20 @@ def test_toric_generators_commute_and_have_order_n():
             assert symplectic_order(ops[i]) == N
             for j in range(i + 1, len(ops)):
                 assert commutation_exponent(ops[i], ops[j]) == 0
+
+
+def test_term_generators_interleave_rows_anchor_by_anchor():
+    geo = LatticeGeometry(2, 3, "edges")  # a 3x2 torus
+    anchors = [(2, 1), (0, 0)]
+    rows = [("A(", "vertex", "star"), ("Q(h,", "square", "plaquette", 2)]
+    gens = term_generators(geo, 4, rows, anchors)
+    assert [(g.gid, g.kind, g.order) for g in gens] == [
+        ("A(2,1)", "vertex", 4), ("Q(h,2,1)", "square", 2),
+        ("A(0,0)", "vertex", 4), ("Q(h,0,0)", "square", 2)]
+    stars = term_words(geo, 4, "star", anchors)
+    squares = term_words(geo, 4, "plaquette", anchors, power=2)
+    assert [g.op for g in gens] == [stars[0], squares[0], stars[1], squares[1]]
+    assert term_generators(geo, 4, rows, []) == []
 
 
 def test_toric_size_validation():
