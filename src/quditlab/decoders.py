@@ -10,7 +10,9 @@ commutation exponents against the model's canonical logical strings.
 
 Each rule is stated once: ``_staircases`` gives every torus path,
 ``_pairing_table`` is the one parity check, ``_add`` the one syndrome sum
-and ``_rank`` the one order; step 2 reads its sites off the model.
+and ``_rank`` the one order.  No decoder reads a gid: ``_violations`` takes
+positions from ``Generator.anchor`` and roles from ``Generator.kind``, and
+step 2 takes its hint vertex from ``incidence``.
 """
 
 from __future__ import annotations
@@ -234,17 +236,15 @@ def _geodesic_paths(geo, a, b):
     return sorted({tuple(path) for path in _staircases(geo, a, b)})
 
 
-def _gid_coords(gid):
-    inner = gid[gid.index("(") + 1:-1].split(",")
-    return int(inner[-2]), int(inner[-1])
-
-
-def _violations(model, syn, kind):
+def _violations(model, exps, kind):
+    """The violated generators of ``kind`` in the syndrome exponents
+    ``exps`` as sorted (anchor, charge) pairs, the charge the commutation
+    exponent mod N."""
     out = []
-    for gid, e in syn.exponents.items():
+    for gid, e in exps.items():
         g = model.generator(gid)
         if g.kind == kind:
-            out.append((_gid_coords(gid), e * model.modulus // g.order))
+            out.append((g.anchor, e * model.modulus // g.order))
     return sorted(out)
 
 
@@ -311,8 +311,8 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
         raise InconsistentSyndromeError(
             "decode_toric corrects vertex and plaquette violations only")
     if n == 2:
-        vert = [p for p, q in _violations(model, syn, "vertex")]
-        plaq = [p for p, q in _violations(model, syn, "plaquette")]
+        vert = [p for p, _ in _violations(model, syn.exponents, "vertex")]
+        plaq = [p for p, _ in _violations(model, syn.exponents, "plaquette")]
         words = product(_family_candidates(model, vert, "e"),
                         _family_candidates(model, plaq, "m"))
         return Correction(min((pauli_mul(zw, xw) for zw, xw in words),
@@ -322,7 +322,7 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     # a unit e string carries charge +1 at its first node and -1 at its last,
     # an m string -1 and +1
     for kind, stype, k0 in (("vertex", "e", 1), ("plaquette", "m", -1)):
-        items = _violations(model, syn, kind)
+        items = _violations(model, syn.exponents, kind)
         if sum(q for _, q in items) % n:
             raise InconsistentSyndromeError(f"{kind} charges do not cancel mod {n}")
         # each merge keeps the total charge and drops an item it clears, so
@@ -357,35 +357,28 @@ def _add(ds, exps, *more):
 
 
 def _trail_edges(ds, exps):
-    """Violated C generators as (orient, x, y, generator) of their Z^2 edge,
-    row-major."""
-    edges = []
-    for gid in exps:
-        g = ds.generator(gid)
-        if g.kind == "edge":
-            o, xs, ys = gid[2:-1].split(",")
-            edges.append((o, int(xs), int(ys), g))
-    return sorted(edges, key=lambda t: (t[2], t[1], t[0]))
+    """The violated edge generators, sorted by the site of their Z^2 term:
+    row-major, h before v."""
+    return sorted((g for g in map(ds.generator, exps) if g.kind == "edge"),
+                  key=lambda g: next(s for s, _, z in g.op.terms if z))
 
 
 def _step2_plans(ds, exps0, trail):
-    """Step 2's (rule, site, first power) per trail edge, read off its C
-    generator, Z^2 on the edge and X^2 on its hop partner: rule 2a undoes
-    X on the edge when a plaquette on the edge is excited, its power
-    suggested by the hint vertex's exponent; rule 2b otherwise undoes Z on
-    the hop partner."""
-    geo = ds.geometry
+    """Step 2's (rule, site, first power) per trail edge, read off its edge
+    generator, Z^2 on the edge and X^2 on its hop partner, and off the
+    edge's incidence: rule 2a undoes X on the edge when a plaquette on the
+    edge is excited, its power suggested by the exponent of the hint
+    vertex, the one acting on the edge by a Z power alone; rule 2b
+    otherwise undoes Z on the hop partner."""
     plans = []
-    for o, x, y, g in trail:
+    for g in trail:
         edge = next(s for s, _, z in g.op.terms if z)
         partner = next(s for s, xe, _ in g.op.terms if xe)
-        if any(ds.generators[j].kind == "plaquette" and ds.generators[j].gid in exps0
-               for j, _, _ in ds.incidence[edge]):
-            hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
-                        else f"A({(x - 1) % geo.cols},{y})")
-            hint = exps0.get(hint_gid, 1) % 4
-            hint = hint if hint in (1, 3) else 1
-            plans.append(("2a", edge, (-hint) % 4))
+        row = [(ds.generators[j], x) for j, x, _ in ds.incidence[edge]]
+        if any(h.kind == "plaquette" and h.gid in exps0 for h, _ in row):
+            hint = next(h for h, x in row if h.kind == "vertex" and not x)
+            e = exps0.get(hint.gid, 1) % 4
+            plans.append(("2a", edge, -(e if e in (1, 3) else 1) % 4))
         else:
             plans.append(("2b", partner, 3))
     return plans
@@ -393,7 +386,7 @@ def _step2_plans(ds, exps0, trail):
 
 def _close_plaquettes(ds, exps):
     """Step 3: close residual plaquette excitations with semion strings."""
-    pos = sorted(_gid_coords(g) for g in exps if g.startswith("B("))
+    pos = [p for p, _ in _violations(ds, exps, "plaquette")]
     words = [identity(4, ds.n_sites)]
     for path in _pair_paths(ds.geometry, pos):
         segs = []
@@ -404,10 +397,9 @@ def _close_plaquettes(ds, exps):
     return words, ("3",) if pos else ()
 
 
-def _close_vertices(ds, exps):
-    """Steps 4 and 5b: pair the double vertex excitations left in ``exps``
-    with ss-bar strings."""
-    pos = sorted(_gid_coords(g) for g in exps if g.startswith("A("))
+def _close_vertices(ds, pos):
+    """Steps 4 and 5b: pair the double vertex excitations at the sorted
+    anchors ``pos`` with ss-bar strings."""
     strings = [string_operator(ds, "ssbar", path)
                for path in _pair_paths(ds.geometry, pos)]
     return pauli_prod(4, ds.n_sites, strings), ("4", "5b") if pos else ()
@@ -452,13 +444,13 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     # each taken once
     syns2 = [engine.syndrome(ds, w).exponents for w in steps2]
     exps = _add(ds, exps0, syns2[0])
-    if any(g.startswith("C(") for g in exps):
+    if _violations(ds, exps, "edge"):
         raise fail
     closers, rule3 = _close_plaquettes(ds, exps)
     syns3 = [engine.syndrome(ds, w).exponents for w in closers]
     exps3 = _add(ds, exps, syns3[0])
-    doubles = [e for g, e in exps3.items() if g.startswith("A(")]
-    if (any(g.startswith("B(") for g in exps3) or any(e != 2 for e in doubles)
+    doubles = [e for _, e in _violations(ds, exps3, "vertex")]
+    if (_violations(ds, exps3, "plaquette") or any(e != 2 for e in doubles)
             or len(doubles) % 2):
         raise fail
     trace0 = (("1",) if trail else ()) + tuple(dict.fromkeys(r for r, _, _ in plans)) + rule3
@@ -468,7 +460,7 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     cands = []
     for (step2, syn2), (closer, syn3) in product(zip(steps2, syns2), zip(closers, syns3)):
         partial = pauli_mul(step2, closer)
-        left = frozenset(g for g in _add(ds, exps0, syn2, syn3) if g.startswith("A("))
+        left = tuple(p for p, _ in _violations(ds, _add(ds, exps0, syn2, syn3), "vertex"))
         if left not in fixers:
             fixers[left] = _close_vertices(ds, left)
         fixer, rule5 = fixers[left]

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from . import engine
 from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
@@ -95,12 +96,15 @@ class LatticeGeometry:
         return y * self.cols + x
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
+    """A labelled stabilizer generator; ``anchor`` is the cell (x, y) it was
+    built at, ``None`` for a generator not built at one cell."""
+
     gid: str
     kind: str
     op: PauliOp
     order: int
+    anchor: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,8 @@ def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: in
     """The generators of ``rows`` at each (x, y) of ``anchors``, anchor by
     anchor and in row order at each anchor.  A row ``(prefix, kind, term[,
     power[, phase]])`` gives ``f"{prefix}{x},{y})"`` of ``kind``, the
-    ``term_words`` word; a row's words share their exponents, so each takes
-    the first word's order N / gcd(N, exponents)."""
+    ``term_words`` word, anchored at (x, y); a row's words share their
+    exponents, so each takes the first word's order N / gcd(N, exponents)."""
     if not anchors:
         return []
     columns = []
@@ -237,8 +241,8 @@ def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: in
         for _, x, z in words[0].terms:
             d = gcd(d, x, z)
         columns.append((prefix, kind, words, modulus // d))
-    return [Generator(prefix + at, kind, words[i], order)
-            for i, at in enumerate([f"{x},{y})" for x, y in anchors])
+    return [Generator(prefix + at, kind, words[i], order, anchor)
+            for i, (at, anchor) in enumerate([(f"{x},{y})", (x, y)) for x, y in anchors])
             for prefix, kind, words, order in columns]
 
 
@@ -288,7 +292,8 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
-    gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2)
+    gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2,
+                      (x, y))
             for (x, y), op in zip(geo.cells, term_words(geo, 2, "cell", geo.cells))]
     return StabilizerModel(geo, 2, tuple(gens), ("cell-dark", "cell-light"), "bombin")
 
@@ -318,7 +323,7 @@ def bombin_to_kitaev(model: StabilizerModel) -> StabilizerModel:
     relabel = {"cell-dark": "vertex", "cell-light": "plaquette",
                "vertex": "cell-dark", "plaquette": "cell-light"}
     gens = tuple(
-        Generator(g.gid, relabel.get(g.kind, g.kind), _swap_xz(g.op, sites), g.order)
+        g._replace(kind=relabel.get(g.kind, g.kind), op=_swap_xz(g.op, sites))
         for g in model.generators)
     family = "bombin-kitaev" if model.family == "bombin" else "bombin"
     return replace(model, generators=gens, family=family)

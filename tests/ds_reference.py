@@ -10,15 +10,34 @@ The step-5b helper is kept here as it was, with its own give-up.
 
 The step-2 rules are written out on the lattice, the step-3 closers are
 built here, and every syndrome is that of the error times the whole
-candidate word so far, so none of these is shared with the decoder.
+candidate word so far, so none of these is shared with the decoder.  The
+reference reads positions off the doubled-semion naming rules, ``A(x,y)``,
+``B(x,y)`` and ``C(o,x,y)``, where the decoder reads generator anchors.
 """
 
 from quditlab import engine
-from quditlab.decoders import Correction, _class_tuple, _gid_coords, _pair_paths, _trail_edges
+from quditlab.decoders import Correction, _class_tuple, _pair_paths
 from quditlab.errors import InconsistentSyndromeError
 from quditlab.lattice import string_operator
 from quditlab.pauli import (identity, pauli_adjoint, pauli_mul, pauli_prod, single_site,
                             sort_key)
+
+
+def _coords(gid):
+    """(x, y) of ``A(x,y)``, ``B(x,y)`` or ``C(o,x,y)``: its last two fields."""
+    *_, x, y = gid[gid.index("(") + 1:-1].split(",")
+    return int(x), int(y)
+
+
+def trail_edges(exps):
+    """Step 1: the excited C generators as (orient, x, y) of their Z^2 edge,
+    row-major (y, then x, then h before v)."""
+    edges = []
+    for gid in exps:
+        if gid.startswith("C("):
+            o, x, y = gid[2:-1].split(",")
+            edges.append((o, int(x), int(y)))
+    return sorted(edges, key=lambda t: (t[2], t[1], t[0]))
 
 
 def _syndrome_after(ds, exps0, word):
@@ -32,7 +51,7 @@ def _syndrome_after(ds, exps0, word):
 def _close_plaquettes(ds, exps):
     """Step 3: s, s-dagger, sbar or sbar-dagger along each pairing path of
     the plaquette excitations, every combination."""
-    pos = sorted(_gid_coords(g) for g in exps if g.startswith("B("))
+    pos = sorted(_coords(g) for g in exps if g.startswith("B("))
     words = [identity(4, ds.n_sites)]
     for path in _pair_paths(ds.geometry, pos):
         s = string_operator(ds, "s", path)
@@ -49,7 +68,7 @@ def _close_vertices(ds, exps):
         if g.startswith("A("):
             if exps[g] != 2:
                 raise InconsistentSyndromeError("unpaired single vertex excitation")
-            pos.append(_gid_coords(g))
+            pos.append(_coords(g))
     strings = [string_operator(ds, "ssbar", path)
                for path in _pair_paths(ds.geometry, sorted(pos))]
     return pauli_prod(4, ds.n_sites, strings), ("5b",) if pos else ()
@@ -84,7 +103,7 @@ def step2_plans(ds, exps0, trail):
         return [f"B({x},{y})", f"B({(x - 1) % geo.cols},{y})"]
 
     plans = []
-    for o, x, y, _ in trail:
+    for o, x, y in trail:
         if any(b in exps0 for b in flanking_plaquettes(o, x, y)):
             # endpoint vertex exponent suggests the power
             hint_gid = (f"A({x},{(y - 1) % geo.rows})" if o == "h"
@@ -101,7 +120,7 @@ def step2_plans(ds, exps0, trail):
 
 def decode_doubled_semion(ds, syn):
     exps0 = dict(syn.exponents)
-    trail = _trail_edges(ds, exps0)
+    trail = trail_edges(exps0)
     if len(trail) > 12:
         raise InconsistentSyndromeError("edge-excitation trail too long to trace")
     plans = step2_plans(ds, exps0, trail)

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ import mc_reference
 import pairing_reference as ref
 from quditlab import engine
 from quditlab.cli import build_model, parse_config
-from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, DecodeOutcome,
+from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, Correction, DecodeOutcome,
                                _class_names, _class_tuple, _family_candidates,
                                _geodesic_paths, _min_cost_pairings, _step2_plans,
                                _torus_path, _trail_edges,
@@ -341,7 +342,7 @@ def test_staircase_paths_match_one_turn_search(cols, rows):
 # holds the staircase rule, the parity check, the syndrome sum, the step-2
 # lattice rules or the step-3 closers, which each reference states itself
 REFERENCE_IMPORTS = {"Correction", "MonteCarloResult", "_class_names", "_class_tuple",
-                     "_gid_coords", "_pair_paths", "_torus_dist", "_trail_edges"}
+                     "_pair_paths", "_torus_dist"}
 
 
 @pytest.mark.parametrize("name", ["ds_reference", "mc_reference", "pairing_reference"])
@@ -550,9 +551,11 @@ def _ds_outcome(decoder, ds, syn):
         return type(exc), str(exc)
 
 
-# step 2 reads each trail edge's plaquettes and sites off the model; the
-# reference writes them out on the lattice.  Every edge, alone or with one
-# excited plaquette, under each hint the vertex exponents can give
+# step 2 reads each trail edge's plaquettes, hint vertex and sites off the
+# model, and its trail off the edge generators' words; the reference writes
+# them out on the lattice and reads its own trail off the generator names.
+# Every edge, alone or with one excited plaquette, under each hint the
+# vertex exponents can give
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (3, 4), (4, 5), (5, 6)])
 def test_step2_plans_match_the_lattice_rules(rows, cols):
     ds = build_doubled_semion(rows, cols)
@@ -566,9 +569,9 @@ def test_step2_plans_match_the_lattice_rules(rows, cols):
                     exps0[plaquette] = 1
                 if hint:
                     exps0.update(dict.fromkeys(gids["vertex"], hint))
-                trail = _trail_edges(ds, exps0)
-                assert (_step2_plans(ds, exps0, trail)
-                        == ds_reference.step2_plans(ds, exps0, trail)), exps0
+                assert (_step2_plans(ds, exps0, _trail_edges(ds, exps0))
+                        == ds_reference.step2_plans(ds, exps0,
+                                                    ds_reference.trail_edges(exps0))), exps0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -639,6 +642,27 @@ def test_decode_digest():
                      else names[_class_tuple(residual, model.logicals)])
             h.update(f"{to_text(corr.op)} {','.join(corr.trace)} {label}\n".encode())
     assert h.hexdigest() == DECODE_DIGEST
+
+
+# a decoder reads positions off anchors and roles off kinds, so a model whose
+# generators are all renamed decodes every error as the original does
+@pytest.mark.parametrize("build, decoder, rate", [
+    (lambda: build_toric_code(4, 4, 2), decode_toric, 0.05),
+    (lambda: build_toric_code(4, 4, 3), decode_toric, 0.05),
+    (lambda: build_doubled_semion(3, 3), decode_doubled_semion, 0.03),
+    (lambda: build_doubled_semion(4, 4), decode_doubled_semion, 0.02)])
+def test_decoding_does_not_read_generator_names(build, decoder, rate):
+    model = build()
+    renamed = replace(model, generators=tuple(
+        g._replace(gid=f"g{i}") for i, g in enumerate(model.generators)))
+    rng = random.Random(30)
+    decoded = 0
+    for _ in range(40):
+        err = _qudit_error(model.modulus, model.n_sites, rate, rng)
+        want = _ds_outcome(decoder, model, engine.syndrome(model, err))
+        assert _ds_outcome(decoder, renamed, engine.syndrome(renamed, err)) == want, err
+        decoded += isinstance(want, Correction) and bool(want.op.terms)
+    assert decoded >= 20
 
 
 def test_mc_toric_config_class_counts():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -534,7 +535,8 @@ def test_single_surgery_leaves_parent_and_its_certificates_intact():
 
 def test_every_order_is_the_symplectic_order_of_its_word():
     # a row reads its order off its first word; the reference takes the lcm
-    # of the per-exponent orders of every word on its own
+    # of the per-exponent orders of every word on its own.  A generator named
+    # at a cell "...x,y)" is anchored there; only the wormhole fish have none
     models = [build_model(parse_config(p.read_text()))[0] for p in sorted(CONFIGS.glob("*.cfg"))]
     models += [surgery(build(), 0)[0] for build, surgeries in CHAINABLE.values()
                for surgery in surgeries.values()]
@@ -546,6 +548,9 @@ def test_every_order_is_the_symplectic_order_of_its_word():
     for m in models:
         for g in m.generators:
             assert g.order == symplectic_order(g.op), (m.family, m.defects, g.gid)
+            cell = re.search(r"(\d+),(\d+)\)$", g.gid)
+            assert g.anchor == (tuple(map(int, cell.groups())) if cell else None), g.gid
+            assert cell or g.gid in ("F1", "F2"), g.gid
 
 
 @pytest.mark.parametrize("family, first, second", [
