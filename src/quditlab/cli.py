@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -281,20 +282,13 @@ def _decoder_for(model):
 
 
 def _model_lines(m, reports):
-    kinds = {}
-    orders = {}
-    for g in m.generators:
-        kinds[g.kind] = kinds.get(g.kind, 0) + 1
-        orders[g.order] = orders.get(g.order, 0) + 1
-    lines = [f"model {m.family} {m.geometry.cols}x{m.geometry.rows} "
-             f"modulus={m.modulus} qudits={m.n_sites}"]
-    lines.append("generators " + " ".join(
-        f"{k}={v}" for k, v in sorted(kinds.items())))
-    lines.append("orders " + " ".join(
-        f"order{k}={v}" for k, v in sorted(orders.items())))
-    for i, rep in enumerate(reports):
-        lines.append(f"defect-report {i} {rep.summary()}")
-    return lines
+    kinds = Counter(g.kind for g in m.generators)
+    orders = Counter(g.order for g in m.generators)
+    return ([f"model {m.family} {m.geometry.cols}x{m.geometry.rows} "
+             f"modulus={m.modulus} qudits={m.n_sites}",
+             "generators " + " ".join(f"{k}={v}" for k, v in sorted(kinds.items())),
+             "orders " + " ".join(f"order{k}={v}" for k, v in sorted(orders.items()))]
+            + [f"defect-report {i} {rep.summary()}" for i, rep in enumerate(reports)])
 
 
 def run(cfg: ExperimentConfig, seed_override: int = None) -> str:

@@ -1,14 +1,13 @@
 """Generator-set surgeries: twists, dislocations, patches, bilayer wormholes.
 
-Every surgery is a (remove-set, add-set) rewrite of the generator list;
-geometry is never mutated.  Reports always recompute the logical dimension
-from scratch via the engine's sparse gcd elimination; nothing is trusted
-from the construction arithmetic.
-
-Every surgery ends in ``_surgery``, which rewrites the generators, keeps the
-parent logicals that commute with the added ones and reports the dimension
-before and after; it refuses to remove a generator that is already gone,
-which is how an overlapping defect is caught.
+Every surgery is a (remove-set, add-set) rewrite of the generator list,
+made by ``_surgery``; geometry is never mutated.  ``_surgery`` removes
+generators by (term, anchor, layer), never by gid, which is only a display
+name, and refuses a key that names no generator: that is how an overlapping
+defect is caught.  It keeps the parent logicals that commute with the added
+generators, and its report recomputes the logical dimension before and
+after from scratch via the engine's sparse gcd elimination; nothing is
+trusted from the construction arithmetic.
 
 Frozen operator content (pinned by commutation closure, orders read off
 each row's word, the dimension results in tests/test_defects.py and the
@@ -73,28 +72,38 @@ class DefectReport:
                 f"dimension {self.dim_before} -> {self.dim_after}")
 
 
-def _surgery(model: StabilizerModel, kind: str, removed, added):
-    """Swap ``removed`` for ``added``, record the ``kind`` defect and report
-    the logical dimension before and after.  The new model carries no
-    trivial-constraint certificates.
-
-    Each surgery removes the generators of every site or cell it touches,
-    so a defect that overlaps an earlier one removes a generator that is
-    already gone: that is the one conflict rule.  The kept generators
-    commuted with every parent logical, so a logical stays if it commutes
-    with every added generator.
-    """
-    gone = set(removed)
-    missing = gone - {g.gid for g in model.generators}
+def _resolve(model: StabilizerModel, keys) -> dict:
+    """The positions in ``model.generators`` of the (term, anchor, layer)
+    ``keys`` as an ordered set, in key order; DefectError lists the sorted
+    keys that name no generator."""
+    per_layer = model.geometry.sites_per_layer
+    at = {(g.term, g.anchor, g.op.terms[0][0] // per_layer): j
+          for j, g in enumerate(model.generators) if g.term is not None}
+    missing = sorted({k for k in keys if k not in at})
     if missing:
-        raise DefectError(f"cannot remove unknown generators {sorted(missing)}")
-    gens = tuple(g for g in model.generators if g.gid not in gone) + tuple(added)
+        raise DefectError(f"cannot remove unknown generators {missing}")
+    return dict.fromkeys(at[k] for k in keys)
+
+
+def _surgery(model: StabilizerModel, kind: str, removed, added):
+    """Swap the generators of the (term, anchor, layer) keys ``removed`` for
+    ``added``, record the ``kind`` defect and report the removed gids and
+    the logical dimension before and after.  The new model carries no
+    trivial-constraint certificates; it keeps the parent logicals that
+    commute with every added generator, as the kept ones commute with all.
+
+    Each surgery removes every generator of the sites or cells it touches,
+    so a defect that overlaps an earlier one asks for a key already gone:
+    that is the one conflict rule.
+    """
+    gone = _resolve(model, removed)
+    gens = tuple(g for j, g in enumerate(model.generators) if j not in gone) + tuple(added)
     logicals = tuple((name, op) for name, op in model.logicals
                      if not any(commutation_exponent(g.op, op) for g in added))
     new = replace(model, generators=gens, constraints=(),
                   defects=model.defects + (kind,), logicals=logicals)
-    return new, DefectReport(tuple(removed), tuple(added), engine.logical_dimension(model),
-                             engine.logical_dimension(new))
+    return new, DefectReport(tuple(model.generators[j].gid for j in gone), tuple(added),
+                             engine.logical_dimension(model), engine.logical_dimension(new))
 
 
 def _inside_hops(geo, sites):
@@ -112,7 +121,7 @@ def _fish_merge(model: StabilizerModel, kind: str, sites):
     sites lie along one row or are pairwise apart, so every inside hop is an
     h hop."""
     geo, N = model.geometry, model.modulus
-    removed = [f"{t}({x},{y})" for t in "AB" for x, y in sites]
+    removed = [(t, s, 0) for t in ("star", "plaquette") for s in sites]
     added = (term_generators(geo, N, [("F(", "fish", "fish")], sites)
              + term_generators(geo, N, [("S(", "short-string", "hop-h")],
                                _inside_hops(geo, sites)[0]))
@@ -134,8 +143,7 @@ def _twist_line(model: StabilizerModel, kind: str, x0: int, y0: int, length: int
         return _fish_merge(model, kind, [(x, y0 % geo.rows) for x in range(geo.cols)])
     if length < 2 or length >= geo.cols:
         raise DefectError("contractible twist line needs 2 <= length < cols")
-    sites = [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)]
-    return _fish_merge(model, kind, sites)
+    return _fish_merge(model, kind, [((x0 + j) % geo.cols, y0 % geo.rows) for j in range(length)])
 
 
 def apply_kitaev_twist(model: StabilizerModel, x0: int = 0, y0: int = 0,
@@ -217,28 +225,24 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
         raise UnsupportedModelError("bombin twist needs a Bombin-lattice model")
     geo = model.geometry
     x0, y0 = geo.wrap(x0, y0)
-    removed = []
-    added = []
     if contractible:
         if multiplicity != 1:
             raise DefectError("multiplicity applies to non-contractible twists")
         if width < 2 or width + 3 >= geo.cols:
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
-        y = y0
-        removed = [f"P({(x0 - 1 + j) % geo.cols},{y})" for j in range(width + 3)]
-        added = (term_generators(geo, 2, [("PentL(", "pentagon", "pentagon-l", 1, 1)], [(x0, y)])
-                 + term_generators(geo, 2, [_PARALLELOGRAM],
-                                   [((x0 + j) % geo.cols, y) for j in range(width)])
+        # the cells from x0 - 1 to x0 + width + 1
+        cells = [((x0 - 1 + j) % geo.cols, y0) for j in range(width + 3)]
+        added = (term_generators(geo, 2, [("PentL(", "pentagon", "pentagon-l", 1, 1)], cells[1:2])
+                 + term_generators(geo, 2, [_PARALLELOGRAM], cells[1:width + 1])
                  + term_generators(geo, 2, [("PentR(", "pentagon", "pentagon-r", 1, 1)],
-                                   [((x0 + width + 1) % geo.cols, y)]))
+                                   cells[-1:]))
     else:
         if multiplicity < 1 or 2 * multiplicity > geo.rows:
             raise DefectError("too many parallel twist lines for this lattice")
-        for line in range(multiplicity):
-            y = (y0 + 2 * line) % geo.rows
-            removed += [f"P({a},{y})" for a in range(geo.cols)]
-            added += term_generators(geo, 2, [_PARALLELOGRAM], [(a, y) for a in range(geo.cols)])
-    return _surgery(model, "bombin-twist", removed, added)
+        cells = [(a, (y0 + 2 * line) % geo.rows) for line in range(multiplicity)
+                 for a in range(geo.cols)]
+        added = term_generators(geo, 2, [_PARALLELOGRAM], cells)
+    return _surgery(model, "bombin-twist", [("cell", at, 0) for at in cells], added)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +257,7 @@ def _ds_patch(model: StabilizerModel, sites):
     """Condense the order-two boson on ``sites`` of a Z_4 toric code."""
     geo = model.geometry
     h, v = _inside_hops(geo, sites)
-    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites]
+    removed = [(t, s, 0) for t in ("star", "plaquette") for s in sites]
     added = (term_generators(geo, 4, [("Fds(", "defect-fish", "fish")], sites)
              + term_generators(geo, 4, [("Bds(", "defect-plaquette", "plaquette", 2)], sites)
              + term_generators(geo, 4, [("Cds(h,", "defect-short", "hop-h", 2)], h)
@@ -285,10 +289,10 @@ def _z4_patch(model: StabilizerModel, sites):
     """Restore bare Z_4 toric-code stabilizers on ``sites`` of a
     doubled-semion model, dropping the four hops at each site."""
     geo = model.geometry
-    # the four hops at a site: C(h) at (a,b) and (a-1,b), C(v) at (a,b) and (a,b-1)
-    hops = dict.fromkeys(f"C({o},{u},{v})" for a, b in sites for o, (u, v) in (
-        ("h", (a, b)), ("h", geo.wrap(a - 1, b)), ("v", (a, b)), ("v", geo.wrap(a, b - 1))))
-    removed = [f"{t}({a},{b})" for t in "AB" for a, b in sites] + list(hops)
+    # the four hops at a site: h at (a,b) and (a-1,b), v at (a,b) and (a,b-1)
+    hops = dict.fromkeys((t, geo.wrap(a - dx, b - dy), 0) for a, b in sites for t, dx, dy in (
+        ("hop-h", 0, 0), ("hop-h", 1, 0), ("hop-v", 0, 0), ("hop-v", 0, 1)))
+    removed = [(t, s, 0) for t in ("fish", "plaquette") for s in sites] + list(hops)
     added = term_generators(geo, 4, [("TCA(", "vertex", "star"),
                                      ("TCB(", "plaquette", "plaquette")], sites)
     return _surgery(model, "z4-patch-in-ds", removed, added)
@@ -329,17 +333,16 @@ def couple_bilayer(model: StabilizerModel, wormhole: str, mouths=((0, 0), (2, 2)
         raise UnsupportedModelError("bilayer coupling needs a bilayer model without defects")
     if wormhole not in ("i", "ii"):
         raise DefectError(f"unknown wormhole variant {wormhole!r}")
-    (x1, y1), (x2, y2) = (model.geometry.wrap(x, y) for x, y in mouths)
-    if (x1, y1) == (x2, y2):
+    m1, m2 = (model.geometry.wrap(x, y) for x, y in mouths)
+    if m1 == m2:
         raise DefectError("wormhole mouths must be distinct")
 
+    # layer 0 holds T1, layer 1 T2
     if wormhole == "i":
-        removed = [f"T1/B({x1},{y1})", f"T2/A({x1},{y1})",
-                   f"T2/B({x2},{y2})", f"T1/A({x2},{y2})"]
+        removed = [("plaquette", m1, 0), ("star", m1, 1), ("plaquette", m2, 1), ("star", m2, 0)]
     else:
-        removed = [f"T1/A({x1},{y1})", f"T2/B({x1},{y1})",
-                   f"T1/A({x2},{y2})", f"T2/B({x2},{y2})"]
-    f1, f2 = (pauli_mul(model.generator(a).op, model.generator(b).op)
-              for a, b in (removed[:2], removed[2:]))
+        removed = [("star", m1, 0), ("plaquette", m1, 1), ("star", m2, 0), ("plaquette", m2, 1)]
+    a, b, c, d = (model.generators[j].op for j in _resolve(model, removed))
+    f1, f2 = pauli_mul(a, b), pauli_mul(c, d)
     added = [Generator("F1", "bilayer-fish", f1, 2), Generator("F2", "bilayer-fish", f2, 2)]
     return _surgery(model, f"bilayer-wormhole-{wormhole}", removed, added)

@@ -97,14 +97,16 @@ class LatticeGeometry:
 
 
 class Generator(NamedTuple):
-    """A labelled stabilizer generator; ``anchor`` is the cell (x, y) it was
-    built at, ``None`` for a generator not built at one cell."""
+    """A stabilizer generator named ``gid`` for display, built from the
+    ``TERMS`` row ``term`` at the cell ``anchor`` = (x, y), both ``None`` off
+    the table; surgeries name it by (term, anchor, its word's layer)."""
 
     gid: str
     kind: str
     op: PauliOp
     order: int
     anchor: tuple | None = None
+    term: str | None = None
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,9 @@ def term_words(geo: LatticeGeometry, modulus: int, name: str, anchors, layer: in
 def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: int = 0) -> list:
     """The generators of ``rows`` at each (x, y) of ``anchors``, anchor by
     anchor and in row order at each anchor.  A row ``(prefix, kind, term[,
-    power[, phase]])`` gives ``f"{prefix}{x},{y})"`` of ``kind``, the
-    ``term_words`` word, anchored at (x, y); a row's words share their
-    exponents, so each takes the first word's order N / gcd(N, exponents)."""
+    power[, phase]])`` gives ``f"{prefix}{x},{y})"`` of ``kind`` and ``term``,
+    the ``term_words`` word, at (x, y); a row's words share their exponents,
+    so each takes the first word's order N / gcd(N, exponents)."""
     if not anchors:
         return []
     columns = []
@@ -240,10 +242,10 @@ def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: in
         d = modulus
         for _, x, z in words[0].terms:
             d = gcd(d, x, z)
-        columns.append((prefix, kind, words, modulus // d))
-    return [Generator(prefix + at, kind, words[i], order, anchor)
+        columns.append((prefix, kind, term, words, modulus // d))
+    return [Generator(prefix + at, kind, words[i], order, anchor, term)
             for i, (at, anchor) in enumerate([(f"{x},{y})", (x, y)) for x, y in anchors])
-            for prefix, kind, words, order in columns]
+            for prefix, kind, term, words, order in columns]
 
 
 def _toric_geometry(rows: int, cols: int, modulus: int, layers: int = 1) -> LatticeGeometry:
@@ -293,7 +295,7 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
         raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
     gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2,
-                      (x, y))
+                      (x, y), "cell")
             for (x, y), op in zip(geo.cells, term_words(geo, 2, "cell", geo.cells))]
     return StabilizerModel(geo, 2, tuple(gens), ("cell-dark", "cell-light"), "bombin")
 

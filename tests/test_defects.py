@@ -5,6 +5,7 @@ import itertools
 import pathlib
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,9 @@ from quditlab.defects import (_ds_patch, _z4_patch, apply_bombin_twist, apply_di
                               apply_z4_patch_in_ds, couple_bilayer)
 from quditlab.dsemion import build_doubled_semion, ds_generators
 from quditlab.errors import DefectError, GeometryError, UnsupportedModelError
-from quditlab.lattice import (bombin_to_kitaev, build_bilayer_toric, build_bombin_lattice,
-                              build_toric_code, evaluate_constraint, string_operator)
+from quditlab.lattice import (TERMS, bombin_to_kitaev, build_bilayer_toric,
+                              build_bombin_lattice, build_toric_code, evaluate_constraint,
+                              string_operator)
 from quditlab.pauli import commutation_exponent, from_terms, pauli_mul, single_site, to_text
 
 
@@ -95,8 +97,8 @@ def test_twist_region_overlap_rejected():
     # would remove that site's star and plaquette a second time
     tc = build_toric_code(6, 6, 2)
     m, _ = apply_kitaev_twist(tc, 0, 1, length=3)
-    with pytest.raises(DefectError, match=r"cannot remove unknown generators \['A\(2,1\)', "
-                                          r"'B\(2,1\)'\]"):
+    with pytest.raises(DefectError, match=re.escape(
+            "cannot remove unknown generators [('plaquette', (2, 1), 0), ('star', (2, 1), 0)]")):
         apply_kitaev_twist(m, 2, 1, length=3)
 
 
@@ -513,14 +515,19 @@ CHAINABLE = {
 }
 
 
+# every chainable surgery and both wormholes: "family/name" -> (parent
+# builder, surgery of (model, slot))
+SINGLE = {f"{family}/{name}": (build, surgery) for family, (build, surgeries) in CHAINABLE.items()
+          for name, surgery in surgeries.items()}
+SINGLE.update({f"bilayer/wormhole-{v}": (lambda: build_bilayer_toric(6, 6),
+                                         lambda m, s, v=v: couple_bilayer(m, v))
+               for v in ("i", "ii")})
+
+
 def test_single_surgery_leaves_parent_and_its_certificates_intact():
     # a surgery builds a new model: the parent keeps its generators and its
     # certificates still multiply to the identity; the child carries none
-    cases = [(build, surgery) for build, surgeries in CHAINABLE.values()
-             for surgery in surgeries.values()]
-    cases += [(lambda: build_bilayer_toric(6, 6), lambda m, s, v=v: couple_bilayer(m, v))
-              for v in ("i", "ii")]
-    for build, surgery in cases:
+    for build, surgery in SINGLE.values():
         parent = build()
         before = [(g.gid, to_text(g.op)) for g in parent.generators]
         m, _ = surgery(parent, 0)
@@ -536,11 +543,10 @@ def test_single_surgery_leaves_parent_and_its_certificates_intact():
 def test_every_order_is_the_symplectic_order_of_its_word():
     # a row reads its order off its first word; the reference takes the lcm
     # of the per-exponent orders of every word on its own.  A generator named
-    # at a cell "...x,y)" is anchored there; only the wormhole fish have none
+    # at a cell "...x,y)" is anchored there; only the wormhole fish have no
+    # anchor and no term, and (term, anchor, layer) names every other one
     models = [build_model(parse_config(p.read_text()))[0] for p in sorted(CONFIGS.glob("*.cfg"))]
-    models += [surgery(build(), 0)[0] for build, surgeries in CHAINABLE.values()
-               for surgery in surgeries.values()]
-    models += [couple_bilayer(build_bilayer_toric(6, 6), v)[0] for v in ("i", "ii")]
+    models += [surgery(build(), 0)[0] for build, surgery in SINGLE.values()]
     models += [build_toric_code(4, 4, N) for N in range(2, 9)]
     bombin = build_bombin_lattice(4, 4)
     models += [build_doubled_semion(4, 4), bombin, bombin_to_kitaev(bombin),
@@ -551,6 +557,37 @@ def test_every_order_is_the_symplectic_order_of_its_word():
             cell = re.search(r"(\d+),(\d+)\)$", g.gid)
             assert g.anchor == (tuple(map(int, cell.groups())) if cell else None), g.gid
             assert cell or g.gid in ("F1", "F2"), g.gid
+            assert g.term in TERMS or (g.gid in ("F1", "F2") and g.term is None), g.gid
+        per_layer = m.geometry.sites_per_layer
+        keys = [(g.term, g.anchor, g.op.terms[0][0] // per_layer)
+                for g in m.generators if g.term is not None]
+        assert len(set(keys)) == len(keys), (m.family, m.defects)
+
+
+# a surgery names what it removes by (term, anchor, layer), so a model whose
+# generators are all renamed takes every surgery as the original does
+@pytest.mark.parametrize("name", SINGLE)
+def test_surgery_does_not_read_generator_names(name):
+    build, surgery = SINGLE[name]
+    parent = build()
+    renamed = replace(parent, generators=tuple(
+        g._replace(gid=f"g{i}") for i, g in enumerate(parent.generators)))
+    outcomes = []
+    for model in (renamed, parent):
+        m, rep = surgery(model, 0)
+        outcomes.append(([(g.kind, g.term, g.anchor, g.order, to_text(g.op))
+                          for g in m.generators], rep.dim_before, rep.dim_after))
+    assert outcomes[0] == outcomes[1]
+
+
+# an overlapping surgery asks for a key that is already gone
+@pytest.mark.parametrize("family, name", [
+    (family, name) for family, (_, surgeries) in CHAINABLE.items() for name in surgeries])
+def test_a_surgery_repeated_on_its_region_is_refused(family, name):
+    build, surgeries = CHAINABLE[family]
+    m, _ = surgeries[name](build(), 0)
+    with pytest.raises(DefectError, match="^cannot remove unknown generators "):
+        surgeries[name](m, 0)
 
 
 @pytest.mark.parametrize("family, first, second", [

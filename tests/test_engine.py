@@ -368,7 +368,7 @@ def test_replaced_model_computes_its_own_echelon():
     assert same.echelon is not m.echelon and same.echelon.index == m.echelon.index
     a0, a1 = [g for g in m.generators if g.kind == "vertex"][:2]
     rest = tuple(g for g in m.generators if g not in (a0, a1))
-    for cut in (defects._surgery(m, "cut", [a0.gid, a1.gid], ())[0],
+    for cut in (defects._surgery(m, "cut", [("star", g.anchor, 0) for g in (a0, a1)], ())[0],
                 dataclasses.replace(m, generators=rest)):
         assert cut.echelon is not m.echelon
         assert logical_dimension(cut) == 8
