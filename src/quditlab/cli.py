@@ -326,10 +326,10 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
             if error is None:
                 raise ConfigError("output decode needs an error line")
             corr = _decoder_for(m)(m, engine.syndrome(m, error))
-            out = decoders.decode_outcome(m, error, corr)
+            label = decoders.decode_outcome(m, error, corr)
             lines.append(f"decode correction={to_text(corr.op)} "
                          f"trace={','.join(corr.trace) or '-'} "
-                         f"success={str(out.success).lower()} class={out.logical_class}")
+                         f"success={str(label == '1').lower()} class={label}")
         elif name == "mc":
             if cfg.rate is None or cfg.trials is None:
                 raise ConfigError("output mc needs a channel line")

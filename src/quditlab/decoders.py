@@ -10,9 +10,11 @@ commutation exponents against the model's canonical logical strings.
 
 Each rule is stated once: ``_staircases`` gives every torus path,
 ``_pairing_table`` is the one parity check, ``_add`` the one syndrome sum
-and ``_rank`` the one order.  No decoder reads a gid: ``_violations`` takes
-positions from ``Generator.anchor`` and roles from ``Generator.kind``, and
-step 2 takes its hint vertex from ``incidence``.
+(the oracle's targets included), ``_rank`` the one order and ``_label`` the
+one outcome rule, which turns every residual into a label.  No decoder
+reads a gid: ``_violations`` takes positions from ``Generator.anchor`` and
+roles from ``Generator.kind``, and step 2 takes its hint vertex from
+``incidence``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .pauli import (PauliOp, commutation_exponent, from_terms, identity,
 
 __all__ = [
     "Correction",
-    "DecodeOutcome",
     "MonteCarloResult",
     "decode_toric",
     "decode_doubled_semion",
@@ -45,12 +46,6 @@ __all__ = [
 class Correction:
     op: PauliOp
     trace: tuple = ()
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    success: bool
-    logical_class: str
 
 
 @dataclass(frozen=True)
@@ -113,21 +108,26 @@ def _class_names(model):
     return names
 
 
+def _label(model, residual, names) -> str:
+    """The outcome of a residual: ``syndrome`` when it violates a
+    generator, else the name of its logical class in ``names`` (see
+    ``_class_names``), or ``unknown`` for a class that has none."""
+    if engine.syndrome(model, residual):
+        return "syndrome"
+    return names.get(_class_tuple(residual, model.logicals), "unknown")
+
+
 def classify_residual(model, residual: PauliOp) -> str:
     """Name the logical class of a syndrome-free residual operator."""
-    t = _class_tuple(residual, model.logicals)
-    names = _class_names(model)
-    if t not in names:
-        raise InconsistentSyndromeError("residual carries syndrome; not a logical class")
-    return names[t]
+    label = _label(model, residual, _class_names(model))
+    if label in ("syndrome", "unknown"):
+        raise InconsistentSyndromeError(f"residual has no logical class: {label}")
+    return label
 
 
-def decode_outcome(model, error: PauliOp, correction: Correction) -> DecodeOutcome:
-    residual = pauli_mul(error, correction.op)
-    if engine.syndrome(model, residual):
-        return DecodeOutcome(False, "syndrome")
-    label = classify_residual(model, residual)
-    return DecodeOutcome(label == "1", label)
+def decode_outcome(model, error: PauliOp, correction: Correction) -> str:
+    """The ``_label`` of the residual the correction leaves; "1" is success."""
+    return _label(model, pauli_mul(error, correction.op), _class_names(model))
 
 
 # ----------------------------------------------------------------------
@@ -307,22 +307,21 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     """
     geo = model.geometry
     n = model.modulus
-    if any(model.generator(gid).kind not in ("vertex", "plaquette") for gid in syn.exponents):
+    vert = _violations(model, syn.exponents, "vertex")
+    plaq = _violations(model, syn.exponents, "plaquette")
+    if len(vert) + len(plaq) != len(syn.exponents):
         raise InconsistentSyndromeError(
             "decode_toric corrects vertex and plaquette violations only")
     if n == 2:
-        vert = [p for p, _ in _violations(model, syn.exponents, "vertex")]
-        plaq = [p for p, _ in _violations(model, syn.exponents, "plaquette")]
-        words = product(_family_candidates(model, vert, "e"),
-                        _family_candidates(model, plaq, "m"))
+        words = product(_family_candidates(model, [p for p, _ in vert], "e"),
+                        _family_candidates(model, [p for p, _ in plaq], "m"))
         return Correction(min((pauli_mul(zw, xw) for zw, xw in words),
                               key=lambda w: _rank(w, model.logicals)), ())
 
     corr = identity(n, model.n_sites)
     # a unit e string carries charge +1 at its first node and -1 at its last,
     # an m string -1 and +1
-    for kind, stype, k0 in (("vertex", "e", 1), ("plaquette", "m", -1)):
-        items = _violations(model, syn.exponents, kind)
+    for kind, items, stype, k0 in (("vertex", vert, "e", 1), ("plaquette", plaq, "m", -1)):
         if sum(q for _, q in items) % n:
             raise InconsistentSyndromeError(f"{kind} charges do not cancel mod {n}")
         # each merge keeps the total charge and drops an item it clears, so
@@ -342,13 +341,13 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
 # doubled-semion five-step decoder
 # ----------------------------------------------------------------------
 
-def _add(ds, exps, *more):
+def _add(model, exps, *more):
     """The sum of syndrome exponent maps, mod each generator's order, zeros
     dropped: syndromes add, so this is the syndrome of the words' product."""
     out = dict(exps)
     for syn_exponents in more:
         for gid, e in syn_exponents.items():
-            v = (out.get(gid, 0) + e) % ds.generator(gid).order
+            v = (out.get(gid, 0) + e) % model.generator(gid).order
             if v:
                 out[gid] = v
             else:
@@ -483,16 +482,15 @@ class BruteForceOracle:
 
     Desk scale only: one table of the single-site words keyed by the
     (gid, exponent) pairs of their syndrome, so a weight-2 match costs one
-    lookup per single, whatever the model's size.  At the minimum weight the
-    oracle enumerates every matching correction and returns the canonical
-    one: smallest (logical class, exponent tuple).
+    ``_add`` and one lookup per single, whatever the model's size.  At the
+    minimum weight the oracle enumerates every matching correction and
+    returns the canonical one: smallest (logical class, exponent tuple).
     """
 
     def __init__(self, model):
         self.model = model
         self.n = model.n_sites
         self.N = model.modulus
-        self._orders = {g.gid: g.order for g in model.generators}
         self.singles = []  # (key, op) in deterministic order
         for site in range(self.n):
             for a in range(self.N):
@@ -500,37 +498,27 @@ class BruteForceOracle:
                     if a == 0 and b == 0:
                         continue
                     op = single_site(self.N, self.n, site, x=a, z=b)
-                    self.singles.append((self._key(engine.syndrome(model, op).exponents), op))
+                    syn = engine.syndrome(model, op)
+                    self.singles.append((frozenset(syn.exponents.items()), op))
         self.by_key = {}
         for key, op in self.singles:
             self.by_key.setdefault(key, []).append(op)
 
-    def _key(self, exponents):
-        # the (gid, exponent mod order) pairs on the model's generators, zeros dropped
-        return frozenset((g, v % o) for g, v in exponents.items()
-                         if (o := self._orders.get(g)) and v % o)
-
     def _weight2_matches(self, target):
-        """Every weight-2 word with key ``target``, each unordered pair once.
+        """Every weight-2 word with syndrome ``target``, each unordered pair once.
 
         One single of a match has a nonzero key on a violated generator, so
         sits on its support: only those sites' singles are enumerated, each
         partner is looked up on any other site, and a pair with both sites
         among them is kept from its lower site.
         """
+        model = self.model
         per = self.N * self.N - 1  # singles per site, in site order
-        orders = self._orders
-        near = {s for g, _ in target for s in self.model.generator(g).op.support()}
+        near = {s for g in target for s in model.generator(g).op.support()}
         out = []
         for site in sorted(near):
             for k1, op1 in self.singles[site * per:(site + 1) * per]:
-                need = dict(target)
-                for g, v in k1:
-                    r = (need.get(g, 0) - v) % orders[g]
-                    if r:
-                        need[g] = r
-                    else:
-                        del need[g]
+                need = _add(model, target, {g: -v for g, v in k1})
                 for op2 in self.by_key.get(frozenset(need.items()), ()):
                     s2 = op2.terms[0][0]
                     if s2 != site and (s2 > site or s2 not in near):
@@ -542,11 +530,12 @@ class BruteForceOracle:
         return Correction(min(words, key=lambda w: _rank(w, self.model.logicals)), trace)
 
     def decode(self, syn) -> Correction:
-        target = self._key({g: -v for g, v in syn.exponents.items()})
+        target = _add(self.model, {}, {g: -v for g, v in syn.exponents.items()})
         if not target:
             return Correction(identity(self.N, self.n), ("w0",))
-        if target in self.by_key:
-            return self._canonical(self.by_key[target], ("w1",))
+        key = frozenset(target.items())
+        if key in self.by_key:
+            return self._canonical(self.by_key[key], ("w1",))
         cands = self._weight2_matches(target)
         if cands:
             return self._canonical(cands, ("w2",))
@@ -559,7 +548,8 @@ class BruteForceOracle:
 
 def _error_label(model, decoder, names, hits):
     """The class label of one trial's error, given by its hits (see
-    ``monte_carlo_trial``): decode its syndrome, then name the residual."""
+    ``monte_carlo_trial``): decode its syndrome, then ``_label`` the
+    residual; a decoder that gives up labels it ``gave-up``."""
     N, n = model.modulus, model.n_sites
     # X^x then Z^z on one site is the normal form, so no phase arises
     err = from_terms(N, n, [(i >> 1, 0, e) if i & 1 else (i >> 1, e, 0) for i, e in hits])
@@ -567,10 +557,7 @@ def _error_label(model, decoder, names, hits):
         corr = decoder(model, engine.syndrome(model, err))
     except InconsistentSyndromeError:
         return "gave-up"
-    residual = pauli_mul(err, corr.op)
-    if engine.syndrome(model, residual):
-        return "syndrome"
-    return names.get(_class_tuple(residual, model.logicals), "unknown")
+    return _label(model, pauli_mul(err, corr.op), names)
 
 
 def monte_carlo_trial(model, decoder, error_rate: float, trials: int,

@@ -58,8 +58,6 @@ def build_doubled_semion(rows: int, cols: int) -> StabilizerModel:
     ``logicals`` holds the four loops of :func:`logical_operators` sorted by
     name: X1, X2, Z1, Z2.
     """
-    if rows < 2 or cols < 2:
-        raise GeometryError("doubled semion needs rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "edges")
     # the product of all vertex terms is that of all toric stars and plaquettes
     model = StabilizerModel(geo, 4, tuple(ds_generators(geo)), ("vertex", "plaquette"),

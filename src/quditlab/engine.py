@@ -24,10 +24,11 @@ it and ``is_member`` decides by reducing the word's row against the
 stored pivots alone, with no second elimination; the dimension itself is
 cached per model too (``StabilizerModel.logical_dimension``).  Each model also
 carries a site -> generator incidence index (``StabilizerModel.incidence``,
-which also checks that every generator lives on the model's register):
-the commutation check visits each pair of generators that share a site
-once, from its later member, and a syndrome visits the generators
-incident to the word's support, O(weight x degree).
+which also checks that every generator lives on the model's register and
+that no two share a gid).  One accumulation over it, ``_forms``, serves
+both readers: the commutation check visits each pair of generators that
+share a site once, from its later member, and a syndrome visits the
+generators incident to the word's support, O(weight x degree).
 
 Phases are ignored for order and membership; the built-in models are
 sign-consistent by construction, and a brute-force check in the tests
@@ -286,26 +287,34 @@ def subgroup_order(gens: GeneratorMatrix) -> int:
     return total // prod
 
 
+def _forms(inc, op, stop):
+    """generator position i -> the symplectic form z_i x - x_i z of generator
+    i with ``op``, summed over ``op``'s sites, for every i < ``stop`` that
+    shares a site with it: the one accumulation of the commutation check and
+    the syndrome.  Each ascending incidence list is scanned up to ``stop``."""
+    acc = {}
+    for s, x, z in op.terms:
+        for i, gx, gz in inc.get(s, ()):
+            if i >= stop:
+                break
+            acc[i] = acc.get(i, 0) + gz * x - gx * z
+    return acc
+
+
 def _first_noncommuting_pair(model):
     """The lexicographically first pair (i, j), i < j, whose generators do
     not commute, or None when all pairs commute.
 
-    For each j in order, the form with each earlier generator i is summed
-    over j's sites from the ascending incidence lists, each scan breaking
-    at i >= j: a pair sharing a site is visited once.  After a failing
-    (i0, j0), a later j can only win with i < i0, so scans break at i0.
+    For each j in order, ``_forms`` sums the form with each earlier
+    generator i, stopping at j: a pair sharing a site is visited once.
+    After a failing (i0, j0), a later j can only win with i < i0, so the
+    scans stop at i0.
     """
     inc = model.incidence
     N = model.modulus
     first = None
     for j, g in enumerate(model.generators):
-        stop = j if first is None else first[0]
-        acc = {}
-        for s, x, z in g.op.terms:
-            for i, xo, zo in inc[s]:
-                if i >= stop:
-                    break
-                acc[i] = acc.get(i, 0) + zo * x - xo * z
+        acc = _forms(inc, g.op, j if first is None else first[0])
         bad = [i for i, k in acc.items() if k % N]
         if bad:
             first = min(bad), j
@@ -381,11 +390,7 @@ def syndrome(model, error: PauliOp) -> Syndrome:
     """
     if error.modulus != model.modulus or error.sites != model.n_sites:
         raise ShapeError("error register does not match model")
-    inc = model.incidence
-    acc = {}
-    for s, x, z in error.terms:
-        for j, gx, gz in inc.get(s, ()):
-            acc[j] = acc.get(j, 0) + gz * x - gx * z
+    acc = _forms(model.incidence, error, len(model.generators))
     n = model.modulus
     exps = {}
     for j in sorted(acc):

@@ -28,7 +28,8 @@ from math import gcd
 from typing import NamedTuple
 
 from . import engine
-from .errors import GeometryError, PathError, ShapeError, UnsupportedModelError
+from .errors import (GeometryError, InvalidModelError, PathError, ShapeError,
+                     UnsupportedModelError)
 from .pauli import PauliOp, _word, from_terms, pauli_prod
 
 __all__ = [
@@ -127,8 +128,7 @@ class StabilizerModel:
 
     @cached_property
     def _by_gid(self) -> dict:
-        # reversed, so a repeated gid resolves to its first generator
-        return {g.gid: g for g in reversed(self.generators)}
+        return {g.gid: g for g in self.generators}
 
     @cached_property
     def incidence(self) -> dict:
@@ -137,15 +137,21 @@ class StabilizerModel:
 
         Raises ShapeError, naming both registers, for a generator on another
         register, so the commutation check, a syndrome and a membership
-        test never compare words of different registers.
+        test never compare words of different registers; and
+        InvalidModelError, naming the gid, for a gid two generators share,
+        since a syndrome is keyed by gid.
         """
         inc = {}
         N, n = self.modulus, self.n_sites
+        gids = set()
         for j, g in enumerate(self.generators):
             if g.op.modulus != N or g.op.sites != n:
                 raise ShapeError(
                     f"generator {g.gid} acts on a {g.op.sites}-site Z_{g.op.modulus} "
                     f"register, the model on a {n}-site Z_{N} register")
+            if g.gid in gids:
+                raise InvalidModelError(f"generator id {g.gid} is repeated")
+            gids.add(g.gid)
             for s, x, z in g.op.terms:
                 inc.setdefault(s, []).append((j, x, z))
         return inc
@@ -249,11 +255,10 @@ def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: in
 
 
 def _toric_geometry(rows: int, cols: int, modulus: int, layers: int = 1) -> LatticeGeometry:
-    if rows < 2 or cols < 2:
-        raise GeometryError("toric code needs rows, cols >= 2")
+    geo = LatticeGeometry(rows, cols, "edges", layers)
     if modulus < 2:
         raise GeometryError("modulus must be >= 2")
-    return LatticeGeometry(rows, cols, "edges", layers)
+    return geo
 
 
 def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
@@ -291,9 +296,9 @@ def build_bombin_lattice(rows: int, cols: int) -> StabilizerModel:
 
     Needs even sizes so the dark/light checkerboard closes on the torus.
     """
-    if rows < 2 or cols < 2 or rows % 2 or cols % 2:
-        raise GeometryError("Bombin lattice needs even rows, cols >= 2")
     geo = LatticeGeometry(rows, cols, "vertices")
+    if rows % 2 or cols % 2:
+        raise GeometryError("Bombin lattice needs even rows, cols")
     gens = [Generator(f"P({x},{y})", "cell-dark" if (x + y) % 2 == 0 else "cell-light", op, 2,
                       (x, y), "cell")
             for (x, y), op in zip(geo.cells, term_words(geo, 2, "cell", geo.cells))]

@@ -260,7 +260,12 @@ CONFIG_ERRORS = [
     ("model\n", 2, "config error: line 2: model needs a family"),
     ("model toric rows=4 cols=4 modulus=x\n",
      2, "config error: line 2: field 'modulus' must be an integer"),
-    ("model toric rows=1 cols=4\n", 3, "model error: toric code needs rows, cols >= 2"),
+    ("model toric rows=1 cols=4\n", 3, "model error: lattice must be at least 2x2, got 4x1"),
+    ("model bilayer rows=1 cols=4\n", 3, "model error: lattice must be at least 2x2, got 4x1"),
+    ("model doubled-semion rows=4 cols=1\n",
+     3, "model error: lattice must be at least 2x2, got 1x4"),
+    ("model bombin rows=1 cols=4\n", 3, "model error: lattice must be at least 2x2, got 4x1"),
+    ("model bombin rows=4 cols=3\n", 3, "model error: Bombin lattice needs even rows, cols"),
     ("model toric rows=64 cols=65\n",
      2, "config error: line 2: field 'cols' must be an integer at most 64"),
     ("model doubled-semion rows=100000 cols=4\n",

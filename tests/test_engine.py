@@ -626,6 +626,21 @@ def test_from_ops_refuses_words_of_two_registers():
     assert subgroup_order(GeneratorMatrix.from_ops(ops)) == 64
 
 
+def test_repeated_gid_raises_invalid_model_error():
+    # a syndrome is keyed by gid: with B(0,0) renamed A(0,0), an X on site 0
+    # would file the plaquette's exponent under the star's name
+    tc = build_toric_code(4, 4)
+    gens = tuple(g._replace(gid="A(0,0)") if g.gid == "B(0,0)" else g for g in tc.generators)
+    model = dataclasses.replace(tc, generators=gens)
+    text = "^generator id A\\(0,0\\) is repeated$"
+    with pytest.raises(InvalidModelError, match=text):
+        syndrome(model, single_site(2, model.n_sites, 0, x=1))
+    with pytest.raises(InvalidModelError, match=text):
+        logical_dimension(model)
+    assert syndrome(tc, single_site(2, tc.n_sites, 0, x=1)).exponents == {
+        "B(0,0)": 1, "B(0,3)": 1}
+
+
 @pytest.mark.parametrize("geometry, modulus, register", [
     # modulus-2 generators in a modulus-4 model
     (lattice.LatticeGeometry(2, 2, "edges"), 4, "8-site Z_4"),

@@ -86,6 +86,26 @@ def test_every_public_name_has_a_production_reader():
     assert not unread, f"no production reader: {unread}"
 
 
+def _bound(node):
+    """The names a module-level statement binds, imports included."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    return _defined(node)
+
+
+def test_every_all_entry_names_a_module_level_definition():
+    # a stale ``__all__`` entry breaks ``from quditlab.<module> import *``
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        bound = {name for node in body for name in _bound(node)}
+        for node in body:
+            if "__all__" in _defined(node):
+                stale += [f"{path.stem}.{e.value}" for e in node.value.elts
+                          if e.value not in bound]
+    assert not stale, f"__all__ names no definition: {stale}"
+
+
 def test_allowlist_names_exist():
     defined = set()
     for path in PACKAGE.glob("*.py"):
