@@ -50,7 +50,7 @@ class ExperimentConfig:
     modulus: int = 2
     defects: list = field(default_factory=list)  # (kind, parsed fields) pairs
     error_text: str = None
-    string_spec: tuple = None  # (anyon-or-e/m, path) alternative to error
+    string_spec: tuple = None  # (string type, path) alternative to error
     rate: float = None
     trials: int = None
     seed: int = None
@@ -85,8 +85,12 @@ def _one_of(*options):
     return parse, "one of " + ", ".join(options)
 
 
+# the doubled semion's nontrivial anyons, whose spins ``output spin`` extracts
+SPINS = ("s", "sbar", "ssbar")
+
 # field -> (parser, what the value must be); the parser raises ValueError or
-# KeyError on a bad value.  ``string`` is the type token of a string line.
+# KeyError on a bad value.  ``string`` is the type token of a string line;
+# ``lattice.string_operator`` refuses a type the model does not carry.
 FIELDS = {
     **dict.fromkeys(("modulus", "seed", "x", "y", "width", "length", "multiplicity", "k"),
                     (int, "an integer")),
@@ -97,8 +101,8 @@ FIELDS = {
     "rate": (float, "a number"),
     "contractible": (_flag, "true or false"),
     "mouths": (_mouths, "x1,y1,x2,y2"),
-    "anyon": _one_of("s", "sbar", "ssbar"),
-    "string": _one_of("e", "m", "1", "s", "sbar", "ssbar"),
+    "anyon": _one_of(*SPINS),
+    "string": _one_of(*lattice.STRINGS),
     "theory": (str, "a theory name"),
     "algebra": (str, "a sum of labels"),
 }
@@ -305,10 +309,7 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
         except ParseError as exc:
             raise ConfigError(f"field 'error': {exc}")
     elif cfg.string_spec is not None:
-        kind, path = cfg.string_spec
-        if kind not in ("e", "m") and m.family != "doubled-semion":
-            raise ConfigError(f"string type {kind!r} needs the doubled-semion model")
-        error = lattice.string_operator(m, kind, path)
+        error = lattice.string_operator(m, *cfg.string_spec)
     for name, kv in outputs:
         if name == "dimension":
             lines.append(f"dimension {engine.logical_dimension(m)}")
@@ -347,7 +348,7 @@ def run(cfg: ExperimentConfig, seed_override: int = None) -> str:
             if m.family != "doubled-semion":
                 raise ConfigError("output spin needs the doubled-semion model")
             which = kv.get("anyon")
-            anyons = [which] if which else ["s", "sbar", "ssbar"]
+            anyons = (which,) if which else SPINS
             px = kv.get("x", max(2, m.geometry.cols // 2))
             py = kv.get("y", max(2, m.geometry.rows // 2))
             for anyon in anyons:
@@ -482,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "spin":
-            p.add_argument("--anyon", default=None, choices=("s", "sbar", "ssbar"))
+            p.add_argument("--anyon", default=None, choices=SPINS)
 
     p = sub.add_parser("condense", help="condense a theory by a boson algebra")
     p.add_argument("theory")

@@ -41,14 +41,11 @@ class CondensableAlgebra:
 
     Building one runs ``validate_condensable`` and raises
     ``NotCondensableError`` (a ``QuditLabError``) unless it passes; the
-    summands are then kept once each, in theory label order, and
-    ``boundary_tag``, when not given, names the toric boundary the algebra
-    gives, if any.
+    summands are then kept once each, in theory label order.
     """
 
     parent: AnyonTheory
     summands: tuple
-    boundary_tag: str = ""
 
     def __post_init__(self):
         theory = self.parent
@@ -57,9 +54,14 @@ class CondensableAlgebra:
             raise NotCondensableError(failure)
         ordered = tuple(sorted(set(self.summands), key=theory.labels.index))
         object.__setattr__(self, "summands", ordered)
-        if not self.boundary_tag and theory.name in ("toric", "z_2") and len(ordered) == 2:
-            tag = {"m": "smooth boundary", "e": "rough boundary"}.get(ordered[1], "")
-            object.__setattr__(self, "boundary_tag", tag)
+
+    @property
+    def boundary_tag(self) -> str:
+        """The toric boundary the algebra gives, if any: 1 + m the smooth
+        and 1 + e the rough one; empty otherwise."""
+        if self.parent.name in ("toric", "z_2") and len(self.summands) == 2:
+            return {"m": "smooth boundary", "e": "rough boundary"}.get(self.summands[1], "")
+        return ""
 
     @cached_property
     def dim(self) -> QDim:

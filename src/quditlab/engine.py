@@ -11,21 +11,15 @@ Every routine works on nonzero support only.  A row is the sparse
 column 2s and its z exponent in column 2s + 1 (``_row``); ``GeneratorMatrix``
 holds such rows, and dense matrices enter through ``from_dense``.  One
 elimination, ``echelon``, returns the index together with its per-column
-pivots.  For N = 2 and 4 it holds each row whose entries all equal N/2
-(every Z_2 row, the doubled semion's order-2 rows) as an ``int`` bitset
-over GF(2) and reduces it by XOR; two column rules, keyed by
-d = gcd(pivot entry, N), decide a column that holds both kinds (see
-``echelon``).  Each pivot stays in the form the elimination made it
-(``Echelon.raw``): a bitset pivot remains an ``int``, and
-``Echelon.contains`` reduces against either form, so no pivot is ever
-converted.  Each model caches its echelon once
-(``StabilizerModel.echelon``): ``logical_dimension`` reads the index from
-it and ``is_member`` decides by reducing the word's row against the
-stored pivots alone, with no second elimination; the dimension itself is
-cached per model too (``StabilizerModel.logical_dimension``).  Each model also
-carries a site -> generator incidence index (``StabilizerModel.incidence``,
-which also checks that every generator lives on the model's register and
-that no two share a gid).  One accumulation over it, ``_forms``, serves
+pivots (``Echelon.raw``); ``Echelon.contains`` reduces a row against them,
+and every row update of both is one ``_sub``.  Each model caches its
+echelon once (``StabilizerModel.echelon``): ``logical_dimension`` reads the
+index from it and ``is_member`` decides by reducing the word's row against
+the stored pivots alone, with no second elimination; the dimension itself
+is cached per model too (``StabilizerModel.logical_dimension``).  Each
+model also carries a site -> generator incidence index
+(``StabilizerModel.incidence``, which also checks that every generator
+lives on the model's register and that no two share a gid).  One accumulation over it, ``_forms``, serves
 both readers: the commutation check visits each pair of generators that
 share a site once, from its later member, and a syndrome visits the
 generators incident to the word's support, O(weight x degree).
@@ -38,7 +32,6 @@ sign-consistent by construction, and a brute-force check in the tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import gcd
 
 from .errors import InvalidModelError, ShapeError
@@ -138,24 +131,32 @@ class Echelon:
             pivot, d, a = raw[col]
             if row[col] % d:
                 return False
-            q = a * (row[col] // d)
-            terms = (zip(_columns(col, pivot), repeat(h)) if isinstance(pivot, int)
-                     else pivot.items())
-            for c, v in terms:
-                e = (row.get(c, 0) - q * v) % N
-                if e:
-                    row[c] = e
-                else:
-                    row.pop(c, None)
+            _sub(row, a * (row[col] // d),
+                 _halves(col, pivot, h) if isinstance(pivot, int) else pivot.items(), N)
         return True
 
 
-def _columns(col: int, b: int) -> list:
-    """The columns col + i of the set bits i of b, ascending."""
+def _sub(row: dict, q: int, terms, N: int) -> dict:
+    """``row`` minus q times the sparse ``terms`` (column, value), mod N and
+    in place, zeros dropped; returns ``row``.  The one row update of the
+    elimination: its gcd step, its d = N/2 move, its annihilator and the
+    reduction of ``Echelon.contains``."""
+    for c, v in terms:
+        e = (row.get(c, 0) - q * v) % N
+        if e:
+            row[c] = e
+        else:
+            row.pop(c, None)
+    return row
+
+
+def _halves(col: int, b: int, h: int) -> list:
+    """The (column, h) terms of the bitset b: column col + i for each set
+    bit i, ascending."""
     out = []
     while b:
         low = b & -b
-        out.append(col + low.bit_length() - 1)
+        out.append((col + low.bit_length() - 1, h))
         b ^= low
     return out
 
@@ -226,14 +227,7 @@ def echelon(rows, modulus, columns) -> Echelon:
                 base = nz[0]
                 out = [base]
                 for r in nz[1:]:
-                    q = r[col] // base[col]
-                    new = dict(r)
-                    for c, v in base.items():
-                        e = (new.get(c, 0) - q * v) % N
-                        if e:
-                            new[c] = e
-                        else:
-                            new.pop(c, None)
+                    new = _sub(dict(r), r[col] // base[col], base.items(), N)
                     if col in new:
                         out.append(new)
                     else:
@@ -250,14 +244,7 @@ def echelon(rows, modulus, columns) -> Echelon:
                 mask = sum(1 << (c - col) for c, v in pivot.items() if v & 1)
             elif bs:
                 # d == h: the first bitset pivots and P + h b0 moves on
-                moved = dict(pivot)
-                for c in _columns(col, bs[0]):
-                    e = (moved.get(c, 0) + h) % N
-                    if e:
-                        moved[c] = e
-                    else:
-                        del moved[c]
-                push(moved)
+                push(_sub(dict(pivot), -1, _halves(col, bs[0], h), N))
                 nz = None
         elif not bs:
             index *= N
@@ -274,7 +261,7 @@ def echelon(rows, modulus, columns) -> Echelon:
         index *= d
         pivots[col] = (pivot, d, a)
         if nz and d > 1:
-            push({c: e for c, v in pivot.items() if (e := (N // d) * v % N)})
+            push(_sub({}, -(N // d), pivot.items(), N))
     return Echelon(N, index, pivots)
 
 

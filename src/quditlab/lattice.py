@@ -28,8 +28,8 @@ from math import gcd
 from typing import NamedTuple
 
 from . import engine
-from .errors import (GeometryError, InvalidModelError, PathError, ShapeError,
-                     UnsupportedModelError)
+from .errors import (GeometryError, InconsistentSyndromeError, InvalidModelError,
+                     PathError, ShapeError, UnsupportedModelError)
 from .pauli import PauliOp, _word, from_terms, pauli_prod
 
 __all__ = [
@@ -174,7 +174,14 @@ class StabilizerModel:
         return engine._logical_dimension(self)
 
     def generator(self, gid: str) -> Generator:
-        return self._by_gid[gid]
+        """The generator named ``gid``.  Its readers are decoders reading a
+        syndrome, so a gid the model lacks raises
+        ``InconsistentSyndromeError``."""
+        try:
+            return self._by_gid[gid]
+        except KeyError:
+            raise InconsistentSyndromeError(
+                f"syndrome names unknown generator {gid!r}") from None
 
 
 def evaluate_constraint(model: StabilizerModel, kind: str) -> PauliOp:
@@ -368,9 +375,9 @@ def _steps(path, geo: LatticeGeometry):
 # * ssbar (Z_4) is Z^2 along a vertex path, orientation-free; 1 has no terms
 #   but still checks its path.
 STRINGS = {
-    "1": {"x": (), "y": ()},
     "e": {"x": (("h", 0, 0, 0, 1),), "y": (("v", 0, 0, 0, 1),)},
     "m": {"x": (("v", 1, 0, -1, 0),), "y": (("h", 0, 1, 1, 0),)},
+    "1": {"x": (), "y": ()},
     "s": {"x": (("v", 1, 0, 1, 0), ("h", 1, 1, 0, 1)),
           "y": (("h", 0, 1, -1, 0), ("v", 1, 1, 0, 1))},
     "sbar": {"x": (("v", 1, 0, 1, 0), ("h", 1, 1, 0, -1)),

@@ -298,8 +298,8 @@ CONFIG_ERRORS = [
     (TORIC + "string e 0,0\n", 2, "config error: line 3: string needs an anyon type and "
                                   "at least two path nodes"),
     (TORIC + "string e 0,0 a,b\n", 2, "config error: line 3: string path nodes must be x,y pairs"),
-    (TORIC + "string s 0,0 1,0\n",
-     2, "config error: string type 's' needs the doubled-semion model"),
+    (TORIC + "string s 0,0 1,0\n", 3, "model error: s strings need a Z_4 model, got modulus 2"),
+    (TORIC + "string 1 0,0 2,2\n", 3, "model error: path step (0, 0) -> (2, 2) is not adjacent"),
     (TORIC + "string foo 0,0 1,0\n",
      2, "config error: line 3: field 'string' must be one of e, m, 1, s, sbar, ssbar"),
     (DSEM + "string foo 0,0 1,0\n",
@@ -351,11 +351,14 @@ DS_TRAIL = ("model doubled-semion rows=6 cols=6\nerror 0|"
             + ";".join(f"{s}:1,0" for s in range(0, 25, 2)) + "\n")
 
 
-# one case per documented exit code (0 success, 2 config, 3 model, 4 decode):
+# one case per documented exit code (0 success, 2 config, 3 model, 4 decode),
+# and a trivial string on the toric code, which every edge model carries:
 # argv with CFG standing for a config file holding ``body`` (no file when
 # body is None), the exit code, the start of stderr, one line of stdout
 @pytest.mark.parametrize("argv, body, code, err_start, out_line", [
     (["condense", "z4", "1+e"], None, 0, "", "condense-invalid not-closed at exe witness=e2"),
+    (["run", "--config", "CFG"], TORIC + "string 1 0,0 1,0\noutput syndrome\n", 0, "",
+     "syndrome weight=0"),
     (["run", "--config", "CFG"], TORIC + "error 0|99:1,0\noutput syndrome\n", 2,
      "config error: field 'error': Pauli word '0|99:1,0': site 99 is outside [0, 32)\n", ""),
     (["run", "--config", "CFG"], None, 2, "config error: cannot read config ", ""),

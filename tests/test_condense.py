@@ -56,6 +56,9 @@ def test_every_construction_path_validates():
     assert direct == condensable_algebra(Z4, ["1", "e2m2"])
     assert direct.summands == ("1", "e2m2")
     assert CondensableAlgebra(Z2, ("1", "m")).boundary_tag == "smooth boundary"
+    # the tag is derived from the theory and the summands, never passed in
+    with pytest.raises(TypeError):
+        CondensableAlgebra(Z4, ("1",), boundary_tag="rough boundary")
 
 
 def _counting(monkeypatch, name):

@@ -137,6 +137,19 @@ def test_inconsistent_syndrome_raises():
         decode_toric(tc, fake)
 
 
+@pytest.mark.parametrize("decoder", ["toric", "doubled-semion", "oracle"])
+def test_unknown_gid_is_an_inconsistent_syndrome(decoder):
+    # a syndrome naming a generator the model lacks is a typed error, not a
+    # bare KeyError from the gid lookup
+    model = (build_doubled_semion(4, 4) if decoder == "doubled-semion"
+             else build_toric_code(4, 4, 2))
+    decode = {"toric": lambda syn: decode_toric(model, syn),
+              "doubled-semion": lambda syn: decode_doubled_semion(model, syn),
+              "oracle": BruteForceOracle(model).decode}[decoder]
+    with pytest.raises(InconsistentSyndromeError, match="unknown generator 'Q\\(0,0\\)'"):
+        decode(Syndrome({"Q(0,0)": 1}))
+
+
 def test_decode_toric_z3_charges_must_cancel():
     # two unit vertex charges sum to 2, not 0 mod 3: no Z_3 word makes them
     tc = build_toric_code(4, 4, 3)

@@ -9,6 +9,7 @@ and why each one stays.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -84,6 +85,34 @@ def _unread_names():
 def test_every_public_name_has_a_production_reader():
     unread = _unread_names()
     assert not unread, f"no production reader: {unread}"
+
+
+def _bench_names():
+    """The ``module.name`` paths the benchmark reads from the package: every
+    ``q.<module>.<name>`` in ``bench/*.py``, and every path in ``TRACED``
+    (``bench/tracer.py``), as two sets."""
+    read, traced = set(), set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+                    and isinstance(n.value.value, ast.Name) and n.value.value.id == "q"):
+                read.add(f"{n.value.attr}.{n.attr}")
+            elif isinstance(n, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TRACED" for t in n.targets):
+                traced |= {entry.elts[0].value for entry in n.value.elts}
+    return read, traced
+
+
+def test_every_benchmark_name_resolves():
+    # a rename in src/ fails here instead of first failing a benchmark run
+    read, traced = _bench_names()
+    assert read and traced
+    missing = []
+    for path in sorted(read | traced):
+        module, name = path.split(".")
+        if not hasattr(importlib.import_module(f"quditlab.{module}"), name):
+            missing.append(path)
+    assert not missing, f"the benchmark names what the package lacks: {missing}"
 
 
 def _bound(node):
