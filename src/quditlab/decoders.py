@@ -9,9 +9,11 @@ exhaustively in the tests; residual logical classes are identified through
 commutation exponents against the model's canonical logical strings.
 
 Each rule is stated once: ``_staircases`` gives every torus path,
-``_pairing_table`` is the one parity check, ``_add`` the one syndrome sum
-(the oracle's targets included), ``_rank`` the one order and ``_label`` the
-one outcome rule, which turns every residual into a label.  No decoder
+``_pairing_table`` is the one parity check, ``_joined`` joins each pair by
+one string, ``_add`` is the one syndrome sum (the oracle's targets
+included), ``_rank`` the one order, ``_canonical`` the one choice (the first
+of least ``_rank``) and ``_label`` the one outcome rule, which turns every
+residual into a label.  No decoder
 reads a gid: ``_violations`` takes positions from ``Generator.anchor`` and
 roles from ``Generator.kind``, and step 2 takes its hint vertex from
 ``incidence``.
@@ -84,6 +86,16 @@ def _rank(word, logicals):
     """The canonical order every decoder picks its correction by: weight,
     then logical class, then exponents."""
     return word.weight(), _class_tuple(word, logicals), sort_key(word)
+
+
+def _canonical(cands, logicals) -> Correction:
+    """The ``Correction`` of the first (word, trace) candidate of least
+    ``_rank``; ``_rank`` orders by weight first, so only the lightest words
+    are ranked."""
+    cands = list(cands)
+    w = min(word.weight() for word, _ in cands)
+    return Correction(*min((c for c in cands if c[0].weight() == w),
+                           key=lambda c: _rank(c[0], logicals)))
 
 
 def _class_names(model):
@@ -224,6 +236,13 @@ def _pair_paths(geo, positions):
     return [_torus_path(geo, positions[i], positions[j]) for i, j in pairs]
 
 
+def _joined(model, positions, stype):
+    """The product of one ``stype`` string per ``_pair_paths`` pair of the
+    sorted violation anchors ``positions``."""
+    return pauli_prod(model.modulus, model.n_sites, [
+        string_operator(model, stype, path) for path in _pair_paths(model.geometry, positions)])
+
+
 def _min_cost_pairings(geo, positions):
     """Every minimum-cost pairing, walking only the ``_pairing_table``
     branches that stay at the minimum; the lowest index pairs with each later
@@ -265,8 +284,7 @@ def _family_candidates(model, positions, stype):
     if not positions:
         return [identity(model.modulus, model.n_sites)]
     if len(positions) > PAIRING_CAP:
-        return [pauli_prod(model.modulus, model.n_sites, [
-            string_operator(model, stype, path) for path in _pair_paths(geo, positions)])]
+        return [_joined(model, positions, stype)]
     words = {}
     geodesics = {}  # pair -> its geodesic strings, built once per call
     for pr in _min_cost_pairings(geo, positions):
@@ -296,9 +314,8 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     """Pair violated vertices with Z strings and plaquettes with X strings.
 
     For modulus 2 the pairing is an exact minimum-weight perfect matching on
-    torus distance from a subset-DP table (see ``PAIRING_CAP``), never a list
-    of all (k-1)!! pairings; degenerate ties are broken canonically by (weight,
-    logical class, exponents), the same order the brute-force oracle uses.
+    torus distance from a subset-DP table (see ``PAIRING_CAP``); ties go to
+    ``_canonical``, as in the brute-force oracle.
     For larger moduli the charges are folded into a reference location along
     shortest paths (sound, deterministic): a unit string's end charges are
     fixed by ``lattice.STRINGS``, so no merge takes a syndrome.  A violated
@@ -315,8 +332,7 @@ def decode_toric(model: StabilizerModel, syn) -> Correction:
     if n == 2:
         words = product(_family_candidates(model, [p for p, _ in vert], "e"),
                         _family_candidates(model, [p for p, _ in plaq], "m"))
-        return Correction(min((pauli_mul(zw, xw) for zw, xw in words),
-                              key=lambda w: _rank(w, model.logicals)), ())
+        return _canonical(((pauli_mul(zw, xw), ()) for zw, xw in words), model.logicals)
 
     corr = identity(n, model.n_sites)
     # a unit e string carries charge +1 at its first node and -1 at its last,
@@ -386,22 +402,10 @@ def _step2_plans(ds, exps0, trail):
 def _close_plaquettes(ds, exps):
     """Step 3: close residual plaquette excitations with semion strings."""
     pos = [p for p, _ in _violations(ds, exps, "plaquette")]
-    words = [identity(4, ds.n_sites)]
-    for path in _pair_paths(ds.geometry, pos):
-        segs = []
-        for anyon in ("s", "sbar"):
-            w = string_operator(ds, anyon, path)
-            segs += [w, pauli_adjoint(w)]
-        words = [pauli_mul(w0, s) for w0 in words for s in segs]
-    return words, ("3",) if pos else ()
-
-
-def _close_vertices(ds, pos):
-    """Steps 4 and 5b: pair the double vertex excitations at the sorted
-    anchors ``pos`` with ss-bar strings."""
-    strings = [string_operator(ds, "ssbar", path)
-               for path in _pair_paths(ds.geometry, pos)]
-    return pauli_prod(4, ds.n_sites, strings), ("4", "5b") if pos else ()
+    # s, s-dagger, sbar, sbar-dagger per pair, the last pair varying fastest
+    segs = [[v for w in (string_operator(ds, a, path) for a in ("s", "sbar"))
+             for v in (w, pauli_adjoint(w))] for path in _pair_paths(ds.geometry, pos)]
+    return [pauli_prod(4, ds.n_sites, ws) for ws in product(*segs)], ("3",) if pos else ()
 
 
 def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
@@ -423,7 +427,7 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
     every C and B and move A exponents by 2 or 4, so one candidate decides
     for all whether C or B excitations stay, an odd A exponent stays, or the
     A excitations cannot pair.  No candidate is rejected; the correction is
-    their minimum in the order of ``_rank``.
+    their ``_canonical`` choice.
     """
     exps0 = dict(syn.exponents)
     trail = _trail_edges(ds, exps0)
@@ -461,16 +465,13 @@ def decode_doubled_semion(ds: StabilizerModel, syn) -> Correction:
         partial = pauli_mul(step2, closer)
         left = tuple(p for p, _ in _violations(ds, _add(ds, exps0, syn2, syn3), "vertex"))
         if left not in fixers:
-            fixers[left] = _close_vertices(ds, left)
-        fixer, rule5 = fixers[left]
-        cands.append((pauli_mul(partial, fixer), trace0 + rule5))
-    # _rank orders by weight first, so only the lightest candidates are ranked
-    w = min(c.weight() for c, _ in cands)
-    corr, trace = min((ct for ct in cands if ct[0].weight() == w),
-                      key=lambda ct: _rank(ct[0], ds.logicals))
-    if _add(ds, exps0, engine.syndrome(ds, corr).exponents):
+            # steps 4 and 5b: pair the double vertex excitations
+            fixers[left] = _joined(ds, left, "ssbar")
+        cands.append((pauli_mul(partial, fixers[left]), trace0 + (("4", "5b") if left else ())))
+    corr = _canonical(cands, ds.logicals)
+    if _add(ds, exps0, engine.syndrome(ds, corr.op).exponents):
         raise fail
-    return Correction(corr, trace)
+    return corr
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +485,7 @@ class BruteForceOracle:
     (gid, exponent) pairs of their syndrome, so a weight-2 match costs one
     ``_add`` and one lookup per single, whatever the model's size.  At the
     minimum weight the oracle enumerates every matching correction and
-    returns the canonical one: smallest (logical class, exponent tuple).
+    returns their ``_canonical`` choice.
     """
 
     def __init__(self, model):
@@ -525,20 +526,16 @@ class BruteForceOracle:
                         out.append(pauli_mul(op1, op2))
         return out
 
-    def _canonical(self, words, trace) -> Correction:
-        # every word here has the same weight, so _rank orders by class
-        return Correction(min(words, key=lambda w: _rank(w, self.model.logicals)), trace)
-
     def decode(self, syn) -> Correction:
         target = _add(self.model, {}, {g: -v for g, v in syn.exponents.items()})
         if not target:
             return Correction(identity(self.N, self.n), ("w0",))
         key = frozenset(target.items())
         if key in self.by_key:
-            return self._canonical(self.by_key[key], ("w1",))
+            return _canonical(((w, ("w1",)) for w in self.by_key[key]), self.model.logicals)
         cands = self._weight2_matches(target)
         if cands:
-            return self._canonical(cands, ("w2",))
+            return _canonical(((w, ("w2",)) for w in cands), self.model.logicals)
         raise DecodeNotFoundError("no correction of weight <= 2 matches the syndrome")
 
 

@@ -77,8 +77,9 @@ def _resolve(model: StabilizerModel, keys) -> dict:
     ``keys`` as an ordered set, in key order; DefectError lists the sorted
     keys that name no generator."""
     per_layer = model.geometry.sites_per_layer
+    anchors = {anchor for _, anchor, _ in keys}  # holds no None
     at = {(g.term, g.anchor, g.op.terms[0][0] // per_layer): j
-          for j, g in enumerate(model.generators) if g.term is not None}
+          for j, g in enumerate(model.generators) if g.anchor in anchors}
     missing = sorted({k for k in keys if k not in at})
     if missing:
         raise DefectError(f"cannot remove unknown generators {missing}")
@@ -232,10 +233,9 @@ def apply_bombin_twist(model: StabilizerModel, x0: int = 1, y0: int = 0,
             raise DefectError("contractible twist needs 2 <= width <= cols-4")
         # the cells from x0 - 1 to x0 + width + 1
         cells = [((x0 - 1 + j) % geo.cols, y0) for j in range(width + 3)]
-        added = (term_generators(geo, 2, [("PentL(", "pentagon", "pentagon-l", 1, 1)], cells[1:2])
+        added = (term_generators(geo, 2, [("PentL(", "pentagon", "pentagon-l")], cells[1:2])
                  + term_generators(geo, 2, [_PARALLELOGRAM], cells[1:width + 1])
-                 + term_generators(geo, 2, [("PentR(", "pentagon", "pentagon-r", 1, 1)],
-                                   cells[-1:]))
+                 + term_generators(geo, 2, [("PentR(", "pentagon", "pentagon-r")], cells[-1:]))
     else:
         if multiplicity < 1 or 2 * multiplicity > geo.rows:
             raise DefectError("too many parallel twist lines for this lattice")

@@ -191,40 +191,42 @@ def evaluate_constraint(model: StabilizerModel, kind: str) -> PauliOp:
                       [g.op for g in model.generators if g.kind == kind])
 
 
-# TERMS[name] = (placement, offsets): offset (dx, dy, k, x, z) puts X^x Z^z on
-# site k of the cell (x + dx, y + dy) of the anchor (x, y), the site
-# layer * sites_per_layer + c * (y' * cols + x') + k of the wrapped cell
-# (x', y'): c = 2 and k = 0 (h) or 1 (v) on edges, c = 1 and k = 0 on
-# vertices.  No two offsets of a term meet on a torus of at least 2x2 (the
-# pentagons need 3 columns, the twist gives 6), so no site needs a merge.
-# star, plaquette, fish = star * plaquette and the hops are the edge terms
-# of the module conventions; cell is the Bombin generator, parallelogram and
-# pentagon-l/-r the Bombin twist's cells (a Y corner by the phase 1).
+# TERMS[name] = (placement, offsets, phase): the word tau^phase times X^x Z^z
+# on site k of the cell (x + dx, y + dy) of the anchor (x, y) for each offset
+# (dx, dy, k, x, z), the site layer * sites_per_layer + c * (y' * cols + x') +
+# k of the wrapped cell (x', y'): c = 2 and k = 0 (h) or 1 (v) on edges, c = 1
+# and k = 0 on vertices.  No two offsets of a term meet on a torus of at least
+# 2x2 (the pentagons need 3 columns, the twist gives 6), so no site needs a
+# merge.  star, plaquette, fish = star * plaquette and the hops are the edge
+# terms of the module conventions; cell is the Bombin generator, parallelogram
+# and pentagon-l/-r the Bombin twist's cells (phase 1: a Y corner).
 TERMS = {
-    "star": ("edges", ((-1, 0, 0, 1, 0), (0, -1, 1, 1, 0), (0, 0, 0, -1, 0), (0, 0, 1, -1, 0))),
+    "star": ("edges", ((-1, 0, 0, 1, 0), (0, -1, 1, 1, 0), (0, 0, 0, -1, 0), (0, 0, 1, -1, 0)),
+             0),
     "plaquette": ("edges", ((0, 0, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 0, 0, -1),
-                            (0, 0, 1, 0, -1))),
+                            (0, 0, 1, 0, -1)), 0),
     "fish": ("edges", ((-1, 0, 0, 1, 0), (0, -1, 1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 1, -1, -1),
-                       (1, 0, 1, 0, 1), (0, 1, 0, 0, -1))),
-    "hop-h": ("edges", ((0, 0, 0, 0, 1), (1, 0, 1, -1, 0))),
-    "hop-v": ("edges", ((0, 0, 1, 0, 1), (0, 1, 0, -1, 0))),
-    "cell": ("vertices", ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))),
+                       (1, 0, 1, 0, 1), (0, 1, 0, 0, -1)), 0),
+    "hop-h": ("edges", ((0, 0, 0, 0, 1), (1, 0, 1, -1, 0)), 0),
+    "hop-v": ("edges", ((0, 0, 1, 0, 1), (0, 1, 0, -1, 0)), 0),
+    "cell": ("vertices", ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 1, 0, 1, 0), (0, 1, 0, 0, 1)),
+             0),
     "parallelogram": ("vertices", ((0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 1, 0, 0, 1),
-                                   (2, 1, 0, 1, 0))),
+                                   (2, 1, 0, 1, 0)), 0),
     "pentagon-l": ("vertices", ((-1, 0, 0, 1, 0), (0, 0, 0, 0, 1), (-1, 1, 0, 0, 1),
-                                (0, 1, 0, 1, 1), (1, 1, 0, 1, 0))),
+                                (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)), 1),
     "pentagon-r": ("vertices", ((-1, 0, 0, 1, 0), (0, 0, 0, 1, 1), (1, 0, 0, 0, 1),
-                                (0, 1, 0, 0, 1), (1, 1, 0, 1, 0))),
+                                (0, 1, 0, 0, 1), (1, 1, 0, 1, 0)), 1),
 }
 
 
 def term_words(geo: LatticeGeometry, modulus: int, name: str, anchors, layer: int = 0,
-               power: int = 1, phase: int = 0) -> list:
-    """The ``TERMS[name]`` word at each (x, y) of ``anchors`` with phase
-    exponent ``phase``, every exponent times ``power`` (the word's power for
-    the star, plaquette and hops, whose sites carry X or Z alone), reduced
-    once per call; a term of the other placement raises GeometryError."""
-    placement, offsets = TERMS[name]
+               power: int = 1) -> list:
+    """The ``TERMS[name]`` word at each (x, y) of ``anchors`` with its row's
+    phase, every exponent times ``power`` (the word's power for the star,
+    plaquette and hops, whose sites carry X or Z alone), reduced once per
+    call; a term of the other placement raises GeometryError."""
+    placement, offsets, phase = TERMS[name]
     if geo.placement != placement:
         kind = "edge" if placement == "edges" else "vertex"
         raise GeometryError(f"{kind}_index needs {kind} placement")
@@ -244,7 +246,7 @@ def term_words(geo: LatticeGeometry, modulus: int, name: str, anchors, layer: in
 def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: int = 0) -> list:
     """The generators of ``rows`` at each (x, y) of ``anchors``, anchor by
     anchor and in row order at each anchor.  A row ``(prefix, kind, term[,
-    power[, phase]])`` gives ``f"{prefix}{x},{y})"`` of ``kind`` and ``term``,
+    power])`` gives ``f"{prefix}{x},{y})"`` of ``kind`` and ``term``,
     the ``term_words`` word, at (x, y); a row's words share their exponents,
     so each takes the first word's order N / gcd(N, exponents)."""
     if not anchors:
@@ -261,16 +263,11 @@ def term_generators(geo: LatticeGeometry, modulus: int, rows, anchors, layer: in
             for prefix, kind, term, words, order in columns]
 
 
-def _toric_geometry(rows: int, cols: int, modulus: int, layers: int = 1) -> LatticeGeometry:
-    geo = LatticeGeometry(rows, cols, "edges", layers)
-    if modulus < 2:
-        raise GeometryError("modulus must be >= 2")
-    return geo
-
-
 def build_toric_code(rows: int, cols: int, modulus: int = 2) -> StabilizerModel:
     """Z_N toric code on a cols x rows torus with qudits on edges."""
-    geo = _toric_geometry(rows, cols, modulus)
+    geo = LatticeGeometry(rows, cols, "edges")
+    if modulus < 2:
+        raise GeometryError("modulus must be >= 2")
     n = geo.n_sites
     gens = tuple(term_generators(geo, modulus, [("A(", "vertex", "star"),
                                                 ("B(", "plaquette", "plaquette")], geo.cells))
@@ -291,7 +288,7 @@ def build_bilayer_toric(rows: int, cols: int) -> StabilizerModel:
     ``vertex-T{t}`` and ``plaquette-T{t}``; ``defects.couple_bilayer``
     joins the layers through a wormhole.
     """
-    geo = _toric_geometry(rows, cols, 2, layers=2)
+    geo = LatticeGeometry(rows, cols, "edges", 2)
     gens = tuple(g for t in (1, 2) for g in term_generators(
         geo, 2, [(f"T{t}/A(", f"vertex-T{t}", "star"),
                  (f"T{t}/B(", f"plaquette-T{t}", "plaquette")], geo.cells, t - 1))

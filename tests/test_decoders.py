@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import ds_reference
 import mc_reference
 import pairing_reference as ref
-from quditlab import engine
+from quditlab import decoders, engine
 from quditlab.cli import build_model, parse_config
-from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, Correction,
+from quditlab.decoders import (PAIRING_CAP, BruteForceOracle, Correction, _canonical,
                                _class_names, _class_tuple, _family_candidates,
                                _geodesic_paths, _min_cost_pairings, _step2_plans,
                                _torus_path, _trail_edges,
@@ -303,6 +303,38 @@ def test_brute_force_not_found():
     assert decode_toric(tc, syn).op.weight() == 3
     with pytest.raises(DecodeNotFoundError, match="weight <= 2"):
         BruteForceOracle(tc).decode(syn)
+
+
+def test_decode_toric_ranks_only_the_lightest_products(monkeypatch):
+    # a vertex pair and a plaquette pair whose e x m products weigh 4, 4, 4
+    # and 3: the e string and one m string share an edge
+    tc = build_toric_code(4, 4, 2)
+    words = [pauli_mul(e, m) for e in _family_candidates(tc, [(0, 0), (1, 0)], "e")
+             for m in _family_candidates(tc, [(0, 0), (1, 2)], "m")]
+    assert sorted(w.weight() for w in words) == [3, 4, 4, 4]
+    ranked = []
+    rank = decoders._rank
+
+    def counted(word, logicals):
+        ranked.append(word)
+        return rank(word, logicals)
+
+    monkeypatch.setattr(decoders, "_rank", counted)
+    corr = decode_toric(tc, engine.syndrome(tc, words[0]))
+    assert ranked == [w for w in words if w.weight() == 3] == [corr.op]
+
+
+@pytest.mark.parametrize("phases, traces", [((0, 2), ("a", "a")), ((2, 0), ("a", "a")),
+                                            ((1, 1), ("a", "b")), ((3, 1), ("b", "a"))])
+def test_canonical_keeps_the_first_of_equal_rank(phases, traces):
+    # equal terms rank equal whatever the phase or trace; a heavier word
+    # ahead of them is never ranked against them
+    tc = build_toric_code(2, 2, 2)
+    heavy = (from_terms(2, tc.n_sites, [(0, 1, 0), (1, 1, 0)]), ("w2",))
+    cands = [(single_site(2, tc.n_sites, 3, x=1, z=1, phase=p), (t,))
+             for p, t in zip(phases, traces)]
+    assert _canonical([heavy] + cands, tc.logicals) == Correction(*cands[0])
+    assert _canonical(iter(cands[::-1]), tc.logicals) == Correction(*cands[1])
 
 
 def test_monte_carlo_zero_rate():
